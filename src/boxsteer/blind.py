@@ -43,6 +43,7 @@ from fractions import Fraction
 
 from .boxes import LocalBox, PRBox, SBox, alice_marginal, as_prob, bob_outcome_distribution
 from .ensembles import (
+    AliceReduction,
     Ensemble,
     Member,
     NonlocalEnsemble,
@@ -51,7 +52,6 @@ from .ensembles import (
     constituent_after_measurement,
     ensembles_equal,
     mix_nonlocal,
-    posterior_alice_ensemble,
     posterior_alice_reduction,
 )
 from .errors import (
@@ -240,72 +240,18 @@ def triangle_decompositions(target: TargetState) -> TriangleDecompositions:
 
 
 # ---------------------------------------------------------------------------
-# aggregate-weight constraint system
+# aggregate weights
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AffineExpr:
-    """constant + slope * free, where ``free`` is the one undetermined
-    aggregate (the product weight whose Alice factor is S00)."""
-
-    constant: Fraction
-    slope: Fraction
-
-    def at(self, free: Fraction) -> Fraction:
-        return self.constant + self.slope * free
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Every aggregate weight as an affine function of the free one.
-
-    Equating both reductions of a product-plus-PR ensemble with the two
-    triangle decompositions leaves a one-parameter line of solutions;
-    intersecting all nonnegativity constraints pins the parameter.
-    """
-
-    product_exprs: tuple[tuple[tuple[int, int], AffineExpr], ...]
-    pr_exprs: tuple[tuple[int, AffineExpr], ...]
-
-    def feasible_range(self) -> tuple[Fraction, Fraction]:
-        """Interval of free-parameter values keeping every aggregate >= 0."""
-        lo, hi = None, None
-        for _, expr in self.product_exprs + self.pr_exprs:
-            if expr.slope > 0:
-                bound = -expr.constant / expr.slope
-                lo = bound if lo is None else max(lo, bound)
-            elif expr.slope < 0:
-                bound = -expr.constant / expr.slope
-                hi = bound if hi is None else min(hi, bound)
-            elif expr.constant < 0:
-                raise RegionError(
-                    "aggregate weight system has no nonnegative solution"
-                )
-        if lo is None or hi is None or lo > hi:
-            raise RegionError("aggregate weight system has no nonnegative solution")
-        return lo, hi
-
-    def solve(self) -> tuple[dict[tuple[int, int], Fraction], dict[int, Fraction]]:
-        lo, hi = self.feasible_range()
-        if lo != hi:
-            raise RegionError(
-                f"aggregate weights not pinned: free parameter ranges over [{lo}, {hi}]"
-            )
-        products = {key: expr.at(lo) for key, expr in self.product_exprs}
-        prs = {key: expr.at(lo) for key, expr in self.pr_exprs}
-        return products, prs
-
-
-@dataclass(frozen=True)
 class BlindSteeringSolution:
-    """Pinned aggregate weights for a canonical target, the affine system
-    they came from, and the canonical-split ensemble realizing them."""
+    """Pinned aggregate weights for a canonical target and the
+    canonical-split ensemble realizing them."""
 
     target: TargetState
     product_totals: dict[tuple[int, int], Fraction]
     pr_totals: dict[int, Fraction]
-    system: ConstraintSystem
     ensemble: NonlocalEnsemble
 
     def product_total(self, alpha: int, beta: int) -> Fraction:
@@ -315,56 +261,34 @@ class BlindSteeringSolution:
         return self.pr_totals.get(beta, Fraction(0))
 
 
-def _canonical_split(
-    product_totals: dict[tuple[int, int], Fraction],
-    pr_totals: dict[int, Fraction],
-) -> NonlocalEnsemble:
-    # all PR weight on the (0,0,0) box, all Bob factors on S00
-    products = tuple(
-        ProductMember(w, SBox(*key), _S00)
-        for key, w in sorted(product_totals.items())
-        if w != 0
-    )
-    prs = ()
-    pr_weight = pr_totals.get(0, Fraction(0))
-    if pr_weight != 0:
-        prs = (PRMember(pr_weight, PRBox(0, 0, 0)),)
-    return NonlocalEnsemble(products, prs)
-
-
 def solve_constraints(target: TargetState) -> BlindSteeringSolution:
-    """Pin the aggregate member weights for a canonical-region target.
+    """The aggregate member weights for a canonical-region target.
 
     Matching the Bob-input-0 reduction to the upper triangle and the
-    Bob-input-1 reduction to the lower one expresses every aggregate
-    through the S00-product weight; positivity then forces that weight
-    to zero, and with it the S10 products and the whole beta=1 PR
-    sector, leaving
+    Bob-input-1 reduction to the lower one leaves one free aggregate,
+    the S00-product weight; positivity forces it to zero, and with it
+    the S10 products and the whole beta=1 PR sector, leaving
 
         PR total (beta=0) = 2s,   S01 products = 1-s-t,   S11 products = t-s.
     """
     _require_canonical(target, "solve_constraints")
     s, t = target.s, target.t
-    one = Fraction(1)
-    system = ConstraintSystem(
-        product_exprs=(
-            ((0, 0), AffineExpr(Fraction(0), one)),
-            ((0, 1), AffineExpr(1 - s - t, one)),
-            ((1, 0), AffineExpr(Fraction(0), one)),
-            ((1, 1), AffineExpr(t - s, one)),
+    zero = Fraction(0)
+    product_totals = {(0, 0): zero, (0, 1): 1 - s - t, (1, 0): zero, (1, 1): t - s}
+    pr_totals = {0: 2 * s, 1: zero}
+    # canonical split: all PR weight on the (0,0,0) box, all Bob factors on S00
+    ensemble = NonlocalEnsemble(
+        tuple(
+            ProductMember(w, SBox(*key), _S00)
+            for key, w in product_totals.items()
+            if w != 0
         ),
-        pr_exprs=(
-            (0, AffineExpr(2 * s, Fraction(-2))),
-            (1, AffineExpr(Fraction(0), Fraction(-2))),
-        ),
+        (PRMember(pr_totals[0], PRBox(0, 0, 0)),) if s != 0 else (),
     )
-    product_totals, pr_totals = system.solve()
-    ensemble = _canonical_split(product_totals, pr_totals)
     return BlindSteeringSolution(
         target=target,
-        product_totals={k: v for k, v in product_totals.items()},
-        pr_totals={k: v for k, v in pr_totals.items()},
-        system=system,
+        product_totals=product_totals,
+        pr_totals=pr_totals,
         ensemble=ensemble,
     )
 
@@ -430,9 +354,10 @@ def verify_blind_steering(
     expected_upper = relabeling.on_ensemble(canonical_triangles.upper)
     expected_lower = relabeling.on_ensemble(canonical_triangles.lower)
 
+    reductions = [posterior_alice_reduction(ensemble, y) for y in (0, 1)]
     checks = []
     for y, expected in ((0, expected_upper), (1, expected_lower)):
-        reduced = posterior_alice_ensemble(ensemble, y)
+        reduced = reductions[y].ensemble
         if ensembles_equal(reduced, expected):
             checks.append(CheckResult(f"reduction_y{y}", True))
         else:
@@ -444,7 +369,8 @@ def verify_blind_steering(
                     f"expected {_describe(expected)}",
                 )
             )
-    marginal = alice_marginal(mix_nonlocal(ensemble))
+    box = mix_nonlocal(ensemble)
+    marginal = alice_marginal(box)
     if marginal == target.to_box():
         checks.append(CheckResult("alice_marginal", True))
     else:
@@ -458,13 +384,12 @@ def verify_blind_steering(
         )
 
     supports = []
-    box = mix_nonlocal(ensemble)
     for y in (0, 1):
         outcome_dist = bob_outcome_distribution(box, y)
         for b in (0, 1):
             if outcome_dist[b] == 0:
                 continue
-            posterior = bob_posterior(ensemble, y, b)
+            posterior = _posterior(reductions[y], b)
             supports.append(
                 ((y, b), tuple(sorted(sbox.label for sbox in posterior)))
             )
@@ -528,9 +453,13 @@ def bob_posterior(
         raise ZeroProbabilityError(
             f"Bob never sees b={b} on input y={y} under this ensemble"
         )
+    return _posterior(posterior_alice_reduction(ensemble, y), b)
+
+
+def _posterior(reduction: AliceReduction, b: int) -> dict[SBox, Fraction]:
     totals: dict[SBox, Fraction] = {}
     norm = Fraction(0)
-    for record in posterior_alice_reduction(ensemble, y).records:
+    for record in reduction.records:
         if record.bob_outcome is not None and record.bob_outcome != b:
             continue
         totals[record.constituent] = (

@@ -22,9 +22,9 @@ import hashlib
 import itertools
 from fractions import Fraction
 
-from .boxes import BipartiteBox, PRBox, SBox, no_signalling_violations
+from .boxes import BipartiteBox, PRBox, SBox, _require_no_signalling
 from .ensembles import NonlocalEnsemble, PRMember, ProductMember
-from .errors import InfeasibleError, SignallingError, ValidationError
+from .errors import InfeasibleError, ValidationError
 
 __all__ = [
     "catalog_products",
@@ -158,9 +158,7 @@ def _require_scenario(box: BipartiteBox, op: str) -> None:
         raise ValidationError(
             f"{op} is defined on the one-bit scenario, got shape {box.shape}"
         )
-    problems = no_signalling_violations(box)
-    if problems:
-        raise SignallingError(f"{op} needs a no-signalling box: " + "; ".join(problems))
+    _require_no_signalling(box, op)
 
 
 def decompose(box: BipartiteBox) -> NonlocalEnsemble:

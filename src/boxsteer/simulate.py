@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .boxes import SBox, as_prob, condition_on_bob
 from .ensembles import (
@@ -292,6 +291,9 @@ def referee_audit(
     input, the empirical constituent frequencies must pass a two-sided
     exact binomial test against the declared reduction weights.
     """
+    # scipy.stats takes most of a second to import; only the audit needs it
+    from scipy.stats import binomtest
+
     if not 0 < significance < 1:
         raise ValidationError(f"significance must be in (0, 1), got {significance}")
     members = ensemble.members

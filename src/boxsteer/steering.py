@@ -80,14 +80,11 @@ def construct_steering_state(ensembles: Sequence[Ensemble]) -> SteeringState:
     for e in ensembles:
         if (e.num_inputs, e.num_outputs) != shape:
             raise ValidationError("ensembles must share the same alphabet")
-    common = mix(ensembles[0])
-    for position, e in enumerate(ensembles[1:], start=1):
-        other = mix(e)
-        if other != common:
-            raise IncompatibleEnsemblesError(
-                f"ensemble 0 mixes to {common.table} but ensemble {position} "
-                f"mixes to {other.table}; remote preparation needs a common box"
-            )
+    mixture = check_common_mixture(ensembles)
+    if not mixture.passed:
+        raise IncompatibleEnsemblesError(
+            f"{mixture.witness}; remote preparation needs a common box"
+        )
     X, A = shape
     Y = len(ensembles)
     B = max(e.cardinality for e in ensembles)

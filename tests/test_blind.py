@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
+from boxsteer.polytope import solve_nonneg_exact
 from strategies import interior_targets, random_blind_split
 
 BITS = (0, 1)
@@ -173,10 +174,6 @@ class TestSolveConstraints:
         assert solution.product_total(0, 1) == F(1, 8)
         assert solution.product_total(1, 1) == F(1, 8)
 
-    def test_positivity_pins_free_parameter(self):
-        solution = bx.solve_constraints(CANONICAL)
-        assert solution.system.feasible_range() == (F(0), F(0))
-
     @settings(max_examples=60, deadline=None)
     @given(interior_targets())
     def test_totals_sum_to_one(self, target):
@@ -188,6 +185,81 @@ class TestSolveConstraints:
         assert solution.pr_total(0) == 2 * target.s
         assert solution.product_total(0, 1) == 1 - target.s - target.t
         assert solution.product_total(1, 1) == target.t - target.s
+
+
+def vertex_reduction_columns():
+    """Each catalog vertex's two Alice reductions as one column, rows
+    (y, i, j) in lexicographic order, read off by conditioning the vertex
+    table on Bob's outcome."""
+    vertices = [
+        bx.ProductMember(F(1), alice, bob).as_bipartite_box()
+        for alice, bob in bx.catalog_products()
+    ] + [pr.as_bipartite_box() for pr in bx.catalog_prs()]
+    columns = []
+    for box in vertices:
+        column = dict.fromkeys(itertools.product(BITS, BITS, BITS), F(0))
+        for y in BITS:
+            for b, p in enumerate(bx.bob_outcome_distribution(box, y)):
+                if p != 0:
+                    sbox = bx.SBox.from_local_box(bx.condition_on_bob(box, y, b))
+                    column[y, sbox.alpha, sbox.beta] += p
+        columns.append(tuple(column.values()))
+    return columns
+
+
+VERTEX_REDUCTIONS = vertex_reduction_columns()
+
+
+def aggregates_forced(target, aggregates):
+    """For each (indicator over the 24 vertices, value g*), True iff no
+    vertex mixture whose two reductions are the target's triangles has
+    an aggregate other than g*.
+
+    Over (w, lam) >= 0 with M.w - lam.r = 0, the row +-(g.w - lam.g*) = 1
+    is feasible iff g can exceed (or fall below) g* on the normalized
+    feasible set: lam = 0 would force w = 0, since M preserves total
+    weight.
+    """
+    triangles = (bx.upper_triangle_weights(target), bx.lower_triangle_weights(target))
+    r = [triangles[y][bx.SBox(i, j)] for y, i, j in itertools.product(BITS, BITS, BITS)]
+    for indicator, g_star in aggregates:
+        for sign in (1, -1):
+            columns = [
+                column + (F(sign * g),) for column, g in zip(VERTEX_REDUCTIONS, indicator)
+            ]
+            columns.append(tuple(-v for v in r) + (-sign * g_star,))
+            if solve_nonneg_exact(tuple(columns), [F(0)] * len(r) + [F(1)]) is not None:
+                return False
+    return True
+
+
+class TestAggregatesForced:
+    """The exact simplex over the 24-vertex catalog, constrained to both
+    triangle reductions, admits only the closed-form aggregates."""
+
+    @staticmethod
+    def closed_form(target):
+        solution = bx.solve_constraints(target)
+        products = [
+            (tuple(int(alice == bx.SBox(i, j)) for alice, _ in bx.catalog_products())
+             + (0,) * 8, solution.product_total(i, j))
+            for i, j in itertools.product(BITS, BITS)
+        ]
+        prs = [
+            ((0,) * 16 + tuple(int(pr.beta == beta) for pr in bx.catalog_prs()),
+             solution.pr_total(beta))
+            for beta in BITS
+        ]
+        return products + prs
+
+    @settings(max_examples=30, deadline=None)
+    @given(interior_targets())
+    def test_only_closed_form_aggregates_feasible(self, target):
+        assert aggregates_forced(target, self.closed_form(target))
+
+    def test_oracle_rejects_wrong_aggregate(self):
+        indicator, g_star = self.closed_form(CANONICAL)[4]  # PR beta=0 total
+        assert not aggregates_forced(CANONICAL, [(indicator, g_star + F(1, 24))])
 
 
 class TestBuildEnsemble:
@@ -325,6 +397,59 @@ def test_family_invariance(target, rng):
             bx.posterior_alice_ensemble(built, y),
             bx.posterior_alice_ensemble(solution.ensemble, y),
         )
+
+
+def expected_supports(ensemble):
+    box = bx.mix_nonlocal(ensemble)
+    return tuple(
+        ((y, b), tuple(sorted(sbox.label for sbox in bx.bob_posterior(ensemble, y, b))))
+        for y, b in itertools.product(BITS, BITS)
+        if bx.bob_outcome_distribution(box, y)[b] > 0
+    )
+
+
+class TestPosteriorSupports:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        interior_targets(),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_match_bob_posterior(self, target, rng, with_split, flip_outputs, flip_inputs):
+        relabeling = bx.Relabeling(flip_outputs=flip_outputs, flip_inputs=flip_inputs)
+        split = None
+        if with_split:
+            split = relabeling.on_nonlocal_ensemble(
+                random_blind_split(rng, bx.solve_constraints(target))
+            )
+        plan = bx.plan_blind_steering(relabeling.on_target(target), split)
+        assert plan.canonical_target == target
+        assert plan.report.posterior_supports == expected_supports(plan.ensemble)
+
+    @pytest.mark.parametrize(
+        "s,t", [(F(0), F(0)), (F(0), HALF), (QUARTER, QUARTER), (F(1), F(3, 4))]
+    )
+    def test_match_on_boundary(self, s, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", bx.DegenerateRegionWarning)
+            plan = bx.plan_blind_steering(bx.TargetState(s, t))
+        assert plan.report.posterior_supports == expected_supports(plan.ensemble)
+
+
+def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
+    calls = {"mix_nonlocal": 0, "posterior_alice_reduction": 0}
+    for name in calls:
+        original = getattr(bx.blind, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bx.blind, name, counted)
+    bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
+    assert calls == {"mix_nonlocal": 1, "posterior_alice_reduction": 2}
 
 
 class TestPlanRelabeled:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -219,3 +221,14 @@ class TestRefereeAudit:
         _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
         with pytest.raises(bx.ValidationError):
             bx.referee_audit(logs, pr_singleton(), significance=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported by the audit alone, not by `import boxsteer`
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, boxsteer; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
