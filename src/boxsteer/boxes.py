@@ -257,6 +257,13 @@ class BipartiteBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[x][y][a][b]
 
+    # conditioning-heavy callers re-ask for the same box many times, so
+    # the scan is kept on the instance (a cache keyed by the table would
+    # hash every exact entry again on each lookup)
+    @functools.cached_property
+    def _no_signalling_problems(self) -> tuple[str, ...]:
+        return _no_signalling_scan(self)
+
 
 def product_box(alice: LocalBox, bob: LocalBox) -> BipartiteBox:
     """Uncorrelated pair: p(ab|xy) = p(a|x) * p(b|y)."""
@@ -322,9 +329,6 @@ class PRBox:
 # ---------------------------------------------------------------------------
 
 
-# pure function of the table, and conditioning-heavy callers re-ask for
-# the same box many times, so the scan is memoized
-@functools.lru_cache(maxsize=512)
 def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:
     problems: list[str] = []
     X, Y, A, B = box.shape
@@ -352,7 +356,7 @@ def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:
 def no_signalling_violations(box: BipartiteBox) -> list[str]:
     """Human-readable list of marginal-dependence violations (empty iff
     the box is no-signalling)."""
-    return list(_no_signalling_scan(box))
+    return list(box._no_signalling_problems)
 
 
 def is_no_signalling(box: BipartiteBox) -> bool:

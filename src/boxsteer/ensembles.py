@@ -267,21 +267,27 @@ class NonlocalEnsemble:
 
 
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
-    """The two-party box realized by the ensemble."""
+    """The two-party box realized by the ensemble.
+
+    Built from the vertex formulas: on every input pair (x, y) a product
+    member puts its weight on the one cell its two S boxes output, and a
+    PR member puts half its weight on each of the two cells with
+    ``a XOR b`` equal to its parity.
+    """
     acc = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for member in ensemble.members:
-        box = member.as_bipartite_box()
+    for m in ensemble.products:
+        for x in range(2):
+            a = m.alice.output(x)
+            for y in range(2):
+                acc[x][y][a][m.bob.output(y)] += m.weight
+    for m in ensemble.prs:
+        half = m.weight / 2
         for x in range(2):
             for y in range(2):
+                parity = m.box.parity(x, y)
                 for a in range(2):
-                    for b in range(2):
-                        acc[x][y][a][b] += member.weight * box.prob(x, y, a, b)
-    return BipartiteBox(
-        tuple(
-            tuple(tuple(tuple(acc[x][y][a]) for a in range(2)) for y in range(2))
-            for x in range(2)
-        )
-    )
+                    acc[x][y][a][a ^ parity] += half
+    return BipartiteBox(acc)
 
 
 def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:

@@ -6,13 +6,29 @@ the 8 PR boxes.  :func:`decompose` writes any such box as an exact
 convex combination of catalog vertices; :func:`is_local` asks whether
 the product vertices alone suffice.
 
-Both reduce to a nonnegative exact-rational linear solve, done by a
-phase-one simplex over :class:`fractions.Fraction` with Bland's rule.
-Columns are scanned in catalog order and ties in the ratio test break
-toward the lowest basis index, so the returned decomposition is a
+Both start from the eight CHSH values of the box,
+``C_pq = sum_xy (-1)^((x XOR p)(y XOR q)) E_xy`` and their negations,
+where ``E_xy`` is the correlator of inputs (x, y).  By Fine's theorem a
+one-bit no-signalling box is local iff every CHSH value is at most 2,
+so :func:`is_local` is that comparison.  At most one value exceeds 2
+(any two forms sum or differ to twice a sum of two correlators, so
+``|C_pq| + |C_p'q'| <= 4``), and a box with ``|C_pq| > 2`` is, after
+Barrett et al., a mixture of the single vertex ``PR(p, q, delta)``
+(``delta`` = 0 for C > 0, 1 for C < 0) with weight
+``mu = (|C_pq| - 2) / 2`` and a local remainder whose CHSH values are
+all at most 2.  No smaller PR weight leaves a local remainder, so
+:func:`decompose` uses at most one PR vertex, with the minimal weight.
+
+The local remainder is split over the 16 product vertices by a
+phase-one simplex over :class:`fractions.Fraction` with Bland's rule,
+in Collins-Gisin coordinates (Alice's and Bob's p(0|input), p(00|xy)
+and normalization: 9 rows, which fix a no-signalling table).  Columns
+are scanned in catalog order and ties in the ratio test break toward
+the lowest basis index, so the returned decomposition is a
 deterministic function of the input (and Bland's rule rules out
 cycling).  Decompositions are not unique in general; callers verify
-results by remixing, not by comparing witnesses.
+results by remixing, not by comparing witnesses.  The same simplex over
+the full tables is the tests' oracle for both closed forms.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import functools
 import hashlib
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from .boxes import BipartiteBox, PRBox, SBox, _require_no_signalling
 from .ensembles import NonlocalEnsemble, PRMember, ProductMember
@@ -99,22 +116,18 @@ def solve_nonneg_exact(
     """
     n = len(columns)
     m = len(rhs)
-    # tableau rows: real columns, then artificial identity, then rhs
+    # tableau rows: real columns, then rhs; the artificial columns are
+    # never read, so only their basis labels n + i are kept
     rows: list[list[Fraction]] = []
     for i in range(m):
-        real = [columns[j][i] for j in range(n)]
-        target = rhs[i]
-        if target < 0:
-            real = [-v for v in real]
-            target = -target
-        row = real
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(target)
+        row = [columns[j][i] for j in range(n)]
+        row.append(rhs[i])
+        if rhs[i] < 0:
+            row = [-v for v in row]
         rows.append(row)
     basis = [n + i for i in range(m)]
-    # reduced-cost row for minimizing the artificial total
-    cost = [sum(rows[i][j] for i in range(m)) for j in range(n)]
-    objective = sum(rows[i][-1] for i in range(m))
+    # reduced costs for minimizing the artificial total, then that total
+    cost = [sum(rows[i][j] for i in range(m)) for j in range(n + 1)]
 
     while True:
         enter = next((j for j in range(n) if cost[j] > 0), None)
@@ -134,17 +147,19 @@ def solve_nonneg_exact(
         if leave is None:
             raise InfeasibleError("phase-one objective unbounded; malformed system")
         pivot = rows[leave][enter]
-        rows[leave] = [v / pivot for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                factor = rows[i][enter]
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[leave])]
-        factor = cost[enter]
-        cost = [c - factor * p for c, p in zip(cost, rows[leave][:n])]
-        objective -= factor * rows[leave][-1]
+        if pivot != 1:
+            rows[leave] = [v / pivot if v else v for v in rows[leave]]
+        pivot_row = rows[leave]
+        # zero entries of the pivot row leave every other row unchanged
+        support = [k for k, v in enumerate(pivot_row) if v]
+        for row in rows + [cost]:
+            factor = row[enter]
+            if factor and row is not pivot_row:
+                for k in support:
+                    row[k] -= factor * pivot_row[k]
         basis[leave] = enter
 
-    if objective != 0:
+    if cost[-1] != 0:
         return None
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
@@ -161,36 +176,73 @@ def _require_scenario(box: BipartiteBox, op: str) -> None:
     _require_no_signalling(box, op)
 
 
+def _strongest_chsh(box: BipartiteBox) -> tuple[Fraction, int, int]:
+    """(C_pq, p, q) for the CHSH form of largest |C_pq| (first in (p, q)
+    order on ties)."""
+    correlators = [
+        [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block] for block in box.table
+    ]
+    strongest = None
+    for p, q in itertools.product((0, 1), repeat=2):
+        value = sum(
+            -correlators[x][y] if (x ^ p) & (y ^ q) else correlators[x][y]
+            for x, y in itertools.product((0, 1), repeat=2)
+        )
+        if strongest is None or abs(value) > abs(strongest[0]):
+            strongest = (value, p, q)
+    return strongest
+
+
+def _collins_gisin(flat: Sequence[Fraction]) -> list[Fraction]:
+    """pA(0|x), pB(0|y), p(00|xy) and the normalization of a flat
+    (x, y, a, b) no-signalling table, which they determine."""
+    return (
+        [flat[8 * x] + flat[8 * x + 1] for x in (0, 1)]
+        + [flat[4 * y] + flat[4 * y + 2] for y in (0, 1)]
+        + [flat[8 * x + 4 * y] for x, y in itertools.product((0, 1), repeat=2)]
+        + [sum(flat[:4])]
+    )
+
+
+@functools.cache
+def _catalog_cg_columns() -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(_collins_gisin(col)) for col in _catalog_columns())
+
+
 def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     """Exact convex decomposition of a one-bit no-signalling box over the
-    24-vertex catalog.  Remixing the result reproduces ``box`` exactly."""
+    24-vertex catalog, with at most one PR member of minimal weight.
+    Remixing the result reproduces ``box`` exactly."""
     _require_scenario(box, "decompose")
-    columns = _catalog_columns()
-    rhs = _flatten(box) + [Fraction(1)]
-    padded = tuple(col + (Fraction(1),) for col in columns)
-    weights = solve_nonneg_exact(padded, rhs)
+    chsh, p, q = _strongest_chsh(box)
+    rhs = _collins_gisin(_flatten(box))
+    local_share = Fraction(1)
+    prs: tuple[PRMember, ...] = ()
+    if abs(chsh) > 2:
+        pr = PRBox(p, q, 0 if chsh > 0 else 1)
+        weight = (abs(chsh) - 2) / 2
+        prs = (PRMember(weight, pr),)
+        if weight == 1:
+            return NonlocalEnsemble((), prs)
+        local_share -= weight
+        vertex = _catalog_cg_columns()[16 + catalog_prs().index(pr)]
+        rhs = [(v - weight * c) / local_share for v, c in zip(rhs, vertex)]
+    weights = solve_nonneg_exact(_catalog_cg_columns()[:16], rhs)
     if weights is None:
         raise InfeasibleError(
             "no convex combination of catalog vertices matches the table; "
             "a normalized no-signalling table should never reach this"
         )
     products = tuple(
-        ProductMember(w, alice, bob)
-        for w, (alice, bob) in zip(weights[:16], catalog_products())
-        if w != 0
-    )
-    prs = tuple(
-        PRMember(w, pr)
-        for w, pr in zip(weights[16:], catalog_prs())
+        ProductMember(w * local_share, alice, bob)
+        for w, (alice, bob) in zip(weights, catalog_products())
         if w != 0
     )
     return NonlocalEnsemble(products, prs)
 
 
 def is_local(box: BipartiteBox) -> bool:
-    """True iff the box is a convex combination of product vertices alone."""
+    """True iff the box is a convex combination of product vertices
+    alone, i.e. (Fine) iff no CHSH value exceeds 2."""
     _require_scenario(box, "is_local")
-    columns = _catalog_columns()[:16]
-    rhs = _flatten(box) + [Fraction(1)]
-    padded = tuple(col + (Fraction(1),) for col in columns)
-    return solve_nonneg_exact(padded, rhs) is not None
+    return abs(_strongest_chsh(box)[0]) <= 2

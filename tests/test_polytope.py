@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxsteer as bx
-from strategies import chsh_values, facet_local, nonlocal_ensembles
+from boxsteer.polytope import _catalog_columns, solve_nonneg_exact
+from strategies import chsh_values, facet_local, nonlocal_ensembles, rationals
 
 BITS = (0, 1)
 
@@ -17,8 +20,8 @@ def uniform_box():
     return bx.BipartiteBox(((row, row), (row, row)))
 
 
-def noisy_pr(v: F) -> bx.BipartiteBox:
-    pr = bx.PRBox(0, 0, 0).as_bipartite_box()
+def noisy_pr(v: F, pr_box: bx.PRBox = bx.PRBox(0, 0, 0)) -> bx.BipartiteBox:
+    pr = pr_box.as_bipartite_box()
     flat = uniform_box()
     table = tuple(
         tuple(
@@ -34,6 +37,55 @@ def noisy_pr(v: F) -> bx.BipartiteBox:
         for x in BITS
     )
     return bx.BipartiteBox(table)
+
+
+def simplex_local(box: bx.BipartiteBox) -> bool:
+    """Locality by the exact simplex over the 16 product vertices, the
+    oracle for the closed-form :func:`bx.is_local`."""
+    columns = tuple(col + (F(1),) for col in _catalog_columns()[:16])
+    rhs = [
+        box.prob(x, y, a, b) for x, y, a, b in itertools.product(BITS, repeat=4)
+    ] + [F(1)]
+    return solve_nonneg_exact(columns, rhs) is not None
+
+
+def boundary_boxes() -> list[bx.BipartiteBox]:
+    """Boxes on or next to the local facets: the 24 vertices, every PR
+    vertex in white noise at the CHSH threshold and 1/64 either side,
+    two-PR mixtures, and the uniform box."""
+    boxes = [
+        bx.product_box(alice.as_local_box(), bob.as_local_box())
+        for alice, bob in bx.catalog_products()
+    ]
+    boxes += [pr.as_bipartite_box() for pr in bx.catalog_prs()]
+    for pr in bx.catalog_prs():
+        for v in (F(1, 2) - F(1, 64), F(1, 2), F(1, 2) + F(1, 64)):
+            boxes.append(noisy_pr(v, pr))
+    for first, second in itertools.combinations(bx.catalog_prs(), 2):
+        for w in (F(1, 2), F(3, 4)):
+            boxes.append(
+                bx.mix_nonlocal(
+                    bx.NonlocalEnsemble(
+                        (), (bx.PRMember(w, first), bx.PRMember(1 - w, second))
+                    )
+                )
+            )
+    boxes.append(uniform_box())
+    return boxes
+
+
+@st.composite
+def pr_heavy_ensembles(draw):
+    """A random vertex ensemble blended with one PR vertex at a random
+    visibility, so that about half the boxes are nonlocal."""
+    base = draw(nonlocal_ensembles())
+    pr = draw(st.sampled_from(bx.catalog_prs()))
+    v = draw(rationals())
+    products = tuple(
+        bx.ProductMember((1 - v) * m.weight, m.alice, m.bob) for m in base.products
+    )
+    prs = tuple(bx.PRMember((1 - v) * m.weight, m.box) for m in base.prs)
+    return bx.NonlocalEnsemble(products, prs + (bx.PRMember(v, pr),))
 
 
 def signalling_box():
@@ -70,8 +122,6 @@ class TestCatalog:
 
     def test_vertices_extremal(self):
         # no vertex is a mixture of the other 23
-        from boxsteer.polytope import _catalog_columns, solve_nonneg_exact
-
         columns = _catalog_columns()
         for v in range(24):
             others = tuple(
@@ -88,6 +138,11 @@ class TestDecompose:
     def test_pr_box_is_its_own_vertex(self):
         ensemble = bx.decompose(bx.PRBox(0, 0, 0).as_bipartite_box())
         assert {m.label: m.weight for m in ensemble.members} == {"PR000": F(1)}
+        # every PR vertex peels with weight 1, leaving nothing to renormalize
+        for pr in bx.catalog_prs():
+            ensemble = bx.decompose(pr.as_bipartite_box())
+            assert ensemble.products == ()
+            assert ensemble.prs == (bx.PRMember(F(1), pr),)
 
     def test_product_vertex(self):
         box = bx.product_box(
@@ -112,6 +167,34 @@ class TestDecompose:
         recovered = bx.decompose(box)
         assert bx.mix_nonlocal(recovered) == box
         assert sum(m.weight for m in recovered.members) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(nonlocal_ensembles(), pr_heavy_ensembles()))
+    def test_at_most_one_chsh_violation(self, ensemble):
+        values = chsh_values(bx.mix_nonlocal(ensemble))
+        assert sum(1 for v in values if v > 2) <= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(nonlocal_ensembles(), pr_heavy_ensembles()))
+    def test_one_pr_member_of_minimal_weight(self, ensemble):
+        box = bx.mix_nonlocal(ensemble)
+        violation = max(chsh_values(box)) - 2
+        recovered = bx.decompose(box)
+        assert len(recovered.prs) <= 1
+        assert all(isinstance(m.weight, F) for m in recovered.members)
+        pr_weight = sum((m.weight for m in recovered.prs), F(0))
+        assert pr_weight == max(F(0), violation / 2)
+        assert bx.mix_nonlocal(recovered) == box
+        if 0 < pr_weight < 1:
+            # any less PR weight would leave a remainder above the facet
+            remainder = bx.NonlocalEnsemble(
+                tuple(
+                    bx.ProductMember(m.weight / (1 - pr_weight), m.alice, m.bob)
+                    for m in recovered.products
+                ),
+                (),
+            )
+            assert max(chsh_values(bx.mix_nonlocal(remainder))) == 2
 
     def test_blind_plan_ensemble_round_trips(self):
         plan = bx.plan_blind_steering(bx.TargetState(F(1, 4), F(1, 2)))
@@ -150,6 +233,19 @@ class TestIsLocal:
         box = bx.mix_nonlocal(ensemble)
         assert bx.is_local(box) == facet_local(box)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(nonlocal_ensembles(), pr_heavy_ensembles()))
+    def test_agrees_with_simplex_oracle(self, ensemble):
+        box = bx.mix_nonlocal(ensemble)
+        assert bx.is_local(box) == simplex_local(box)
+
+    def test_boundary_boxes_agree_with_simplex_oracle(self):
+        boxes = boundary_boxes()
+        verdicts = [bx.is_local(box) for box in boxes]
+        assert verdicts == [simplex_local(box) for box in boxes]
+        # both sides of the facet are represented
+        assert True in verdicts and False in verdicts
+
     def test_decompose_on_local_boxes_remixes(self):
         # witnesses are not unique, so only the remix is checked
         for v in (F(0), F(1, 4), F(1, 2)):
@@ -173,16 +269,67 @@ class TestScenarioErrors:
             bx.is_local(signalling_box())
 
 
-class TestSolver:
-    def test_infeasible_returns_none(self):
-        from boxsteer.polytope import solve_nonneg_exact
+def random_columns(rng: random.Random, rows: int, count: int):
+    return tuple(
+        tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows))
+        for _ in range(count)
+    )
 
+
+def combine(weights, columns):
+    return [
+        sum((w * col[i] for w, col in zip(weights, columns)), F(0))
+        for i in range(len(columns[0]))
+    ]
+
+
+class TestSolver:
+    def test_random_feasible_systems(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            columns = random_columns(rng, rng.randint(1, 6), rng.randint(1, 9))
+            x = [
+                F(rng.randint(0, 6), rng.randint(1, 4)) if rng.random() < 0.6 else F(0)
+                for _ in columns
+            ]
+            rhs = combine(x, columns)
+            solution = solve_nonneg_exact(columns, rhs)
+            assert solution is not None
+            assert all(isinstance(v, F) and v >= 0 for v in solution)
+            assert combine(solution, columns) == rhs
+
+    def test_random_rhs_outside_cone(self):
+        # Farkas: every column on the nonnegative side of a random y and
+        # the right-hand side strictly on the other side
+        rng = random.Random(21)
+        for _ in range(300):
+            rows = rng.randint(1, 6)
+            y = [F(rng.randint(-3, 3)) for _ in range(rows)]
+            if not any(y):
+                y[0] = F(1)
+            norm = sum(v * v for v in y)
+
+            def dot(vector):
+                return sum(a * b for a, b in zip(y, vector))
+
+            columns = []
+            for col in random_columns(rng, rows, rng.randint(1, 9)):
+                if dot(col) < 0:
+                    col = tuple(-v for v in col)
+                elif dot(col) == 0:
+                    col = tuple(a + b for a, b in zip(col, y))
+                columns.append(col)
+            rhs = [F(rng.randint(-4, 4)) for _ in range(rows)]
+            shift = dot(rhs) / norm + 1
+            rhs = [r - shift * v for r, v in zip(rhs, y)]
+            assert dot(rhs) < 0
+            assert solve_nonneg_exact(tuple(columns), rhs) is None
+
+    def test_infeasible_returns_none(self):
         columns = ((F(1), F(0)), (F(0), F(1)))
         assert solve_nonneg_exact(columns, [F(-1), F(1)]) is None
 
     def test_negative_rhs_feasible(self):
-        from boxsteer.polytope import solve_nonneg_exact
-
         columns = ((F(-1), F(0)), (F(0), F(1)))
         solution = solve_nonneg_exact(columns, [F(-2), F(3)])
         assert solution == [F(2), F(3)]
