@@ -49,8 +49,8 @@ from .ensembles import (
     NonlocalEnsemble,
     PRMember,
     ProductMember,
+    _sbox_ensemble,
     constituent_after_measurement,
-    ensembles_equal,
     mix_nonlocal,
     posterior_alice_reduction,
 )
@@ -142,22 +142,6 @@ class Relabeling:
             pr.delta ^ (1 if self.flip_outputs else 0),
         )
 
-    def on_local_box(self, box: LocalBox) -> LocalBox:
-        if box.num_inputs != 2 or box.num_outputs != 2:
-            raise ValidationError("relabeling is defined on one-bit boxes")
-        fx = 1 if self.flip_inputs else 0
-        fa = 1 if self.flip_outputs else 0
-        return LocalBox(
-            tuple(
-                tuple(box.prob(x ^ fx, a ^ fa) for a in (0, 1)) for x in (0, 1)
-            )
-        )
-
-    def on_ensemble(self, ensemble: Ensemble) -> Ensemble:
-        return Ensemble(
-            tuple((w, self.on_local_box(box)) for w, box in ensemble.members)
-        )
-
     def on_nonlocal_ensemble(self, ensemble: NonlocalEnsemble) -> NonlocalEnsemble:
         return NonlocalEnsemble(
             tuple(
@@ -201,42 +185,16 @@ def _require_canonical(target: TargetState, op: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TriangleDecompositions:
-    """The two fixed decompositions of a canonical target.
-
-    ``upper`` is prepared when Bob inputs 0, ``lower`` when he inputs 1.
-    """
-
-    target: TargetState
-    upper: Ensemble
-    lower: Ensemble
-
-
-def _weights_to_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
-    positive = [(w, sbox.as_local_box()) for sbox, w in weights.items() if w != 0]
-    return Ensemble(tuple(positive))
-
-
 def upper_triangle_weights(target: TargetState) -> dict[SBox, Fraction]:
+    """The decomposition Bob's input 0 prepares for a canonical target."""
     s, t = target.s, target.t
     return {_S00: s, _S01: 1 - t, _S10: Fraction(0), _S11: t - s}
 
 
 def lower_triangle_weights(target: TargetState) -> dict[SBox, Fraction]:
+    """The decomposition Bob's input 1 prepares for a canonical target."""
     s, t = target.s, target.t
     return {_S00: Fraction(0), _S01: 1 - s - t, _S10: s, _S11: t}
-
-
-def triangle_decompositions(target: TargetState) -> TriangleDecompositions:
-    """Both decompositions of a canonical-region target; raises
-    :class:`RegionError` elsewhere and warns on the degenerate boundary."""
-    _require_canonical(target, "triangle_decompositions")
-    return TriangleDecompositions(
-        target=target,
-        upper=_weights_to_ensemble(upper_triangle_weights(target)),
-        lower=_weights_to_ensemble(lower_triangle_weights(target)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +304,23 @@ def verify_blind_steering(
 ) -> BlindReport:
     """Check that ``ensemble`` blind-steers ``target``: its two reductions
     equal the target's triangle decompositions and its Alice marginal is
-    the target state itself."""
+    the target state itself.  Both sides are compared as S-box weights;
+    the canonical triangles are relabeled S box by S box."""
     canonical_target, relabeling = canonicalize(target)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateRegionWarning)
-        canonical_triangles = triangle_decompositions(canonical_target)
-    expected_upper = relabeling.on_ensemble(canonical_triangles.upper)
-    expected_lower = relabeling.on_ensemble(canonical_triangles.lower)
+    expected = [
+        {
+            relabeling.on_sbox(sbox): w
+            for sbox, w in triangle(canonical_target).items()
+            if w != 0
+        }
+        for triangle in (upper_triangle_weights, lower_triangle_weights)
+    ]
 
     reductions = [posterior_alice_reduction(ensemble, y) for y in (0, 1)]
     checks = []
-    for y, expected in ((0, expected_upper), (1, expected_lower)):
-        reduced = reductions[y].ensemble
-        if ensembles_equal(reduced, expected):
+    for y in (0, 1):
+        reduced = reductions[y].constituent_weights()
+        if reduced == expected[y]:
             checks.append(CheckResult(f"reduction_y{y}", True))
         else:
             checks.append(
@@ -366,7 +328,7 @@ def verify_blind_steering(
                     f"reduction_y{y}",
                     False,
                     f"Bob input {y} prepares {_describe(reduced)}, "
-                    f"expected {_describe(expected)}",
+                    f"expected {_describe(expected[y])}",
                 )
             )
     box = mix_nonlocal(ensemble)
@@ -398,21 +360,14 @@ def verify_blind_steering(
         target=target,
         canonical_target=canonical_target,
         relabeling=relabeling,
-        expected_upper=expected_upper,
-        expected_lower=expected_lower,
+        expected_upper=_sbox_ensemble(expected[0]),
+        expected_lower=_sbox_ensemble(expected[1]),
         posterior_supports=tuple(supports),
     )
 
 
-def _describe(ensemble: Ensemble) -> str:
-    parts = []
-    for w, box in ensemble.members:
-        try:
-            label = SBox.from_local_box(box).label
-        except ValidationError:
-            label = str(box.table)
-        parts.append(f"{w}*{label}")
-    return " + ".join(parts)
+def _describe(weights: dict[SBox, Fraction]) -> str:
+    return " + ".join(f"{w}*{sbox.label}" for sbox, w in weights.items())
 
 
 def referee_infer(member: Member, y: int, b: int) -> SBox:

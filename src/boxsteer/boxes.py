@@ -109,7 +109,12 @@ class DetLocalBox:
     num_outputs: int
 
     def __post_init__(self) -> None:
-        strategy = tuple(int(a) for a in self.strategy)
+        strategy = tuple(self.strategy)
+        for x, a in enumerate(strategy):
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise ValidationError(
+                    f"strategy value {a!r} at x={x} is not an integer"
+                )
         if not strategy:
             raise ValidationError("deterministic box needs at least one input")
         if self.num_outputs < 1:

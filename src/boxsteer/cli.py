@@ -66,11 +66,15 @@ EXIT_INFEASIBLE = 4
 EXIT_CHECKS_FAILED = 5
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> Any:
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,11 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.logs).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.logs}: {exc}") from exc
-    logs = logs_from_ndjson(text)
+    logs = logs_from_ndjson(_read_text(args.logs))
     ensemble = nonlocal_ensemble_from_json(_load_json(args.ensemble))
     verdict = referee_audit(logs, ensemble, significance=args.significance)
     _emit(args.out, {"verdict.json": audit_verdict_to_json(verdict)})

@@ -9,10 +9,11 @@ observable.
 A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
 extremal PR correlations.  When Bob measures ``y``, each member leaves
-Alice in a definite S box; :func:`posterior_alice_reduction` computes
-the resulting single-party ensemble together with a provenance record
-per (member, Bob outcome) pair, which downstream code uses for referee
-bookkeeping and for Bob's-knowledge arguments.
+Alice in a definite S box; :func:`posterior_alice_reduction` records
+one provenance entry per (member, Bob outcome) pair, which downstream
+code uses for referee bookkeeping and for Bob's-knowledge arguments.
+Alice's side is kept as S-box weights; the :class:`Ensemble` of
+validated tables is built only on request.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering;
@@ -323,21 +324,33 @@ class ReductionRecord:
     weight: Fraction
 
 
+def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
+    """The single-party ensemble of S-box weights, in their order, zero
+    weights dropped."""
+    return Ensemble(
+        tuple((w, sbox.as_local_box()) for sbox, w in weights.items() if w != 0)
+    )
+
+
 @dataclass(frozen=True)
 class AliceReduction:
     """Alice's ensemble after Bob's input ``input_choice``, with provenance."""
 
     input_choice: int
-    ensemble: Ensemble
     records: tuple[ReductionRecord, ...]
 
     def constituent_weights(self) -> dict[SBox, Fraction]:
+        """Merged weight per S box, in first-occurrence order, zeros dropped."""
         totals: dict[SBox, Fraction] = {}
         for record in self.records:
             totals[record.constituent] = (
                 totals.get(record.constituent, Fraction(0)) + record.weight
             )
         return {k: v for k, v in totals.items() if v != 0}
+
+    @property
+    def ensemble(self) -> Ensemble:
+        return _sbox_ensemble(self.constituent_weights())
 
 
 def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduction:
@@ -358,8 +371,7 @@ def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduct
                         member_id, b, constituent_after_measurement(member, y, b), half
                     )
                 )
-    members = [(r.weight, r.constituent.as_local_box()) for r in records]
-    return AliceReduction(y, Ensemble(tuple(members)), tuple(records))
+    return AliceReduction(y, tuple(records))
 
 
 def posterior_alice_ensemble(ensemble: NonlocalEnsemble, y: int) -> Ensemble:

@@ -289,37 +289,6 @@ def logs_from_ndjson(text: str) -> list[RoundLog]:
     return logs
 
 
-def _jsonify(value: Any) -> Any:
-    # best-effort conversion for report witnesses
-    if isinstance(value, Fraction):
-        return fraction_to_json(value)
-    if isinstance(value, SBox):
-        return sbox_to_json(value)
-    if isinstance(value, LocalBox):
-        return local_box_to_json(value)
-    if isinstance(value, BipartiteBox):
-        return bipartite_box_to_json(value)
-    if isinstance(value, Ensemble):
-        return ensemble_to_json(value)
-    if isinstance(value, NonlocalEnsemble):
-        return nonlocal_ensemble_to_json(value)
-    if isinstance(value, dict):
-        return {_key(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
-
-
-def _key(key: Any) -> str:
-    if isinstance(key, SBox):
-        return key.label
-    if isinstance(key, tuple):
-        return ",".join(str(part) for part in key)
-    return str(key)
-
-
 def verification_report_to_json(report: VerificationReport) -> dict:
     return {
         "passed": report.passed,
@@ -327,7 +296,7 @@ def verification_report_to_json(report: VerificationReport) -> dict:
             {
                 "name": check.name,
                 "passed": check.passed,
-                "witness": _jsonify(check.witness),
+                "witness": check.witness,
             }
             for check in report.checks
         ],
@@ -409,7 +378,8 @@ def simulation_report_to_json(report: SimulationReport) -> dict:
         "rounds": report.rounds,
         "rng_seed": report.rng_seed,
         "policy": input_policy_to_json(report.policy),
-        "empirical_joint": _jsonify(report.empirical_joint),
+        # nested tuples; cells of input pairs never drawn are NaN
+        "empirical_joint": report.empirical_joint,
         "alice_frequencies": {
             str(y): {sbox.label: freq for sbox, freq in cells.items()}
             for y, cells in report.alice_frequencies.items()

@@ -83,59 +83,76 @@ class TestRelabeling:
         assert both.on_prbox(bx.PRBox(0, 0, 0)) == bx.PRBox(1, 0, 1)
 
     def test_action_commutes_with_table_semantics(self):
-        # relabeled S box table equals table relabeled directly
+        # relabeled S box table equals the table with x and a flipped directly
         for alpha, beta, fo, fi in itertools.product(BITS, BITS, BITS, BITS):
             relabeling = bx.Relabeling(flip_outputs=bool(fo), flip_inputs=bool(fi))
             sbox = bx.SBox(alpha, beta)
-            assert (
-                relabeling.on_sbox(sbox).as_local_box()
-                == relabeling.on_local_box(sbox.as_local_box())
+            table = sbox.as_local_box().table
+            flipped = tuple(
+                tuple(table[x ^ fi][a ^ fo] for a in BITS) for x in BITS
             )
+            assert relabeling.on_sbox(sbox).as_local_box().table == flipped
+
+
+def positive(weights):
+    return {sbox: w for sbox, w in weights.items() if w != 0}
+
+
+def quiet_plan(target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bx.DegenerateRegionWarning)
+        return bx.plan_blind_steering(target)
 
 
 class TestTriangles:
     def test_canonical_example(self):
-        triangles = bx.triangle_decompositions(CANONICAL)
-        assert weights_of(triangles.upper) == {
-            bx.SBox(0, 0): QUARTER,
-            bx.SBox(0, 1): HALF,
-            bx.SBox(1, 1): QUARTER,
-        }
-        assert weights_of(triangles.lower) == {
-            bx.SBox(0, 1): QUARTER,
-            bx.SBox(1, 0): QUARTER,
-            bx.SBox(1, 1): HALF,
-        }
+        upper = {bx.SBox(0, 0): QUARTER, bx.SBox(0, 1): HALF, bx.SBox(1, 1): QUARTER}
+        lower = {bx.SBox(0, 1): QUARTER, bx.SBox(1, 0): QUARTER, bx.SBox(1, 1): HALF}
+        assert positive(bx.upper_triangle_weights(CANONICAL)) == upper
+        assert positive(bx.lower_triangle_weights(CANONICAL)) == lower
+        report = bx.plan_blind_steering(CANONICAL).report
+        assert weights_of(report.expected_upper) == upper
+        assert weights_of(report.expected_lower) == lower
 
     def test_both_realize_target(self):
-        triangles = bx.triangle_decompositions(CANONICAL)
-        assert bx.realizes(triangles.upper, CANONICAL.to_box())
-        assert bx.realizes(triangles.lower, CANONICAL.to_box())
+        report = bx.plan_blind_steering(CANONICAL).report
+        assert bx.realizes(report.expected_upper, CANONICAL.to_box())
+        assert bx.realizes(report.expected_lower, CANONICAL.to_box())
 
     def test_vertex_target_collapses(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", bx.DegenerateRegionWarning)
-            triangles = bx.triangle_decompositions(bx.TargetState(F(0), F(0)))
+        target = bx.TargetState(F(0), F(0))
         point = {bx.SBox(0, 1): F(1)}
-        assert weights_of(triangles.upper) == point
-        assert weights_of(triangles.lower) == point
+        assert positive(bx.upper_triangle_weights(target)) == point
+        assert positive(bx.lower_triangle_weights(target)) == point
+        report = quiet_plan(target).report
+        assert weights_of(report.expected_upper) == point
+        assert weights_of(report.expected_lower) == point
 
-    def test_degenerate_boundary_warns(self):
-        with pytest.warns(bx.DegenerateRegionWarning):
-            triangles = bx.triangle_decompositions(bx.TargetState(QUARTER, QUARTER))
-        assert weights_of(triangles.upper) == {
+    def test_degenerate_boundary_weights(self):
+        report = quiet_plan(bx.TargetState(QUARTER, QUARTER)).report
+        assert weights_of(report.expected_upper) == {
             bx.SBox(0, 0): QUARTER,
             bx.SBox(0, 1): F(3, 4),
         }
-        assert weights_of(triangles.lower) == {
+        assert weights_of(report.expected_lower) == {
             bx.SBox(0, 1): HALF,
             bx.SBox(1, 0): QUARTER,
             bx.SBox(1, 1): QUARTER,
         }
 
-    def test_out_of_region_rejected(self):
-        with pytest.raises(bx.RegionError):
-            bx.triangle_decompositions(bx.TargetState(F(3, 4), HALF))
+    def test_mirrored_target_relabels_triangles(self):
+        # (3/4, 1/2) flips the outputs of the canonical (1/4, 1/2)
+        report = bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF)).report
+        assert weights_of(report.expected_upper) == {
+            bx.SBox(0, 1): QUARTER,
+            bx.SBox(0, 0): HALF,
+            bx.SBox(1, 0): QUARTER,
+        }
+        assert weights_of(report.expected_lower) == {
+            bx.SBox(0, 0): QUARTER,
+            bx.SBox(1, 1): QUARTER,
+            bx.SBox(1, 0): HALF,
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(interior_targets())
@@ -146,9 +163,11 @@ class TestTriangles:
         assert lower[bx.SBox(0, 0)] == 0
         assert sum(upper.values()) == 1
         assert sum(lower.values()) == 1
-        triangles = bx.triangle_decompositions(target)
-        assert bx.realizes(triangles.upper, target.to_box())
-        assert bx.realizes(triangles.lower, target.to_box())
+        report = bx.plan_blind_steering(target).report
+        assert weights_of(report.expected_upper) == positive(upper)
+        assert weights_of(report.expected_lower) == positive(lower)
+        assert bx.realizes(report.expected_upper, target.to_box())
+        assert bx.realizes(report.expected_lower, target.to_box())
 
 
 class TestSolveConstraints:
@@ -167,6 +186,17 @@ class TestSolveConstraints:
             solution = bx.solve_constraints(bx.TargetState(F(0), F(0)))
         assert solution.pr_total(0) == 0
         assert solution.product_total(0, 1) == 1
+
+    def test_degenerate_boundary_warns(self):
+        with pytest.warns(bx.DegenerateRegionWarning):
+            solution = bx.solve_constraints(bx.TargetState(QUARTER, QUARTER))
+        assert solution.pr_total(0) == HALF
+        assert solution.product_total(0, 1) == HALF
+        assert solution.product_total(1, 1) == 0
+
+    def test_out_of_region_rejected(self):
+        with pytest.raises(bx.RegionError):
+            bx.solve_constraints(bx.TargetState(F(3, 4), HALF))
 
     def test_near_center_example(self):
         solution = bx.solve_constraints(bx.TargetState(F(3, 8), HALF))
@@ -439,8 +469,8 @@ class TestPosteriorSupports:
 
 
 def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
-    calls = {"mix_nonlocal": 0, "posterior_alice_reduction": 0}
-    for name in calls:
+    calls = {"mix_nonlocal": 0, "posterior_alice_reduction": 0, "Ensemble": 0}
+    for name in ("mix_nonlocal", "posterior_alice_reduction"):
         original = getattr(bx.blind, name)
 
         def counted(*args, _name=name, _original=original):
@@ -448,8 +478,16 @@ def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(bx.blind, name, counted)
+    validate = bx.Ensemble.__post_init__
+
+    def counted_ensemble(self):
+        calls["Ensemble"] += 1
+        validate(self)
+
+    monkeypatch.setattr(bx.Ensemble, "__post_init__", counted_ensemble)
     bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
-    assert calls == {"mix_nonlocal": 1, "posterior_alice_reduction": 2}
+    # the only single-party ensembles built are the report's two expected ones
+    assert calls == {"mix_nonlocal": 1, "posterior_alice_reduction": 2, "Ensemble": 2}
 
 
 class TestPlanRelabeled:

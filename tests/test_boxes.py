@@ -66,6 +66,14 @@ class TestDetBoxes:
         assert strategies[0] == (0, 0)
         assert strategies[-1] == (2, 2)
 
+    @pytest.mark.parametrize(
+        "strategy", [(0.7, 1.2), (0, 1.0), ("1", 0), (True, 0), (0, False)]
+    )
+    def test_non_integer_strategy_rejected(self, strategy):
+        # no truncation: (0.7, 1.2) must not become (0, 1)
+        with pytest.raises(bx.ValidationError):
+            bx.DetLocalBox(strategy, 2)
+
 
 class TestSBox:
     # a = alpha*x XOR beta, tabulated for all four boxes

@@ -192,6 +192,14 @@ class TestDecompose:
         )
         assert run_cli("decompose", path).returncode == 2
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"X": 2, "\xe9": 1}')
+        result = run_cli("decompose", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read")
+        assert "Traceback" not in result.stderr
+
 
 class TestCheck:
     def test_pr_box(self, tmp_path):
@@ -303,3 +311,12 @@ class TestAudit:
     def test_missing_log_file(self, tmp_path):
         ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         assert run_cli("audit", str(tmp_path / "none.ndjson"), ensemble).returncode == 2
+
+    def test_non_utf8_log_file(self, tmp_path):
+        ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        logs = tmp_path / "latin1.ndjson"
+        logs.write_bytes(b'{"round_id": 0, "\xff": 1}\n')
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read")
+        assert "Traceback" not in result.stderr

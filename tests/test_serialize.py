@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -109,16 +111,16 @@ class TestBipartiteBox:
 
 class TestEnsemble:
     def test_frozen_form(self):
-        triangles = bx.triangle_decompositions(CANONICAL)
-        doc = reload(bx.ensemble_to_json(triangles.upper))
+        report = bx.plan_blind_steering(CANONICAL).report
+        doc = reload(bx.ensemble_to_json(report.expected_upper))
         assert doc["X"] == 2 and doc["A"] == 2
         members = {tuple(m["f"]): m["w"] for m in doc["members"]}
         assert members == {(0, 0): "1/4", (1, 1): "1/2", (1, 0): "1/4"}
 
     def test_round_trip(self):
         for target in (CANONICAL, bx.TargetState(F(1, 8), F(5, 8))):
-            triangles = bx.triangle_decompositions(target)
-            for e in (triangles.upper, triangles.lower):
+            report = bx.plan_blind_steering(target).report
+            for e in (report.expected_upper, report.expected_lower):
                 assert bx.ensembles_equal(
                     bx.ensemble_from_json(reload(bx.ensemble_to_json(e))), e
                 )
@@ -287,6 +289,22 @@ class TestReports:
         for cell in doc["verdict"]["frequency_cells"]:
             assert cell["ok"] in (True, False)
             assert cell["expected"].count("/") <= 1
+
+    def test_undrawn_input_pair_is_nan(self):
+        # the policy never draws (x, y) = (1, 1), so its four cells are NaN
+        policy = bx.InputPolicy(((F(1, 2), F(1, 4)), (F(1, 4), F(0))))
+        e = bx.plan_blind_steering(CANONICAL).ensemble
+        report, _ = bx.run_protocol(e, rounds=40, seed=5, policy=policy)
+        text = bx.dumps(bx.simulation_report_to_json(report))
+        joint = json.loads(text)["empirical_joint"]
+        assert "[\n          NaN,\n          NaN\n        ]" in text
+        assert text.count("NaN") == 4
+        for x, y in itertools.product(BITS, BITS):
+            cells = [joint[x][y][a][b] for a in BITS for b in BITS]
+            if (x, y) == (1, 1):
+                assert all(math.isnan(p) for p in cells)
+            else:
+                assert sum(cells) == pytest.approx(1)
 
     def test_audit_verdict_document(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
