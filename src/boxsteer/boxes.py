@@ -117,8 +117,9 @@ class DetLocalBox:
                 )
         if not strategy:
             raise ValidationError("deterministic box needs at least one input")
-        if self.num_outputs < 1:
-            raise ValidationError("deterministic box needs at least one outcome")
+        outcomes = self.num_outputs
+        if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
+            raise ValidationError(f"num_outputs {outcomes!r} is not a positive int")
         for x, a in enumerate(strategy):
             if not 0 <= a < self.num_outputs:
                 raise ValidationError(

@@ -10,8 +10,8 @@
     boxsteer audit LOGS.ndjson ENSEMBLE.json
 
 Results go to stdout as one JSON document, or to individual files under
-`--out DIR`.  Rationals are written and read as "num/den" strings, on
-the command line included.
+`--out DIR` (`simulate` streams `logs.ndjson` there, and `audit` reads it
+line by line).  Rationals are "num/den" strings, on the command line too.
 
 Exit codes: 0 success; 2 invalid input (bad file, bad table, bad
 weights, incompatible ensembles); 3 target on a diagonal / outside any
@@ -23,6 +23,7 @@ audit).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -49,14 +50,20 @@ from .serialize import (
     ensemble_from_json,
     fraction_from_json,
     input_policy_from_json,
-    logs_from_ndjson,
-    logs_to_ndjson,
+    ndjson_line,
+    ndjson_logs,
     nonlocal_ensemble_from_json,
     nonlocal_ensemble_to_json,
     simulation_report_to_json,
     verification_report_to_json,
 )
-from .simulate import DEFAULT_SIGNIFICANCE, InputPolicy, referee_audit, run_protocol
+from .simulate import (
+    DEFAULT_SIGNIFICANCE,
+    InputPolicy,
+    LogTally,
+    referee_audit,
+    sample_rounds,
+)
 from .steering import SteeringState, construct_steering_state, verify_steering_state
 
 EXIT_OK = 0
@@ -66,41 +73,47 @@ EXIT_INFEASIBLE = 4
 EXIT_CHECKS_FAILED = 5
 
 
-def _read_text(path: str) -> str:
+@contextlib.contextmanager
+def _reading(path: str):
+    """An input file as UTF-8 text; failing to open or decode it is bad input."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            yield handle
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: str) -> Any:
-    text = _read_text(path)
+@contextlib.contextmanager
+def _writing(path: Path):
+    """A file under --out, opened after making its directory; OSError is bad input."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> Any:
+    with _reading(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(out: str | None, documents: dict[str, Any]) -> None:
     """Write one file per document under --out, or a combined JSON
     document (keyed by basename) to stdout."""
-    if out is not None:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, doc in documents.items():
-            path = outdir / name
-            if name.endswith(".ndjson"):
-                path.write_text(doc)
-            else:
-                path.write_text(dumps(doc))
-            print(f"wrote {path}")
-    else:
-        combined = {
-            name.rsplit(".", 1)[0]: doc
-            for name, doc in documents.items()
-            if not name.endswith(".ndjson")
-        }
+    if out is None:
+        combined = {name.rsplit(".", 1)[0]: doc for name, doc in documents.items()}
         sys.stdout.write(dumps(combined))
+        return
+    for name, doc in documents.items():
+        path = Path(out) / name
+        with _writing(path) as handle:
+            handle.write(dumps(doc))
+        print(f"wrote {path}")
 
 
 def _ensemble_list(path: str) -> list:
@@ -184,24 +197,30 @@ def _parse_policy(value: str) -> InputPolicy:
 def cmd_simulate(args: argparse.Namespace) -> int:
     ensemble = nonlocal_ensemble_from_json(_load_json(args.ensemble))
     policy = _parse_policy(args.policy)
-    report, logs = run_protocol(
-        ensemble,
-        rounds=args.rounds,
-        seed=args.seed,
-        policy=policy,
-        significance=args.significance,
-    )
-    documents: dict[str, Any] = {"report.json": simulation_report_to_json(report)}
+    rounds = sample_rounds(ensemble, args.rounds, args.seed, policy)
+    tally = LogTally(ensemble, args.significance)
+    if args.out is None:
+        for log in rounds:
+            tally.add(log)
+    else:
+        # the log goes to disk round by round and is never held
+        logs_path = Path(args.out) / "logs.ndjson"
+        with _writing(logs_path) as handle:
+            for log in rounds:
+                tally.add(log)
+                handle.write(ndjson_line(log))
+    report = tally.report(args.seed, policy)
+    _emit(args.out, {"report.json": simulation_report_to_json(report)})
     if args.out is not None:
-        documents["logs.ndjson"] = logs_to_ndjson(logs)
-    _emit(args.out, documents)
+        print(f"wrote {logs_path}")
     return EXIT_OK if report.verdict.passed else EXIT_CHECKS_FAILED
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    logs = logs_from_ndjson(_read_text(args.logs))
-    ensemble = nonlocal_ensemble_from_json(_load_json(args.ensemble))
-    verdict = referee_audit(logs, ensemble, significance=args.significance)
+    # the log file is opened first, so that a missing one is reported first
+    with _reading(args.logs) as lines:
+        ensemble = nonlocal_ensemble_from_json(_load_json(args.ensemble))
+        verdict = referee_audit(ndjson_logs(lines), ensemble, args.significance)
     _emit(args.out, {"verdict.json": audit_verdict_to_json(verdict)})
     return EXIT_OK if verdict.passed else EXIT_CHECKS_FAILED
 

@@ -20,6 +20,7 @@ documents for the CLI; they are outputs, not inputs.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import Any
 
@@ -270,23 +271,29 @@ def round_log_from_json(obj: Any) -> RoundLog:
     )
 
 
-def logs_to_ndjson(logs: list[RoundLog]) -> str:
-    return "".join(
-        json.dumps(round_log_to_json(log), sort_keys=True) + "\n" for log in logs
-    )
+def ndjson_line(log: RoundLog) -> str:
+    return json.dumps(round_log_to_json(log), sort_keys=True) + "\n"
 
 
-def logs_from_ndjson(text: str) -> list[RoundLog]:
-    logs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def logs_to_ndjson(logs: Iterable[RoundLog]) -> str:
+    return "".join(map(ndjson_line, logs))
+
+
+def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
+    """Round logs parsed line by line from a text's or an open file's lines."""
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad JSON on log line {lineno}: {exc}") from exc
-        logs.append(round_log_from_json(obj))
-    return logs
+        yield round_log_from_json(obj)
+
+
+def logs_from_ndjson(text: str) -> list[RoundLog]:
+    return list(ndjson_logs([text]))
 
 
 def verification_report_to_json(report: VerificationReport) -> dict:

@@ -74,6 +74,12 @@ class TestDetBoxes:
         with pytest.raises(bx.ValidationError):
             bx.DetLocalBox(strategy, 2)
 
+    @pytest.mark.parametrize("num_outputs", [2.5, 2.0, "2", True, 0])
+    def test_non_integer_alphabet_rejected(self, num_outputs):
+        # 2.5 used to construct and then fail in as_local_box with TypeError
+        with pytest.raises(bx.ValidationError):
+            bx.DetLocalBox((0, 1), num_outputs)
+
 
 class TestSBox:
     # a = alpha*x XOR beta, tabulated for all four boxes

@@ -116,6 +116,15 @@ class TestBlind:
         result = run_cli("blind", "abc", "1/2")
         assert result.returncode == 2
 
+    def test_out_on_existing_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        result = run_cli("blind", "1/4", "1/2", "--out", str(taken))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot write")
+        assert "Traceback" not in result.stderr
+        assert taken.read_text() == "keep"
+
 
 class TestSteer:
     def test_pr_emergence(self, tmp_path):
@@ -274,6 +283,45 @@ class TestSimulate:
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         assert run_cli("simulate", path, "--rounds", "0").returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--rounds", "0"], ["--seed", "-1"], ["--significance", "0"]]
+    )
+    def test_rejected_run_writes_nothing(self, tmp_path, flags):
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        out = tmp_path / "out"
+        result = run_cli("simulate", path, "--rounds", "5", *flags, "--out", str(out))
+        assert result.returncode == 2
+        assert not out.exists()
+
+    def test_out_lines_and_stdout_document(self, tmp_path):
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        out = tmp_path / "out"
+        result = run_cli(
+            "simulate", path, "--rounds", "300", "--seed", "3", "--out", str(out)
+        )
+        assert result.returncode == 0
+        assert result.stdout == (
+            f"wrote {out / 'report.json'}\nwrote {out / 'logs.ndjson'}\n"
+        )
+        ensemble = bx.nonlocal_ensemble_from_json(CANONICAL_ENSEMBLE_DOC)
+        report, logs = bx.run_protocol(ensemble, rounds=300, seed=3)
+        assert (out / "logs.ndjson").read_text() == bx.logs_to_ndjson(logs)
+        assert (out / "report.json").read_text() == bx.dumps(
+            bx.simulation_report_to_json(report)
+        )
+        plain = run_cli("simulate", path, "--rounds", "300", "--seed", "3")
+        assert plain.stdout == bx.dumps({"report": bx.simulation_report_to_json(report)})
+
+    def test_out_on_existing_file(self, tmp_path):
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        result = run_cli("simulate", path, "--rounds", "20", "--out", str(taken))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot write")
+        assert "Traceback" not in result.stderr
+        assert taken.read_text() == "keep"
+
 
 class TestAudit:
     def run_simulation(self, tmp_path):
@@ -311,6 +359,26 @@ class TestAudit:
     def test_missing_log_file(self, tmp_path):
         ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         assert run_cli("audit", str(tmp_path / "none.ndjson"), ensemble).returncode == 2
+
+    def test_empty_log_fails(self, tmp_path):
+        ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        logs = tmp_path / "empty.ndjson"
+        logs.write_text("")
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 5
+        doc = json.loads(result.stdout)["verdict"]
+        assert doc["passed"] is False
+        assert doc["mismatch_count"] == 0 and doc["frequency_cells"] == []
+
+    def test_non_utf8_byte_on_line_300(self, tmp_path):
+        logs, ensemble = self.run_simulation(tmp_path)
+        lines = logs.read_bytes().split(b"\n")
+        lines[299] = lines[299].replace(b'"S', b'"\xffS', 1)
+        logs.write_bytes(b"\n".join(lines))
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read")
+        assert "Traceback" not in result.stderr
 
     def test_non_utf8_log_file(self, tmp_path):
         ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 import boxsteer as bx
+from boxsteer import simulate
+from boxsteer.simulate import sample_rounds
 
 BITS = (0, 1)
 
@@ -110,10 +113,10 @@ class TestRunProtocol:
         assert report.verdict.passed
 
 
-class TestEstimateBox:
+class TestEmpiricalJoint:
     def test_pr_statistics(self):
-        _, logs = bx.run_protocol(pr_singleton(), rounds=20000, seed=2)
-        table = bx.estimate_box(logs)
+        report, _ = bx.run_protocol(pr_singleton(), rounds=20000, seed=2)
+        table = report.empirical_joint
         pr = bx.PRBox(0, 0, 0).as_bipartite_box()
         for x in BITS:
             for y in BITS:
@@ -124,12 +127,19 @@ class TestEstimateBox:
                             < 0.03
                         )
 
-    def test_missing_inputs_rejected(self):
-        policy = bx.InputPolicy(((F(1), F(0)), (F(0), F(0))))
-        _, logs = bx.run_protocol(pr_singleton(), rounds=100, seed=0, policy=policy)
-        with pytest.raises(bx.ValidationError) as err:
-            bx.estimate_box(logs)
-        assert "(x=1, y=1)" in str(err.value)
+
+class TestSampleRounds:
+    def test_same_rounds_as_run_protocol(self):
+        e = canonical_ensemble()
+        policy = bx.InputPolicy(((F(1, 8), F(3, 8)), (F(1, 3), F(1, 6))))
+        _, logs = bx.run_protocol(e, rounds=200, seed=2**32, policy=policy)
+        assert list(sample_rounds(e, 200, 2**32, policy)) == logs
+
+    @pytest.mark.parametrize("rounds,seed", [(0, 0), (10, -1), (10, 1.5), (10, True)])
+    def test_arguments_checked_on_call(self, rounds, seed):
+        # before the first next(), so a CLI run can fail before writing
+        with pytest.raises(bx.ValidationError):
+            sample_rounds(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
 
 
 class TestRefereeAudit:
@@ -221,6 +231,92 @@ class TestRefereeAudit:
         _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
         with pytest.raises(bx.ValidationError):
             bx.referee_audit(logs, pr_singleton(), significance=0)
+
+    def test_empty_log_fails(self):
+        verdict = bx.referee_audit([], canonical_ensemble())
+        assert not verdict.passed
+        assert verdict.mismatch_count == 0
+        assert verdict.frequency_cells == ()
+
+    def test_one_shot_iterator(self):
+        e = canonical_ensemble()
+        _, logs = bx.run_protocol(e, rounds=2000, seed=4)
+        old = logs[3].alice_actual
+        logs[3] = dataclasses.replace(logs[3], alice_actual=bx.SBox(old.alpha ^ 1, old.beta))
+        expected = bx.referee_audit(logs, e)
+        assert bx.referee_audit((log for log in logs), e) == expected
+        assert expected.mismatch_count == 1 and len(expected.frequency_cells) > 4
+
+    def test_rule_runs_once_per_distinct_cell(self, monkeypatch):
+        e = canonical_ensemble()
+        _, logs = bx.run_protocol(e, rounds=4000, seed=4)
+        calls = []
+        rule = simulate.constituent_after_measurement
+
+        def counted(member, y, b):
+            calls.append((member, y, b))
+            return rule(member, y, b)
+
+        monkeypatch.setattr(simulate, "constituent_after_measurement", counted)
+        verdict = bx.referee_audit(logs, e)
+        assert verdict.passed
+        cells = {
+            (log.member_id, log.x, log.y, log.a, log.b,
+             log.referee_inference, log.alice_actual)
+            for log in logs
+        }
+        assert 0 < len(calls) <= len(cells) < 100
+
+    def test_tally_matches_per_round_oracle(self):
+        # reference: the per-round loops the tally replaced, on a log
+        # with out-of-range members, swapped constituents and reordering
+        e = canonical_ensemble()
+        _, logs = bx.run_protocol(e, rounds=1500, seed=17)
+        logs = logs[::-1]
+        for i in range(0, 1500, 37):
+            logs[i] = dataclasses.replace(logs[i], member_id=5 + i % 3)
+        for i in range(5, 1500, 53):
+            old = logs[i].alice_actual
+            logs[i] = dataclasses.replace(logs[i], alice_actual=bx.SBox(old.alpha, old.beta ^ 1))
+        members = e.members
+        offending = [
+            log.round_id
+            for log in logs
+            if not 0 <= log.member_id < len(members)
+            or bx.constituent_after_measurement(members[log.member_id], log.y, log.b)
+            != log.alice_actual
+        ]
+        verdict = bx.referee_audit(logs, e)
+        assert verdict.mismatch_count == len(offending) > 20
+        assert verdict.mismatch_rounds == tuple(offending[:20])
+        for cell in verdict.frequency_cells:
+            at_y = [log for log in logs if log.y == cell.input_choice]
+            assert cell.total == len(at_y)
+            assert cell.observed == sum(log.alice_actual == cell.constituent for log in at_y)
+
+
+class TestReportFromCounts:
+    def test_frequencies_match_per_round_oracle(self):
+        policy = bx.InputPolicy(((F(1, 2), F(1, 4)), (F(1, 4), F(0))))
+        report, logs = bx.run_protocol(
+            canonical_ensemble(), rounds=700, seed=2**32 - 1, policy=policy
+        )
+        for x, y, a, b in itertools.product(BITS, repeat=4):
+            at_xy = [log for log in logs if (log.x, log.y) == (x, y)]
+            cell = report.empirical_joint[x][y][a][b]
+            if not at_xy:
+                assert math.isnan(cell)
+            else:
+                hits = sum((log.a, log.b) == (a, b) for log in at_xy)
+                assert cell == hits / len(at_xy)
+        for key, frequencies in report.alice_frequencies_by_outcome.items():
+            at_key = [log for log in logs if (log.y, log.b) == key]
+            assert frequencies == {
+                s: sum(log.alice_actual == s for log in at_key) / len(at_key)
+                for s in {log.alice_actual for log in at_key}
+            }
+        assert list(report.alice_frequencies) == [0, 1]
+        assert report.rounds == 700
 
 
 def test_import_leaves_scipy_stats_unloaded():
