@@ -12,7 +12,9 @@ the door so that no rounding can leak into a derivation.
 
 Special families used throughout the package:
 
-* deterministic boxes ``a = f(x)`` (:class:`DetLocalBox`),
+* deterministic boxes ``a = f(x)``, kept as the strategy tuple
+  ``(f(0), f(1), ...)``; :func:`deterministic_table` writes out their
+  0/1 table,
 * the four reversible single-bit strategies ``a = alpha*x XOR beta``
   (:class:`SBox`),
 * the eight extremal nonlocal correlations with
@@ -22,7 +24,6 @@ Special families used throughout the package:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,53 +102,14 @@ class LocalBox:
         return all(p in (0, 1) for row in self.table for p in row)
 
 
-@dataclass(frozen=True)
-class DetLocalBox:
-    """Deterministic strategy ``a = strategy[x]`` over ``num_outputs`` outcomes."""
-
-    strategy: tuple[int, ...]
-    num_outputs: int
-
-    def __post_init__(self) -> None:
-        strategy = tuple(self.strategy)
-        for x, a in enumerate(strategy):
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise ValidationError(
-                    f"strategy value {a!r} at x={x} is not an integer"
-                )
-        if not strategy:
-            raise ValidationError("deterministic box needs at least one input")
-        outcomes = self.num_outputs
-        if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
-            raise ValidationError(f"num_outputs {outcomes!r} is not a positive int")
-        for x, a in enumerate(strategy):
-            if not 0 <= a < self.num_outputs:
-                raise ValidationError(
-                    f"strategy value {a} at x={x} outside range(0, {self.num_outputs})"
-                )
-        object.__setattr__(self, "strategy", strategy)
-
-    @property
-    def num_inputs(self) -> int:
-        return len(self.strategy)
-
-    def as_local_box(self) -> LocalBox:
-        rows = tuple(
-            tuple(Fraction(1 if a == fx else 0) for a in range(self.num_outputs))
-            for fx in self.strategy
-        )
-        return LocalBox(rows)
-
-
-def enumerate_det_boxes(num_inputs: int, num_outputs: int) -> list[DetLocalBox]:
-    """All deterministic boxes on the given alphabet, in lexicographic
-    order of the strategy tuple ``(f(0), f(1), ...)``."""
-    if num_inputs < 1 or num_outputs < 1:
-        raise ValidationError("alphabet sizes must be at least 1")
-    return [
-        DetLocalBox(strategy, num_outputs)
-        for strategy in itertools.product(range(num_outputs), repeat=num_inputs)
-    ]
+def deterministic_table(
+    strategy: tuple[int, ...], num_outputs: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The 0/1 table ``p(a|x) = [a = strategy[x]]``."""
+    return tuple(
+        tuple(Fraction(1 if a == fx else 0) for a in range(num_outputs))
+        for fx in strategy
+    )
 
 
 @dataclass(frozen=True)
@@ -178,11 +140,8 @@ class SBox:
     def label(self) -> str:
         return f"S{self.alpha}{self.beta}"
 
-    def as_det_box(self) -> DetLocalBox:
-        return DetLocalBox((self.output(0), self.output(1)), 2)
-
     def as_local_box(self) -> LocalBox:
-        return self.as_det_box().as_local_box()
+        return LocalBox(deterministic_table((self.output(0), self.output(1)), 2))
 
     @classmethod
     def from_local_box(cls, box: LocalBox) -> "SBox":

@@ -1,10 +1,13 @@
 """Weighted ensembles of boxes and their reductions.
 
 An :class:`Ensemble` is a finite convex combination of deterministic
-single-party boxes; :func:`mix` collapses it to the box it realizes.
-Only deterministic constituents are supported: mixed constituents can
-always be refined into deterministic ones without changing anything
-observable.
+single-party boxes, each held as its strategy: the tuple of outputs
+``a = f(x)``, one per input.  :func:`mix` collapses it to the box it
+realizes, one weight addition per (member, input), and keeps that box
+on the ensemble.  The validated 0/1 tables of ``Ensemble.members`` are
+built only when they are read.  Only deterministic constituents are
+supported: mixed constituents can always be refined into deterministic
+ones without changing anything observable.
 
 A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
@@ -12,8 +15,8 @@ extremal PR correlations.  When Bob measures ``y``, each member leaves
 Alice in a definite S box; :func:`posterior_alice_reduction` records
 one provenance entry per (member, Bob outcome) pair, which downstream
 code uses for referee bookkeeping and for Bob's-knowledge arguments.
-Alice's side is kept as S-box weights; the :class:`Ensemble` of
-validated tables is built only on request.
+Alice's side is kept as S-box weights; the :class:`Ensemble` is built
+only on request.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering;
@@ -22,6 +25,7 @@ so equality of member tuples is canonical up to ordering;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
@@ -32,11 +36,14 @@ from .boxes import (
     PRBox,
     SBox,
     as_prob,
+    deterministic_table,
     product_box,
 )
 from .errors import ValidationError
 
 _K = TypeVar("_K", bound=Hashable)
+
+Strategy = tuple[int, ...]
 
 
 def _merge_weighted(pairs: Iterable[tuple[Fraction, _K]]) -> list[tuple[Fraction, _K]]:
@@ -52,19 +59,37 @@ def _merge_weighted(pairs: Iterable[tuple[Fraction, _K]]) -> list[tuple[Fraction
     return [(totals[k], k) for k in order if totals[k] != 0]
 
 
-@dataclass(frozen=True)
+def _strategy_of(
+    rows: Sequence[Sequence[Fraction]], mass: Fraction = Fraction(1)
+) -> Strategy:
+    """The output per input of a deterministic table: in each row, the
+    one cell that holds the row's whole ``mass``."""
+    if any(mass not in row for row in rows):
+        raise ValidationError("ensemble constituents must be deterministic boxes")
+    return tuple(row.index(mass) for row in rows)
+
+
+def _is_index(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True, init=False)
 class Ensemble:
     """Convex combination of deterministic single-party boxes.
 
-    ``members`` is a tuple of (weight, box) pairs; weights are exact,
-    nonnegative and sum to one.
+    ``strategies`` is a tuple of (weight, strategy) pairs, a strategy
+    listing the output out of ``num_outputs`` for each input; weights
+    are exact, positive and sum to one.  ``Ensemble(((w, box), ...))``
+    reads each deterministic :class:`LocalBox` into its strategy;
+    :meth:`from_strategies` takes the pairs as they are.
     """
 
-    members: tuple[tuple[Fraction, LocalBox], ...]
+    strategies: tuple[tuple[Fraction, Strategy], ...]
+    num_outputs: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, members: Iterable[tuple[Fraction, LocalBox]]) -> None:
         pairs = []
-        for entry in self.members:
+        for entry in members:
             try:
                 weight, box = entry
             except (TypeError, ValueError) as exc:
@@ -77,66 +102,93 @@ class Ensemble:
         if not pairs:
             raise ValidationError("ensemble needs at least one member")
         shape = (pairs[0][1].num_inputs, pairs[0][1].num_outputs)
-        for _, box in pairs:
+        strategies = []
+        for weight, box in pairs:
             if (box.num_inputs, box.num_outputs) != shape:
                 raise ValidationError("ensemble members must share the same alphabet")
-            if not box.is_deterministic:
+            strategies.append((weight, _strategy_of(box.table)))
+        object.__setattr__(self, "strategies", tuple(strategies))
+        object.__setattr__(self, "num_outputs", shape[1])
+        self.__post_init__()
+
+    @classmethod
+    def from_strategies(
+        cls, pairs: Iterable[tuple[Fraction, Strategy]], num_outputs: int
+    ) -> "Ensemble":
+        ensemble = cls.__new__(cls)
+        object.__setattr__(ensemble, "strategies", tuple(pairs))
+        object.__setattr__(ensemble, "num_outputs", num_outputs)
+        ensemble.__post_init__()
+        return ensemble
+
+    def __post_init__(self) -> None:
+        # the validation both constructors end in
+        outputs = self.num_outputs
+        if not _is_index(outputs) or outputs < 1:
+            raise ValidationError(f"num_outputs {outputs!r} is not a positive int")
+        pairs = []
+        for entry in self.strategies:
+            try:
+                weight, strategy = entry
+                strategy = tuple(strategy)
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(
-                    "ensemble constituents must be deterministic boxes"
-                )
-        merged = _merge_weighted((w, box) for w, box in pairs)
+                    "ensemble members must be (weight, strategy) pairs"
+                ) from exc
+            for x, a in enumerate(strategy):
+                if not _is_index(a) or not 0 <= a < outputs:
+                    raise ValidationError(
+                        f"strategy value {a!r} at x={x} is not in range(0, {outputs})"
+                    )
+            if not strategy:
+                raise ValidationError("a strategy needs at least one input")
+            if pairs and len(strategy) != len(pairs[0][1]):
+                raise ValidationError("ensemble members must share the same alphabet")
+            pairs.append((as_prob(weight), strategy))
+        if not pairs:
+            raise ValidationError("ensemble needs at least one member")
+        merged = _merge_weighted(pairs)
         total = sum(w for w, _ in merged)
         if total != 1:
             raise ValidationError(f"ensemble weights sum to {total}, expected 1")
-        object.__setattr__(
-            self, "members", tuple((w, box) for w, box in merged)
+        object.__setattr__(self, "strategies", tuple(merged))
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[Fraction, LocalBox], ...]:
+        """(weight, box) pairs in the order of ``strategies``."""
+        return tuple(
+            (w, LocalBox(deterministic_table(strategy, self.num_outputs)))
+            for w, strategy in self.strategies
         )
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        return len(self.strategies)
 
     @property
     def num_inputs(self) -> int:
-        return self.members[0][1].num_inputs
+        return len(self.strategies[0][1])
 
-    @property
-    def num_outputs(self) -> int:
-        return self.members[0][1].num_outputs
-
-    def weight_of(self, box: LocalBox) -> Fraction:
-        for w, member in self.members:
-            if member == box:
-                return w
-        return Fraction(0)
+    @functools.cached_property
+    def _mixture(self) -> LocalBox:
+        rows = [[Fraction(0)] * self.num_outputs for _ in range(self.num_inputs)]
+        for weight, strategy in self.strategies:
+            for row, a in zip(rows, strategy):
+                row[a] += weight
+        return LocalBox(tuple(tuple(row) for row in rows))
 
 
 def mix(ensemble: Ensemble) -> LocalBox:
-    """The box realized by the ensemble: the weighted sum of members."""
-    X, A = ensemble.num_inputs, ensemble.num_outputs
-    rows = [[Fraction(0)] * A for _ in range(X)]
-    for weight, box in ensemble.members:
-        for x in range(X):
-            for a in range(A):
-                rows[x][a] += weight * box.prob(x, a)
-    return LocalBox(tuple(tuple(row) for row in rows))
-
-
-def realizes(ensemble: Ensemble, target: LocalBox) -> bool:
-    """True iff the ensemble mixes exactly to ``target``."""
-    if (ensemble.num_inputs, ensemble.num_outputs) != (
-        target.num_inputs,
-        target.num_outputs,
-    ):
-        raise ValidationError("ensemble and target box have different alphabets")
-    return mix(ensemble) == target
+    """The box realized by the ensemble: each member adds its weight to
+    one cell per input.  Computed once and kept on the ensemble."""
+    return ensemble._mixture
 
 
 def ensembles_equal(first: Ensemble, second: Ensemble) -> bool:
     """Order-insensitive equality of merged member weights."""
-    return dict((box, w) for w, box in first.members) == dict(
-        (box, w) for w, box in second.members
-    )
+    return first.num_outputs == second.num_outputs and dict(
+        (s, w) for w, s in first.strategies
+    ) == dict((s, w) for w, s in second.strategies)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +379,8 @@ class ReductionRecord:
 def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
     """The single-party ensemble of S-box weights, in their order, zero
     weights dropped."""
-    return Ensemble(
-        tuple((w, sbox.as_local_box()) for sbox, w in weights.items() if w != 0)
+    return Ensemble.from_strategies(
+        ((w, (sbox.output(0), sbox.output(1))) for sbox, w in weights.items()), 2
     )
 
 

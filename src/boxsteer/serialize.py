@@ -8,7 +8,7 @@ values.  Bits and indices are plain integers.  Layouts:
   BipartiteBox    {"X","Y","A","B","table"}; row r = x*Y + y,
                   column c = a*B + b
   Ensemble        {"X","A","members": [{"w": "1/4", "f": [a0, a1, ...]}]}
-                  where f lists the deterministic output per input
+                  where f is the member's strategy, its output per input
   NonlocalEnsemble{"products": [{"w","ij": [i,j],"kl": [k,l]}],
                    "prs": [{"w","abd": [alpha,beta,delta]}]}
   RoundLog        one JSON object per line (NDJSON), S boxes as "Sij"
@@ -137,17 +137,13 @@ def bipartite_box_from_json(obj: Any) -> BipartiteBox:
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:
-    members = []
-    for weight, box in ensemble.members:
-        strategy = [
-            next(a for a in range(box.num_outputs) if box.prob(x, a) == 1)
-            for x in range(box.num_inputs)
-        ]
-        members.append({"w": fraction_to_json(weight), "f": strategy})
     return {
         "X": ensemble.num_inputs,
         "A": ensemble.num_outputs,
-        "members": members,
+        "members": [
+            {"w": fraction_to_json(weight), "f": list(strategy)}
+            for weight, strategy in ensemble.strategies
+        ],
     }
 
 
@@ -157,7 +153,7 @@ def ensemble_from_json(obj: Any) -> Ensemble:
     raw = _field(obj, "members")
     if not isinstance(raw, list) or not raw:
         raise ValidationError("members must be a nonempty list")
-    members = []
+    pairs = []
     for item in raw:
         weight = fraction_from_json(_field(item, "w"))
         strategy = _field(item, "f")
@@ -166,12 +162,10 @@ def ensemble_from_json(obj: Any) -> Ensemble:
         outputs = tuple(_index_from_json(a, "output") for a in strategy)
         if any(a >= num_outputs for a in outputs):
             raise ValidationError(f"output out of range in {outputs}")
-        table = tuple(
-            tuple(Fraction(1 if a == outputs[x] else 0) for a in range(num_outputs))
-            for x in range(num_inputs)
-        )
-        members.append((weight, LocalBox(table)))
-    return Ensemble(tuple(members))
+        if not outputs:
+            raise ValidationError("local box table must be non-empty")
+        pairs.append((weight, outputs))
+    return Ensemble.from_strategies(pairs, num_outputs)
 
 
 def nonlocal_ensemble_to_json(ensemble: NonlocalEnsemble) -> dict:

@@ -5,16 +5,19 @@ two-party no-signalling box that lets Bob choose *which* of them Alice's
 lab is decomposed into: give Bob one input per ensemble, one outcome per
 constituent, and set
 
-    p(ab|xy) = (weight of constituent b in ensemble y) * p_b^y(a|x).
+    p(ab|xy) = w_{y,b} * [a = f_{y,b}(x)],
 
-Alice's marginal is then the common mixture whatever Bob does (so no
-signal is sent), while conditioning on Bob's outcome hands Alice the
-matching constituent with the right probability.  Bob's outcome tells
-him exactly which constituent Alice holds.
+where ``(w_{y,b}, f_{y,b})`` is member b of ensemble y as a weight and a
+strategy.  Alice's marginal is then the common mixture whatever Bob does
+(so no signal is sent), while conditioning on Bob's outcome hands Alice
+the matching constituent with the right probability.  Bob's outcome
+tells him exactly which constituent Alice holds.
 
-:func:`construct_steering_state` builds that box; the four proof
-obligations behind it are exposed as independently callable checks and
-bundled by :func:`verify_steering_state`.
+:func:`construct_steering_state` writes that table from the strategies;
+the four proof obligations behind it are exposed as independently
+callable checks and bundled by :func:`verify_steering_state`.  The
+conditioning check compares the box with the formula entry by entry, so
+it needs no no-signalling precondition and builds no conditional box.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from .boxes import (
     BipartiteBox,
     LocalBox,
     bob_outcome_distribution,
-    condition_on_bob,
+    deterministic_table,
     no_signalling_violations,
 )
-from .ensembles import Ensemble, ensembles_equal, mix
+from .ensembles import Ensemble, _strategy_of, mix
 from .errors import (
     IncompatibleEnsemblesError,
     ValidationError,
@@ -86,37 +89,27 @@ def construct_steering_state(ensembles: Sequence[Ensemble]) -> SteeringState:
             f"{mixture.witness}; remote preparation needs a common box"
         )
     X, A = shape
-    Y = len(ensembles)
     B = max(e.cardinality for e in ensembles)
     zero = Fraction(0)
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    ensembles[y].members[b][0] * ensembles[y].members[b][1].prob(x, a)
-                    if b < ensembles[y].cardinality
-                    else zero
-                    for b in range(B)
-                )
-                for a in range(A)
-            )
-            for y in range(Y)
-        )
-        for x in range(X)
-    )
+    table = [[[[zero] * B for _ in range(A)] for _ in ensembles] for _ in range(X)]
+    for y, ensemble in enumerate(ensembles):
+        for b, (weight, strategy) in enumerate(ensemble.strategies):
+            for x, a in enumerate(strategy):
+                table[x][y][a][b] = weight
     return SteeringState(box=BipartiteBox(table), source_ensembles=ensembles)
 
 
 def steered_ensemble(state: SteeringState, y: int) -> Ensemble:
-    """Recover ensemble y from the box alone, by conditioning on each of
-    Bob's positive-probability outcomes."""
-    weights = bob_outcome_distribution(state.box, y)
-    members = [
-        (weights[b], condition_on_bob(state.box, y, b))
-        for b in range(len(weights))
-        if weights[b] > 0
-    ]
-    return Ensemble(tuple(members))
+    """Recover ensemble y from the box alone: each of Bob's
+    positive-probability outcomes b names the strategy whose cells carry
+    all of p(b|y)."""
+    box = state.box
+    pairs = []
+    for b, weight in enumerate(bob_outcome_distribution(box, y)):
+        if weight > 0:
+            cells = [[row[b] for row in block[y]] for block in box.table]
+            pairs.append((weight, _strategy_of(cells, weight)))
+    return Ensemble.from_strategies(pairs, box.num_outputs_alice)
 
 
 def bob_identifies_constituent(
@@ -130,7 +123,7 @@ def bob_identifies_constituent(
             f"b={b} outside range(0, {state.box.num_outputs_bob})"
         )
     ensemble = state.source_ensembles[y]
-    if b >= ensemble.cardinality or ensemble.members[b][0] == 0:
+    if b >= ensemble.cardinality:
         raise ZeroProbabilityError(
             f"outcome b={b} has zero weight under ensemble y={y}"
         )
@@ -188,29 +181,42 @@ def check_no_signalling_box(box: BipartiteBox) -> CheckResult:
 
 
 def check_conditioning(state: SteeringState) -> CheckResult:
-    """Bob's outcome distribution matches the ensemble weights, and each
-    positive-probability conditional equals the matching constituent."""
+    """Bob's outcome distribution (read at x=0) matches the ensemble
+    weights, and at each positive-weight outcome the box equals
+    ``w * [a = f(x)]`` entry by entry."""
+    box = state.box
+    X, _, A, B = box.shape
     for y, ensemble in enumerate(state.source_ensembles):
-        observed = bob_outcome_distribution(state.box, y)
-        for b in range(state.box.num_outputs_bob):
-            expected = (
-                ensemble.members[b][0] if b < ensemble.cardinality else Fraction(0)
+        for b in range(B):
+            observed = sum(box.table[0][y][a][b] for a in range(A))
+            weight, strategy = (
+                ensemble.strategies[b] if b < ensemble.cardinality else (Fraction(0), ())
             )
-            if observed[b] != expected:
+            if observed != weight:
                 return CheckResult(
                     "conditioning",
                     False,
-                    f"p(b={b}|y={y}) = {observed[b]}, expected weight {expected}",
+                    f"p(b={b}|y={y}) = {observed}, expected weight {weight}",
                 )
-            if expected > 0:
-                conditional = condition_on_bob(state.box, y, b)
-                if conditional != ensemble.members[b][1]:
-                    return CheckResult(
-                        "conditioning",
-                        False,
-                        f"conditional at (y={y}, b={b}) is {conditional.table}, "
-                        f"expected constituent {ensemble.members[b][1].table}",
-                    )
+            if weight > 0 and not (
+                (ensemble.num_inputs, ensemble.num_outputs) == (X, A)
+                and all(
+                    box.table[x][y][a][b] == (weight if a == fx else 0)
+                    for x, fx in enumerate(strategy)
+                    for a in range(A)
+                )
+            ):
+                conditional = tuple(
+                    tuple(box.table[x][y][a][b] / observed for a in range(A))
+                    for x in range(X)
+                )
+                constituent = deterministic_table(strategy, ensemble.num_outputs)
+                return CheckResult(
+                    "conditioning",
+                    False,
+                    f"conditional at (y={y}, b={b}) is {conditional}, "
+                    f"expected constituent {constituent}",
+                )
     return CheckResult("conditioning", True)
 
 
@@ -223,12 +229,4 @@ def verify_steering_state(state: SteeringState) -> VerificationReport:
             check_no_signalling_box(state.box),
             check_conditioning(state),
         )
-    )
-
-
-def round_trips(state: SteeringState) -> bool:
-    """True iff conditioning recovers every source ensemble exactly."""
-    return all(
-        ensembles_equal(steered_ensemble(state, y), ensemble)
-        for y, ensemble in enumerate(state.source_ensembles)
     )

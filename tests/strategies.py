@@ -142,20 +142,43 @@ def strategy_of(box: bx.LocalBox) -> tuple[int, ...]:
     )
 
 
+def all_strategies(num_inputs: int, num_outputs: int) -> list[tuple[int, ...]]:
+    """Every deterministic strategy (f(0), f(1), ...), in lexicographic order."""
+    return list(itertools.product(range(num_outputs), repeat=num_inputs))
+
+
 def det_box(strategy: tuple[int, ...], num_outputs: int) -> bx.LocalBox:
-    return bx.DetLocalBox(strategy, num_outputs).as_local_box()
+    return bx.LocalBox(bx.boxes.deterministic_table(strategy, num_outputs))
+
+
+def realizes(ensemble: bx.Ensemble, target: bx.LocalBox) -> bool:
+    """True iff the ensemble mixes exactly to ``target``."""
+    if (ensemble.num_inputs, ensemble.num_outputs) != (
+        target.num_inputs,
+        target.num_outputs,
+    ):
+        raise bx.ValidationError("ensemble and target box have different alphabets")
+    return bx.mix(ensemble) == target
+
+
+def round_trips(state: bx.SteeringState) -> bool:
+    """True iff conditioning recovers every source ensemble exactly."""
+    return all(
+        bx.ensembles_equal(bx.steered_ensemble(state, y), ensemble)
+        for y, ensemble in enumerate(state.source_ensembles)
+    )
 
 
 def product_decomposition(box: bx.LocalBox) -> bx.Ensemble:
     """Every local box mixes its deterministic strategies with product
     weights prod_x p(f(x)|x); this ensemble always realizes the box."""
     members = []
-    for det in bx.enumerate_det_boxes(box.num_inputs, box.num_outputs):
+    for strategy in all_strategies(box.num_inputs, box.num_outputs):
         w = Fraction(1)
         for x in range(box.num_inputs):
-            w *= box.prob(x, det.strategy[x])
+            w *= box.prob(x, strategy[x])
         if w != 0:
-            members.append((w, det.as_local_box()))
+            members.append((w, det_box(strategy, box.num_outputs)))
     return bx.Ensemble(tuple(members))
 
 
@@ -173,8 +196,7 @@ def perturbed_same_mixture(rng: random.Random, ensemble: bx.Ensemble) -> bx.Ense
     if num_inputs < 2 or num_outputs < 2:
         return ensemble
     weights: dict[tuple[int, ...], Fraction] = {
-        det.strategy: Fraction(0)
-        for det in bx.enumerate_det_boxes(num_inputs, num_outputs)
+        strategy: Fraction(0) for strategy in all_strategies(num_inputs, num_outputs)
     }
     for w, member in ensemble.members:
         weights[strategy_of(member)] += w

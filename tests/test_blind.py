@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import boxsteer as bx
 from boxsteer.polytope import solve_nonneg_exact
-from strategies import interior_targets, random_blind_split
+from strategies import interior_targets, random_blind_split, realizes
 
 BITS = (0, 1)
 HALF = F(1, 2)
@@ -116,8 +116,8 @@ class TestTriangles:
 
     def test_both_realize_target(self):
         report = bx.plan_blind_steering(CANONICAL).report
-        assert bx.realizes(report.expected_upper, CANONICAL.to_box())
-        assert bx.realizes(report.expected_lower, CANONICAL.to_box())
+        assert realizes(report.expected_upper, CANONICAL.to_box())
+        assert realizes(report.expected_lower, CANONICAL.to_box())
 
     def test_vertex_target_collapses(self):
         target = bx.TargetState(F(0), F(0))
@@ -166,8 +166,8 @@ class TestTriangles:
         report = bx.plan_blind_steering(target).report
         assert weights_of(report.expected_upper) == positive(upper)
         assert weights_of(report.expected_lower) == positive(lower)
-        assert bx.realizes(report.expected_upper, target.to_box())
-        assert bx.realizes(report.expected_lower, target.to_box())
+        assert realizes(report.expected_upper, target.to_box())
+        assert realizes(report.expected_lower, target.to_box())
 
 
 class TestSolveConstraints:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 import boxsteer as bx
-from strategies import local_boxes, nonlocal_ensembles, weight_vectors
+from strategies import (
+    all_strategies,
+    det_box,
+    local_boxes,
+    nonlocal_ensembles,
+    weight_vectors,
+)
 
 BITS = (0, 1)
 
@@ -47,22 +53,30 @@ class TestLocalBox:
 
 
 class TestDetBoxes:
+    # a deterministic box is its strategy (f(0), f(1), ...); ensembles
+    # hold strategies and write out 0/1 tables only on request
+
     @pytest.mark.parametrize("X,A,count", [(2, 2, 4), (1, 3, 3), (3, 2, 8)])
     def test_enumeration_count(self, X, A, count):
-        assert len(bx.enumerate_det_boxes(X, A)) == count
+        everything = bx.Ensemble.from_strategies(
+            [(F(1, count), s) for s in all_strategies(X, A)], A
+        )
+        assert everything.cardinality == count
+        uniform = bx.LocalBox(tuple((F(1, A),) * A for _ in range(X)))
+        assert bx.mix(everything) == uniform
 
     def test_enumeration_distinct_and_01(self):
-        boxes = bx.enumerate_det_boxes(3, 3)
-        tables = {det.as_local_box().table for det in boxes}
+        tables = {bx.boxes.deterministic_table(s, 3) for s in all_strategies(3, 3)}
         assert len(tables) == 27
-        for det in boxes:
-            assert all(
-                p in (0, 1) for row in det.as_local_box().table for p in row
-            )
+        for table in tables:
+            assert all(p in (0, 1) for row in table for p in row)
+            assert bx.LocalBox(table).is_deterministic
 
     def test_lexicographic_order(self):
-        strategies = [det.strategy for det in bx.enumerate_det_boxes(2, 3)]
-        assert strategies == sorted(strategies)
+        strategies = all_strategies(2, 3)
+        members = tuple((F(1, 9), det_box(s, 3)) for s in strategies)
+        kept = [s for _, s in bx.Ensemble(members).strategies]
+        assert kept == strategies == sorted(strategies)
         assert strategies[0] == (0, 0)
         assert strategies[-1] == (2, 2)
 
@@ -72,13 +86,12 @@ class TestDetBoxes:
     def test_non_integer_strategy_rejected(self, strategy):
         # no truncation: (0.7, 1.2) must not become (0, 1)
         with pytest.raises(bx.ValidationError):
-            bx.DetLocalBox(strategy, 2)
+            bx.Ensemble.from_strategies(((F(1), strategy),), 2)
 
     @pytest.mark.parametrize("num_outputs", [2.5, 2.0, "2", True, 0])
     def test_non_integer_alphabet_rejected(self, num_outputs):
-        # 2.5 used to construct and then fail in as_local_box with TypeError
         with pytest.raises(bx.ValidationError):
-            bx.DetLocalBox((0, 1), num_outputs)
+            bx.Ensemble.from_strategies(((F(1), (0, 1)),), num_outputs)
 
 
 class TestSBox:
@@ -186,10 +199,8 @@ class TestPRBox:
 
 class TestProductBox:
     def test_products_cannot_signal(self):
-        for alice, bob in itertools.product(
-            bx.enumerate_det_boxes(2, 2), bx.enumerate_det_boxes(2, 2)
-        ):
-            box = bx.product_box(alice.as_local_box(), bob.as_local_box())
+        for alice, bob in itertools.product(all_strategies(2, 2), repeat=2):
+            box = bx.product_box(det_box(alice, 2), det_box(bob, 2))
             assert bx.is_no_signalling(box)
 
     def test_alice_marginal_of_product(self):

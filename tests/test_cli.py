@@ -183,6 +183,30 @@ class TestVerify:
         ensembles = write(tmp_path / "ensembles.json", PR_EMERGENCE_DOC)
         assert run_cli("verify", str(tmp_path / "nope.json"), ensembles).returncode == 2
 
+    def test_signalling_box_fails_checks(self, tmp_path):
+        # a = y, b = 0: Alice's marginal follows Bob's input
+        table = [["0"] * 4 for _ in range(4)]
+        for x in (0, 1):
+            for y in (0, 1):
+                table[x * 2 + y][y * 2] = "1"
+        box = write(
+            tmp_path / "sig.json", {"X": 2, "Y": 2, "A": 2, "B": 2, "table": table}
+        )
+        ensembles = write(tmp_path / "ensembles.json", PR_EMERGENCE_DOC)
+        result = run_cli("verify", box, ensembles)
+        assert result.returncode == 5, result.stderr
+        assert result.stderr == ""
+        checks = {c["name"]: c for c in json.loads(result.stdout)["report"]["checks"]}
+        assert checks["no_signalling"]["passed"] is False
+        assert checks["no_signalling"]["witness"].startswith(
+            "Alice marginal p(a=0|x=0) depends on Bob's input"
+        )
+        assert checks["conditioning"] == {
+            "name": "conditioning",
+            "passed": False,
+            "witness": "p(b=0|y=0) = 1, expected weight 1/2",
+        }
+
 
 class TestDecompose:
     def test_pr_vertex(self, tmp_path):

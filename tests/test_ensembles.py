@@ -6,10 +6,12 @@ from hypothesis import given, settings
 import boxsteer as bx
 from strategies import (
     closed_form_reduction,
+    det_box,
     ensemble_weight_map,
     local_boxes,
     nonlocal_ensembles,
     product_decomposition,
+    realizes,
 )
 
 BITS = (0, 1)
@@ -33,14 +35,41 @@ class TestEnsembleConstruction:
             bx.Ensemble(((F(1), UNIFORM),))
 
     def test_alphabet_mismatch_rejected(self):
-        three = bx.DetLocalBox((0, 1), 3).as_local_box()
+        three = det_box((0, 1), 3)
         with pytest.raises(bx.ValidationError):
             bx.Ensemble(((HALF, bx.SBox(0, 0).as_local_box()), (HALF, three)))
+
+    def test_boxes_read_into_strategies(self):
+        from_boxes = bx.Ensemble(
+            ((F(1, 4), det_box((0, 2), 3)), (F(3, 4), det_box((1, 1), 3)))
+        )
+        assert from_boxes.strategies == ((F(1, 4), (0, 2)), (F(3, 4), (1, 1)))
+        assert (from_boxes.num_inputs, from_boxes.num_outputs) == (2, 3)
+        assert from_boxes == bx.Ensemble.from_strategies(from_boxes.strategies, 3)
+        assert from_boxes.members == (
+            (F(1, 4), det_box((0, 2), 3)),
+            (F(3, 4), det_box((1, 1), 3)),
+        )
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((F(1),),),
+            (F(1),),
+            ((F(1), 0),),
+            ((HALF, (0, 1)), (HALF, (0,))),
+            ((F(1), ()),),
+        ],
+    )
+    def test_malformed_strategy_pairs_rejected(self, pairs):
+        with pytest.raises(bx.ValidationError):
+            bx.Ensemble.from_strategies(pairs, 2)
 
     def test_duplicates_merged_and_zeros_dropped(self):
         e = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 0)), (F(0), (1, 1)))
         assert e.cardinality == 1
-        assert e.weight_of(bx.SBox(0, 0).as_local_box()) == 1
+        assert e.strategies == ((F(1), (0, 0)),)
+        assert e.members == ((F(1), bx.SBox(0, 0).as_local_box()),)
 
 
 class TestMix:
@@ -62,20 +91,20 @@ class TestMix:
 class TestRealizes:
     def test_uniform_realization(self):
         e = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 1)))
-        assert bx.realizes(e, UNIFORM)
+        assert realizes(e, UNIFORM)
 
     def test_singleton_does_not_realize_uniform(self):
-        assert not bx.realizes(sbox_ensemble((F(1), (0, 0))), UNIFORM)
+        assert not realizes(sbox_ensemble((F(1), (0, 0))), UNIFORM)
 
     def test_shape_mismatch_rejected(self):
-        e = bx.Ensemble(((F(1), bx.DetLocalBox((0,), 2).as_local_box()),))
+        e = bx.Ensemble(((F(1), det_box((0,), 2)),))
         with pytest.raises(bx.ValidationError):
-            bx.realizes(e, UNIFORM)
+            realizes(e, UNIFORM)
 
     @settings(max_examples=50, deadline=None)
     @given(local_boxes(2, 3))
     def test_product_decomposition_realizes(self, box):
-        assert bx.realizes(product_decomposition(box), box)
+        assert realizes(product_decomposition(box), box)
 
 
 class TestEnsemblesEqual:
@@ -243,7 +272,7 @@ class TestPosteriorAliceEnsemble:
     @given(local_boxes(3, 2))
     def test_realizes_mix_identity(self, box):
         e = product_decomposition(box)
-        assert bx.realizes(e, bx.mix(e))
+        assert realizes(e, bx.mix(e))
 
 
 def test_ensemble_weight_map_helper():

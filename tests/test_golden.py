@@ -3,17 +3,22 @@ simulator output.
 
 The files under ``golden/`` hold the full stdout of ``boxsteer blind``
 for three targets (canonical, mirrored across the anti-diagonal, and on
-the degenerate boundary), the SHA-256 digests of the NDJSON log and the
+the degenerate boundary), the stdout, stderr and exit code of
+``boxsteer steer`` and ``boxsteer verify`` on passing, padded, failing
+and wrong-alphabet cases, the SHA-256 digests of the NDJSON log and the
 report document of ten seeded simulations, and the audit verdict of one
 tampered log.  Any change to them changes a CLI document or a log byte,
 so it must be deliberate and recorded.  ``PYTHONPATH=src python3
-tests/test_golden.py`` rewrites the simulation files from the current
-library.
+tests/test_golden.py`` rewrites the simulation and steer/verify files
+from the current library.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -168,6 +173,98 @@ def tampered_verdict():
     return bx.dumps(bx.audit_verdict_to_json(bx.referee_audit(tampered, ensemble)))
 
 
+# ---------------------------------------------------------------------------
+# remote preparation: steer and verify runs
+# ---------------------------------------------------------------------------
+
+REMOTE_EXITS = GOLDEN / "remote_exits.json"
+
+
+def ensemble_doc(num_inputs, num_outputs, *members):
+    return {
+        "X": num_inputs,
+        "A": num_outputs,
+        "members": [{"w": w, "f": list(f)} for w, f in members],
+    }
+
+
+def box_doc(table):
+    return bx.bipartite_box_to_json(bx.BipartiteBox(table))
+
+
+PR_TABLE = bx.PRBox(0, 0, 0).as_bipartite_box().table
+# the README pair: mixing either gives the uniform state
+PR_PAIR = [
+    ensemble_doc(2, 2, ("1/2", (0, 0)), ("1/2", (1, 1))),
+    ensemble_doc(2, 2, ("1/2", (0, 1)), ("1/2", (1, 0))),
+]
+QUARTERS = ensemble_doc(
+    2, 2, ("1/4", (0, 0)), ("1/4", (0, 1)), ("1/4", (1, 0)), ("1/4", (1, 1))
+)
+SWAPPED_TABLE = tuple(
+    tuple(tuple(tuple(row[::-1]) for row in block_a) for block_a in block_y)
+    for block_y in PR_TABLE
+)
+
+# stem -> (command, box table or None, ensemble list)
+REMOTE_CASES = {
+    "steer_pr_emergence": ("steer", None, PR_PAIR),
+    "steer_padded": ("steer", None, [PR_PAIR[0], QUARTERS]),
+    "steer_incompatible": (
+        "steer", None, [PR_PAIR[0], ensemble_doc(2, 2, ("1", (0, 0)))]
+    ),
+    "verify_pr": ("verify", PR_TABLE, PR_PAIR),
+    "verify_outcomes_swapped": ("verify", SWAPPED_TABLE, PR_PAIR),
+    "verify_three_inputs": (
+        "verify", PR_TABLE, [ensemble_doc(3, 2, ("1", (0, 0, 0)))] * 2
+    ),
+    "verify_three_outputs": (
+        "verify", PR_TABLE, [ensemble_doc(2, 3, ("1", (0, 0)))] * 2
+    ),
+    # Bob's weights match, the constituents are on another alphabet
+    "verify_three_inputs_halves": (
+        "verify",
+        PR_TABLE,
+        [ensemble_doc(3, 2, ("1/2", (0, 0, 0)), ("1/2", (1, 1, 1)))] * 2,
+    ),
+}
+
+
+def remote_run(stem, directory):
+    """(exit code, stdout, stderr) of the case's CLI run in this process."""
+    command, table, ensembles = REMOTE_CASES[stem]
+    argv = [command]
+    if table is not None:
+        box_path = directory / f"{stem}_box.json"
+        box_path.write_text(bx.dumps(box_doc(table)), encoding="utf-8")
+        argv.append(str(box_path))
+    ensembles_path = directory / f"{stem}_ensembles.json"
+    ensembles_path.write_text(bx.dumps(ensembles), encoding="utf-8")
+    argv.append(str(ensembles_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(REMOTE_CASES))
+def test_remote_runs(tmp_path, stem):
+    code, out, err = remote_run(stem, tmp_path)
+    golden = json.loads(REMOTE_EXITS.read_text(encoding="utf-8"))[stem]
+    assert (code, err) == (golden["exit"], golden["stderr"])
+    assert out == (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
+
+
+def write_remote_goldens():
+    exits = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for stem in sorted(REMOTE_CASES):
+            code, out, err = remote_run(stem, Path(scratch))
+            (GOLDEN / f"{stem}.stdout").write_text(out, encoding="utf-8")
+            exits[stem] = {"exit": code, "stderr": err}
+    REMOTE_EXITS.write_text(json.dumps(exits, indent=2) + "\n", encoding="utf-8")
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_simulation_bytes(case):
     golden = json.loads(SIMULATE_DIGESTS.read_text(encoding="utf-8"))
@@ -179,9 +276,11 @@ def test_tampered_audit_document():
 
 
 if __name__ == "__main__":
-    # rewrite the simulation files; only when log bytes are meant to change
+    # rewrite the simulation and remote-preparation files; only when log
+    # bytes or steer/verify output are meant to change
     SIMULATE_DIGESTS.write_text(
         json.dumps({case_id(c): simulate_digests(c) for c in CASES}, indent=2) + "\n",
         encoding="utf-8",
     )
     AUDIT_TAMPERED.write_text(tampered_verdict(), encoding="utf-8")
+    write_remote_goldens()

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import boxsteer as bx
 from strategies import (
+    det_box,
     local_boxes,
     perturbed_same_mixture,
     product_decomposition,
     random_local_box,
     random_same_mixture_case,
+    round_trips,
 )
 
 BITS = (0, 1)
@@ -71,7 +73,7 @@ class TestConstruction:
             bx.construct_steering_state([UNIFORM_E0])
 
     def test_alphabet_mismatch_rejected(self):
-        bigger = bx.Ensemble(((F(1), bx.DetLocalBox((0, 0), 3).as_local_box()),))
+        bigger = bx.Ensemble(((F(1), det_box((0, 0), 3)),))
         with pytest.raises(bx.ValidationError):
             bx.construct_steering_state([UNIFORM_E0, bigger])
 
@@ -86,7 +88,7 @@ class TestConstruction:
         # padded outcomes never occur under y=0
         assert bx.bob_outcome_distribution(state.box, 0)[2:] == (F(0), F(0))
         assert bx.is_no_signalling(state.box)
-        assert bx.round_trips(state)
+        assert round_trips(state)
 
 
 class TestSteeredEnsemble:
@@ -167,7 +169,7 @@ def test_same_mixture_cases_succeed(rng):
     ensembles = random_same_mixture_case(rng, k, rng.choice([2, 3]), rng.choice([2, 3]))
     state = bx.construct_steering_state(ensembles)
     assert bx.verify_steering_state(state).passed
-    assert bx.round_trips(state)
+    assert round_trips(state)
     assert state.box.num_outputs_bob == max(e.cardinality for e in ensembles)
 
 
@@ -193,3 +195,42 @@ def test_full_decomposition_needs_all_outputs():
     other = perturbed_same_mixture(rng, full)
     state = bx.construct_steering_state([full, other])
     assert state.box.num_outputs_bob == 4
+
+
+def test_remote_case_mixes_once_and_builds_tables_on_request(monkeypatch):
+    rng = random.Random(5)
+    # fresh ensembles, so that no mixture is cached before counting
+    ensembles = [
+        bx.Ensemble.from_strategies(e.strategies, e.num_outputs)
+        for e in random_same_mixture_case(rng, 3, 3, 3)
+    ]
+    mixed = []
+    local_boxes_built = []
+    mixture = bx.Ensemble._mixture.func
+    validate = bx.LocalBox.__post_init__
+
+    def counted_mixture(ensemble):
+        mixed.append(ensemble)
+        return mixture(ensemble)
+
+    def counted_local_box(box):
+        local_boxes_built.append(box)
+        validate(box)
+
+    monkeypatch.setattr(bx.Ensemble._mixture, "func", counted_mixture)
+    monkeypatch.setattr(bx.LocalBox, "__post_init__", counted_local_box)
+    state = bx.construct_steering_state(ensembles)
+    assert bx.verify_steering_state(state).passed
+    # each source ensemble is mixed once; its mixture is the one table built
+    assert sorted(map(id, mixed)) == sorted(map(id, ensembles))
+    assert len(local_boxes_built) == len(ensembles)
+
+    mixed.clear()
+    local_boxes_built.clear()
+    steered = [bx.steered_ensemble(state, y) for y in range(3)]
+    assert (mixed, local_boxes_built) == ([], [])
+    assert all(bx.ensembles_equal(s, e) for s, e in zip(steered, ensembles))
+    assert (mixed, local_boxes_built) == ([], [])
+    members = steered[0].members
+    assert len(local_boxes_built) == steered[0].cardinality == len(members)
+    assert steered[0].members is members
