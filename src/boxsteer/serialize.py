@@ -20,6 +20,7 @@ documents for the CLI; they are outputs, not inputs.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import Any
@@ -266,17 +267,41 @@ def round_log_from_json(obj: Any) -> RoundLog:
 
 
 def ndjson_line(log: RoundLog) -> str:
-    return json.dumps(round_log_to_json(log), sort_keys=True) + "\n"
+    """``json.dumps(round_log_to_json(log), sort_keys=True)`` and a newline,
+    written with the keys in that order."""
+    return (
+        f'{{"a": {log.a}, "alice_actual": "{log.alice_actual.label}", '
+        f'"b": {log.b}, "member_id": {log.member_id}, '
+        f'"referee_inference": "{log.referee_inference.label}", '
+        f'"round_id": {log.round_id}, "x": {log.x}, "y": {log.y}}}\n'
+    )
 
 
 def logs_to_ndjson(logs: Iterable[RoundLog]) -> str:
     return "".join(map(ndjson_line, logs))
 
 
+# the line ndjson_line writes; any other line is read as general JSON
+_CANONICAL_LINE = re.compile(
+    r'\{"a": ([01]), "alice_actual": "(S[01][01])", "b": ([01]), '
+    r'"member_id": (0|[1-9][0-9]*), "referee_inference": "(S[01][01])", '
+    r'"round_id": (0|[1-9][0-9]*), "x": ([01]), "y": ([01])\}'
+)
+_SBOXES = {sbox.label: sbox for sbox in (SBox(i >> 1, i & 1) for i in range(4))}
+
+
 def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
     """Round logs parsed line by line from a text's or an open file's lines."""
     lines = (line for chunk in chunks for line in chunk.splitlines())
     for lineno, line in enumerate(lines, start=1):
+        canonical = _CANONICAL_LINE.fullmatch(line)
+        if canonical:
+            a, actual, b, member_id, inference, round_id, x, y = canonical.groups()
+            yield RoundLog(
+                int(round_id), int(member_id), int(x), int(y), int(a), int(b),
+                _SBOXES[inference], _SBOXES[actual],
+            )
+            continue
         if not line.strip():
             continue
         try:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxsteer as bx
 from strategies import local_boxes, nonlocal_ensembles, rationals
@@ -245,6 +246,81 @@ class TestRoundLogs:
         doc["a"] = 2
         with pytest.raises(bx.ValidationError):
             bx.round_log_from_json(doc)
+
+
+def _reference_logs(text):
+    """The log parser's first form, kept as the oracle: every line through
+    ``json.loads`` and ``round_log_from_json``."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise bx.ValidationError(f"bad JSON on log line {lineno}: {exc}") from exc
+        out.append(bx.round_log_from_json(obj))
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except bx.ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+bits = st.sampled_from(BITS)
+sboxes = st.builds(bx.SBox, bits, bits)
+round_logs = st.builds(
+    bx.RoundLog, st.integers(0, 2**70), st.integers(0, 2**70),
+    bits, bits, bits, bits, sboxes, sboxes,
+)
+
+
+class TestNdjsonCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(round_logs)
+    def test_line_is_sorted_json_dumps(self, log):
+        expected = json.dumps(bx.round_log_to_json(log), sort_keys=True) + "\n"
+        assert bx.serialize.ndjson_line(log) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(round_logs)
+    def test_canonical_line_parses_as_json(self, log):
+        line = bx.serialize.ndjson_line(log)
+        assert bx.serialize._CANONICAL_LINE.fullmatch(line.rstrip("\n"))
+        assert bx.logs_from_ndjson(line) == _reference_logs(line) == [log]
+
+    def test_other_lines_read_as_before(self):
+        line = bx.serialize.ndjson_line(
+            bx.RoundLog(7, 2, 1, 0, 1, 1, bx.SBox(1, 0), bx.SBox(0, 1))
+        ).rstrip("\n")
+        doc = json.loads(line)
+        read = [  # read as the same round
+            json.dumps(dict(reversed(doc.items()))),
+            line.replace(": ", ":  ").replace("{", "{ "),
+            line[:-1] + ', "note": "extra"}',
+            line.replace('"S10"', '"\\u005310"'),
+            line + "\r",
+            line + " ",
+        ]
+        refused = [
+            line.replace('"x": 1', '"x": true'),
+            line.replace('"b": 1', '"b": 2'),
+            line.replace('"round_id": 7', '"round_id": 07'),
+            line.replace('"member_id": 2', '"member_id": -2'),
+            line.replace('"S10"', '"S12"'),
+            line.replace('"S01"', '"s01"'),
+            line[:-1],
+        ]
+        for text in read + refused:
+            outcome = _outcome(bx.logs_from_ndjson, text)
+            assert outcome == _outcome(_reference_logs, text)
+            if text in read:
+                assert outcome == [bx.round_log_from_json(doc)]
+            else:
+                assert outcome.startswith("ValidationError: ")
 
 
 class TestTargets:

@@ -5,11 +5,15 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxsteer as bx
 from boxsteer import simulate
 from boxsteer.simulate import sample_rounds
+from strategies import nonlocal_ensembles, weight_vectors
 
 BITS = (0, 1)
 
@@ -76,8 +80,9 @@ class TestRunProtocol:
         assert all(log.referee_inference == log.alice_actual for log in logs)
 
     def test_rounds_validated(self):
-        with pytest.raises(bx.ValidationError):
-            bx.run_protocol(pr_singleton(), rounds=0, seed=0)
+        for rounds in (0, True, 2.5, "10"):
+            with pytest.raises(bx.ValidationError):
+                bx.run_protocol(pr_singleton(), rounds=rounds, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
     def test_seed_validated(self, seed):
@@ -135,11 +140,109 @@ class TestSampleRounds:
         _, logs = bx.run_protocol(e, rounds=200, seed=2**32, policy=policy)
         assert list(sample_rounds(e, 200, 2**32, policy)) == logs
 
-    @pytest.mark.parametrize("rounds,seed", [(0, 0), (10, -1), (10, 1.5), (10, True)])
+    @pytest.mark.parametrize(
+        "rounds,seed",
+        [(0, 0), (10, -1), (10, 1.5), (10, True), (True, 0), (2.5, 0), ("10", 0)],
+    )
     def test_arguments_checked_on_call(self, rounds, seed):
         # before the first next(), so a CLI run can fail before writing
         with pytest.raises(bx.ValidationError):
             sample_rounds(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
+
+
+def _reference_rounds(ensemble, rounds, seed, policy):
+    """The sampler's first form, kept as the oracle: a fresh generator per
+    round and each float uniform compared with the exact cumulative
+    weights."""
+
+    def cumulative(pairs):
+        kept = [(w, value) for w, value in pairs if w != 0]
+        return list(zip(itertools.accumulate(w for w, _ in kept), (v for _, v in kept)))
+
+    def pick(cum, u):
+        return next((value for threshold, value in cum if u < threshold), cum[-1][1])
+
+    members = ensemble.members
+    member_cum = cumulative((m.weight, i) for i, m in enumerate(members))
+    pairs = list(itertools.product(BITS, BITS))
+    policy_cum = cumulative((policy.table[x][y], (x, y)) for x, y in pairs)
+    boxes = [m.as_bipartite_box() for m in members]
+    out = []
+    for round_id in range(rounds):
+        u_member, u_inputs, u_outcomes = np.random.default_rng([seed, round_id]).random(3)
+        i = pick(member_cum, u_member)
+        x, y = pick(policy_cum, u_inputs)
+        a, b = pick(cumulative((boxes[i].prob(x, y, a, b), (a, b)) for a, b in pairs), u_outcomes)
+        sbox = bx.constituent_after_measurement(members[i], y, b)
+        out.append(bx.RoundLog(round_id, i, x, y, a, b, sbox, sbox))
+    return out
+
+
+ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128]
+
+
+class TestBlockSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nonlocal_ensembles(),
+        weight_vectors(4),
+        st.sampled_from(ORACLE_SEEDS) | st.integers(0, 2**70),
+        st.integers(1, 30),
+    )
+    def test_matches_reference(self, ensemble, policy_weights, seed, rounds):
+        w = policy_weights
+        policy = bx.InputPolicy(((w[0], w[1]), (w[2], w[3])))
+        assert list(sample_rounds(ensemble, rounds, seed, policy)) == _reference_rounds(
+            ensemble, rounds, seed, policy
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(0, 1, max_denominator=10**20), min_size=1, max_size=6))
+    def test_thresholds_are_exact(self, weights):
+        # k * 2**-53 < c exactly when k < T, for every cumulative weight c
+        for c, t in zip(itertools.accumulate(weights), simulate._thresholds(weights)):
+            assert F(t - 1, 2**53) < c <= F(t, 2**53)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_reference_across_a_block_edge(self, seed):
+        # zero cells in the policy and in the members' tables
+        policy = bx.InputPolicy(((F(1, 3), F(0)), (F(1, 2), F(1, 6))))
+        ensemble = canonical_ensemble()
+        rounds = simulate._BLOCK + 3
+        assert list(sample_rounds(ensemble, rounds, seed, policy)) == _reference_rounds(
+            ensemble, rounds, seed, policy
+        )
+
+    @pytest.mark.parametrize("start", [2**32 - 2, 2**64 - 2])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**128])
+    def test_stages_match_numpy(self, seed, start):
+        # the entropy grows by a word at 2**32 and 2**64
+        words = simulate._generate_state(seed, start, start + 4)
+        state, inc = simulate._pcg64_seeded(words)
+        ints = simulate._pcg64_ints(state, inc)
+        assert (ints == simulate._round_ints(seed, start, start + 4)).all()
+        for i, r in enumerate(range(start, start + 4)):
+            expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+            assert words[i].tolist() == expected.tolist()
+            rng = np.random.default_rng([seed, r])
+            pcg = rng.bit_generator.state["state"]
+            assert int(state[0][i]) << 64 | int(state[1][i]) == pcg["state"]
+            assert int(inc[0][i]) << 64 | int(inc[1][i]) == pcg["inc"]
+            assert (ints[i] == rng.bit_generator.random_raw(3) >> np.uint64(11)).all()
+
+
+def test_numpy_stream_canary():
+    # the sampler reproduces numpy's default_rng stream; a numpy whose
+    # stream differs fails here by name, not only as a golden digest
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 + 7]
+    rounds = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**80]
+    for seed, r in itertools.product(seeds, rounds):
+        got = simulate._round_ints(seed, r, r + 1)[0] * 2.0**-53
+        expected = np.random.default_rng([seed, r]).random(3)
+        assert got.tolist() == expected.tolist(), (
+            f"numpy {np.__version__}: default_rng([{seed}, {r}]) stream differs "
+            "from the one boxsteer's sampler reproduces"
+        )
 
 
 class TestRefereeAudit:
