@@ -96,10 +96,11 @@ def _writing(path: Path):
 
 def _load_json(path: str) -> Any:
     with _reading(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an int past Python's int-string limit
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(out: str | None, documents: dict[str, Any]) -> None:
@@ -188,7 +189,7 @@ def _parse_policy(value: str) -> InputPolicy:
     if value.lstrip().startswith("{"):
         try:
             obj = json.loads(value)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the int-string limit
             raise ValidationError(f"inline policy is not valid JSON: {exc}") from exc
         return input_policy_from_json(obj)
     return input_policy_from_json(_load_json(value))

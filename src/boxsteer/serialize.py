@@ -297,8 +297,12 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
         canonical = _CANONICAL_LINE.fullmatch(line)
         if canonical:
             a, actual, b, member_id, inference, round_id, x, y = canonical.groups()
+            try:
+                ids = int(round_id), int(member_id)
+            except ValueError as exc:  # more digits than Python's int-string limit
+                raise ValidationError(f"log line {lineno}: {exc}") from exc
             yield RoundLog(
-                int(round_id), int(member_id), int(x), int(y), int(a), int(b),
+                *ids, int(x), int(y), int(a), int(b),
                 _SBOXES[inference], _SBOXES[actual],
             )
             continue
@@ -308,6 +312,8 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad JSON on log line {lineno}: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's int-string limit
+            raise ValidationError(f"log line {lineno}: {exc}") from exc
         yield round_log_from_json(obj)
 
 

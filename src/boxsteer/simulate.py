@@ -249,30 +249,18 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
     return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
 
 
-def sample_rounds(
-    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
-) -> Iterator[RoundLog]:
-    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time.  The arguments, and the agreement of the two
-    constituent-naming routes (a broken implementation otherwise), are
-    checked on the call."""
-    if not isinstance(rounds, int) or isinstance(rounds, bool):
-        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
-    if rounds < 1:
-        raise ValidationError(f"rounds must be positive, got {rounds}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-
-    members = ensemble.members
-    member_thresholds = np.array(_thresholds(m.weight for m in members), _U64)
-    pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
+def _sampling_tables(ensemble: NonlocalEnsemble) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Member and outcome thresholds and constituents, kept on the ensemble
+    once the two routes agree (a broken implementation otherwise)."""
+    if tables := vars(ensemble).get("_sampling"):
+        return tables
+    member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
     outcome_thresholds = []  # [member][index of (x, y)][index of (a, b)]
-    constituents = {}
-    for i, member in enumerate(members):
+    constituents = {}  # Alice's S box per (member, y, b) with p(b|y) > 0
+    for i, member in enumerate(ensemble.members):
         box = member.as_bipartite_box()
-        outcome_thresholds.append(
-            [_thresholds(box.prob(x, y, a, b) for a, b in PAIRS) for x, y in PAIRS]
-        )
+        row = [_thresholds(box.prob(x, y, a, b) for a, b in PAIRS) for x, y in PAIRS]
+        outcome_thresholds.append(row)
         for y, b in PAIRS:
             if any(box.prob(0, y, a, b) > 0 for a in BITS):
                 inference = constituent_after_measurement(member, y, b)
@@ -284,6 +272,25 @@ def sample_rounds(
                     )
                 constituents[i, y, b] = inference
     outcome_thresholds = np.array(outcome_thresholds, _U64)
+    vars(ensemble)["_sampling"] = member_thresholds, outcome_thresholds, constituents
+    return vars(ensemble)["_sampling"]
+
+
+def sample_rounds(
+    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
+) -> Iterator[RoundLog]:
+    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
+    one at a time.  The arguments, and the agreement of the two
+    constituent-naming routes, are checked on the call."""
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
+    if rounds < 1:
+        raise ValidationError(f"rounds must be positive, got {rounds}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+    member_thresholds, outcome_thresholds, constituents = _sampling_tables(ensemble)
+    pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
 
     def draw() -> Iterator[RoundLog]:
         for start in range(0, rounds, _BLOCK):
@@ -309,15 +316,12 @@ def run_protocol(
     policy: InputPolicy | None = None,
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> tuple[SimulationReport, list[RoundLog]]:
-    """Run ``rounds`` protocol rounds, tallying the log as it is built,
-    and return the report with the log."""
+    """Run ``rounds`` protocol rounds; return the report and the log."""
     policy = policy or InputPolicy.uniform()
-    draws = sample_rounds(ensemble, rounds, seed, policy)
     tally = LogTally(ensemble, significance)
-    logs: list[RoundLog] = []
-    for log in draws:
+    logs = list(sample_rounds(ensemble, rounds, seed, policy))
+    for log in logs:
         tally.add(log)
-        logs.append(log)
     return tally.report(seed, policy), logs
 
 
@@ -345,10 +349,10 @@ _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
 
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
-    alice_actual)``.  The per-round rule (the member exists and implies
-    the recorded constituent for the round's (y, b)) runs once per
-    distinct cell; the round loop only counts, and keeps the first 20
-    offending round ids in log order."""
+    alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
+    member exists and implies the recorded constituent for the round's
+    (y, b)) runs once per distinct cell; the round loop makes one lookup,
+    counts, and keeps the first 20 offending round ids in log order."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -357,16 +361,15 @@ class LogTally:
             raise ValidationError(f"significance must be in (0, 1), got {significance}")
         self.ensemble = ensemble
         self.significance = significance
-        self.counts: dict[tuple, int] = {}
-        self.offending: set[tuple] = set()
+        self.cells: dict[tuple, list] = {}
         self.mismatch_rounds: list[int] = []
 
     def add(self, log: RoundLog) -> None:
         cell = _cell(log)
-        if cell not in self.counts and self._breaks_rule(cell):
-            self.offending.add(cell)
-        self.counts[cell] = self.counts.get(cell, 0) + 1
-        if cell in self.offending and len(self.mismatch_rounds) < 20:
+        if (entry := self.cells.get(cell)) is None:
+            entry = self.cells[cell] = [0, self._breaks_rule(cell)]
+        entry[0] += 1
+        if entry[1] and len(self.mismatch_rounds) < 20:
             self.mismatch_rounds.append(log.round_id)
 
     def _breaks_rule(self, cell: tuple) -> bool:
@@ -381,7 +384,7 @@ class LogTally:
         sorted, values in the order the log first shows them."""
         by_group, by_value = itemgetter(*group), itemgetter(*value)
         out: dict = {}
-        for cell, count in self.counts.items():
+        for cell, (count, _) in self.cells.items():
             counts = out.setdefault(by_group(cell), {})
             counts[by_value(cell)] = counts.get(by_value(cell), 0) + count
         return dict(sorted(out.items()))
@@ -403,9 +406,9 @@ class LogTally:
                     pvalue = float(binomtest(seen, total, float(weight)).pvalue)
                     ok = pvalue >= self.significance
                 cells.append(FrequencyCell(y, sbox, weight, seen, total, pvalue, ok))
-        mismatches = sum(self.counts[cell] for cell in self.offending)
+        mismatches = sum(n for n, breaks in self.cells.values() if breaks)
         return AuditVerdict(
-            passed=bool(self.counts) and not mismatches and all(c.ok for c in cells),
+            passed=bool(self.cells) and not mismatches and all(c.ok for c in cells),
             mismatch_count=mismatches,
             mismatch_rounds=tuple(self.mismatch_rounds),
             frequency_cells=tuple(cells),
@@ -417,16 +420,13 @@ class LogTally:
         joint = _relative(self._grouped((_X, _Y), (_A, _B)))
         undrawn = dict.fromkeys(PAIRS, math.nan)
         return SimulationReport(
-            rounds=sum(self.counts.values()),
+            rounds=sum(n for n, _ in self.cells.values()),
             rng_seed=seed,
             policy=policy,
             empirical_joint=tuple(
                 tuple(
-                    tuple(
-                        tuple(joint.get((x, y), undrawn).get((a, b), 0.0) for b in BITS)
-                        for a in BITS
-                    )
-                    for y in BITS
+                    tuple(tuple(at_xy.get((a, b), 0.0) for b in BITS) for a in BITS)
+                    for at_xy in (joint.get((x, y), undrawn) for y in BITS)
                 )
                 for x in BITS
             ),

@@ -303,6 +303,22 @@ class TestSimulate:
         doc = json.loads(result.stdout)["report"]
         assert set(doc["alice_frequencies"]) == {"0"}
 
+    @pytest.mark.parametrize("where", ["ensemble", "policy"])
+    def test_integer_past_int_string_limit(self, tmp_path, where):
+        huge = "1" * 5000
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        policy = '{"table": [["1/4", "1/4"], ["1/4", %s]]}' % huge
+        if where == "ensemble":
+            (tmp_path / "ensemble.json").write_text(
+                '{"products": [], "prs": [{"w": "1", "abd": [%s, 0, 0]}]}' % huge
+            )
+            policy = "uniform"
+        result = run_cli("simulate", path, "--rounds", "10", "--policy", policy)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "not valid JSON: Exceeds the limit" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_zero_rounds_rejected(self, tmp_path):
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         assert run_cli("simulate", path, "--rounds", "0").returncode == 2
@@ -403,6 +419,19 @@ class TestAudit:
         assert result.returncode == 2
         assert result.stderr.startswith("error: cannot read")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("spacing", [": ", ":  "])  # canonical line, json.loads
+    def test_integer_past_int_string_limit(self, tmp_path, spacing):
+        logs, ensemble = self.run_simulation(tmp_path)
+        lines = logs.read_text().splitlines()
+        lines[6] = lines[6].replace('"round_id": 6', f'"round_id": {"7" * 5000}')
+        lines[6] = lines[6].replace(": ", spacing)
+        logs.write_text("\n".join(lines) + "\n")
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: log line 7: Exceeds the limit")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_non_utf8_log_file(self, tmp_path):
         ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)

@@ -322,6 +322,21 @@ class TestNdjsonCodec:
             else:
                 assert outcome.startswith("ValidationError: ")
 
+    @pytest.mark.parametrize("field", ["round_id", "member_id"])
+    @pytest.mark.parametrize("spacing", [": ", ":  "])  # canonical line, json.loads
+    def test_integer_past_int_string_limit_names_the_line(self, field, spacing):
+        # Python refuses to read an int of more than 4,300 digits
+        first = bx.serialize.ndjson_line(
+            bx.RoundLog(0, 0, 0, 0, 0, 0, bx.SBox(0, 0), bx.SBox(0, 0))
+        )
+        line = first.replace(f'"{field}": 0', f'"{field}": {"1" * 5000}')
+        line = line.replace(": ", spacing)
+        assert bool(bx.serialize._CANONICAL_LINE.fullmatch(line.rstrip())) == (
+            spacing == ": "
+        )
+        with pytest.raises(bx.ValidationError, match="^log line 2: Exceeds the limit"):
+            bx.logs_from_ndjson(first + line)
+
 
 class TestTargets:
     def test_round_trip(self):
