@@ -249,18 +249,30 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
     return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
 
 
-def _sampling_tables(ensemble: NonlocalEnsemble) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Member and outcome thresholds and constituents, kept on the ensemble
-    once the two routes agree (a broken implementation otherwise)."""
-    if tables := vars(ensemble).get("_sampling"):
-        return tables
-    member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
+def sample_rounds(
+    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
+) -> Iterator[RoundLog]:
+    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
+    one at a time.  The arguments, and the agreement of the two
+    constituent-naming routes (a broken implementation otherwise), are
+    checked on the call."""
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
+    if rounds < 1:
+        raise ValidationError(f"rounds must be positive, got {rounds}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+    members = ensemble.members
+    member_thresholds = np.array(_thresholds(m.weight for m in members), _U64)
+    pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
     outcome_thresholds = []  # [member][index of (x, y)][index of (a, b)]
-    constituents = {}  # Alice's S box per (member, y, b) with p(b|y) > 0
-    for i, member in enumerate(ensemble.members):
+    constituents = {}
+    for i, member in enumerate(members):
         box = member.as_bipartite_box()
-        row = [_thresholds(box.prob(x, y, a, b) for a, b in PAIRS) for x, y in PAIRS]
-        outcome_thresholds.append(row)
+        outcome_thresholds.append(
+            [_thresholds(box.prob(x, y, a, b) for a, b in PAIRS) for x, y in PAIRS]
+        )
         for y, b in PAIRS:
             if any(box.prob(0, y, a, b) > 0 for a in BITS):
                 inference = constituent_after_measurement(member, y, b)
@@ -272,25 +284,6 @@ def _sampling_tables(ensemble: NonlocalEnsemble) -> tuple[np.ndarray, np.ndarray
                     )
                 constituents[i, y, b] = inference
     outcome_thresholds = np.array(outcome_thresholds, _U64)
-    vars(ensemble)["_sampling"] = member_thresholds, outcome_thresholds, constituents
-    return vars(ensemble)["_sampling"]
-
-
-def sample_rounds(
-    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
-) -> Iterator[RoundLog]:
-    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time.  The arguments, and the agreement of the two
-    constituent-naming routes, are checked on the call."""
-    if not isinstance(rounds, int) or isinstance(rounds, bool):
-        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
-    if rounds < 1:
-        raise ValidationError(f"rounds must be positive, got {rounds}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-
-    member_thresholds, outcome_thresholds, constituents = _sampling_tables(ensemble)
-    pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
 
     def draw() -> Iterator[RoundLog]:
         for start in range(0, rounds, _BLOCK):
@@ -316,12 +309,15 @@ def run_protocol(
     policy: InputPolicy | None = None,
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> tuple[SimulationReport, list[RoundLog]]:
-    """Run ``rounds`` protocol rounds; return the report and the log."""
+    """Run ``rounds`` protocol rounds, tallying the log as it is built,
+    and return the report with the log."""
     policy = policy or InputPolicy.uniform()
+    draws = sample_rounds(ensemble, rounds, seed, policy)
     tally = LogTally(ensemble, significance)
-    logs = list(sample_rounds(ensemble, rounds, seed, policy))
-    for log in logs:
+    logs: list[RoundLog] = []
+    for log in draws:
         tally.add(log)
+        logs.append(log)
     return tally.report(seed, policy), logs
 
 
@@ -425,8 +421,11 @@ class LogTally:
             policy=policy,
             empirical_joint=tuple(
                 tuple(
-                    tuple(tuple(at_xy.get((a, b), 0.0) for b in BITS) for a in BITS)
-                    for at_xy in (joint.get((x, y), undrawn) for y in BITS)
+                    tuple(
+                        tuple(joint.get((x, y), undrawn).get((a, b), 0.0) for b in BITS)
+                        for a in BITS
+                    )
+                    for y in BITS
                 )
                 for x in BITS
             ),

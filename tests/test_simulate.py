@@ -1,10 +1,8 @@
 import dataclasses
-import gc
 import itertools
 import math
 import subprocess
 import sys
-import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -151,52 +149,6 @@ class TestSampleRounds:
         with pytest.raises(bx.ValidationError):
             sample_rounds(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
 
-
-def _count_table_builds(monkeypatch):
-    """Record every member box built and every conditioning on Bob."""
-    builds = []
-    for owner, name in [
-        (bx.ProductMember, "as_bipartite_box"),
-        (bx.PRMember, "as_bipartite_box"),
-        (simulate, "condition_on_bob"),
-    ]:
-        def counted(*args, _build=getattr(owner, name), _name=name):
-            builds.append(_name)
-            return _build(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-    return builds
-
-
-class TestSamplingTables:
-    POLICY = bx.InputPolicy(((F(1, 8), F(3, 8)), (F(1, 3), F(1, 6))))
-
-    def test_second_call_builds_no_boxes(self, monkeypatch):
-        e = canonical_ensemble()
-        list(sample_rounds(e, 50, 1, bx.InputPolicy.uniform()))
-        builds = _count_table_builds(monkeypatch)
-        # another seed and policy: only the policy's thresholds are new
-        rounds = list(sample_rounds(e, 300, 2**40, self.POLICY))
-        assert builds == []
-        assert rounds == _reference_rounds(e, 300, 2**40, self.POLICY)
-        # the tables live on the ensemble and go with it
-        ref = weakref.ref(e)
-        del e
-        gc.collect()
-        assert ref() is None
-
-    def test_kept_tables_give_the_bytes_of_fresh_ones(self, monkeypatch):
-        e = canonical_ensemble()
-        first = bx.logs_to_ndjson(sample_rounds(e, 700, 3, self.POLICY))
-        builds = _count_table_builds(monkeypatch)
-        again = bx.logs_to_ndjson(sample_rounds(e, 700, 3, self.POLICY))
-        assert builds == []
-        fresh = canonical_ensemble()
-        assert fresh == e and fresh is not e
-        assert bx.logs_to_ndjson(sample_rounds(fresh, 700, 3, self.POLICY)) == again
-        assert again == first
-        assert builds.count("as_bipartite_box") == len(fresh.members)
-
     def test_route_check_raises_on_every_call(self, monkeypatch):
         e = pr_singleton()
 
@@ -205,8 +157,7 @@ class TestSamplingTables:
             return bx.SBox(right.alpha ^ 1, right.beta)
 
         monkeypatch.setattr(simulate, "constituent_after_measurement", wrong)
-        # a failed check is never kept: the second call checks again
-        for _ in range(2):
+        for _ in range(2):  # nothing of a failed check is kept
             with pytest.raises(
                 RuntimeError, match=r"member 0 at \(y=0, b=0\): S10 vs S00"
             ):
