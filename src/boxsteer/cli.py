@@ -15,9 +15,8 @@ line by line).  Rationals are "num/den" strings, on the command line too.
 
 Exit codes: 0 success; 2 invalid input (bad file, bad table, bad
 weights, incompatible ensembles); 3 target on a diagonal / outside any
-solvable region; 4 no exact vertex decomposition exists; 5 the requested
-checks ran and failed (verification report, no-signalling check, or
-audit).
+solvable region; 5 the requested checks ran and failed (verification
+report, no-signalling check, or audit).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .blind import TargetState, plan_blind_steering
 from .errors import (
     BoxWorldError,
     DegenerateRegionWarning,
-    InfeasibleError,
     RegionError,
     ValidationError,
 )
@@ -69,7 +67,6 @@ from .steering import SteeringState, construct_steering_state, verify_steering_s
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_REGION = 3
-EXIT_INFEASIBLE = 4
 EXIT_CHECKS_FAILED = 5
 
 
@@ -296,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except RegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGION
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except BoxWorldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -29,10 +29,6 @@ class RegionError(BoxWorldError):
     region of an operation that does not relabel."""
 
 
-class InfeasibleError(BoxWorldError):
-    """No nonnegative vertex decomposition exists for the requested table."""
-
-
 class DegenerateRegionWarning(UserWarning):
     """The target sits on the boundary of the canonical triangle: the
     construction still works but some weights vanish, and the hiding

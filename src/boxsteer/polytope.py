@@ -19,16 +19,19 @@ Barrett et al., a mixture of the single vertex ``PR(p, q, delta)``
 all at most 2.  No smaller PR weight leaves a local remainder, so
 :func:`decompose` uses at most one PR vertex, with the minimal weight.
 
-The local remainder is split over the 16 product vertices by a
-phase-one simplex over :class:`fractions.Fraction` with Bland's rule,
-in Collins-Gisin coordinates (Alice's and Bob's p(0|input), p(00|xy)
-and normalization: 9 rows, which fix a no-signalling table).  Columns
-are scanned in catalog order and ties in the ratio test break toward
-the lowest basis index, so the returned decomposition is a
-deterministic function of the input (and Bland's rule rules out
-cycling).  Decompositions are not unique in general; callers verify
-results by remixing, not by comparing witnesses.  The same simplex over
-the full tables is the tests' oracle for both closed forms.
+The local remainder is split over the 16 product vertices in closed
+form, after the constructive half of Fine's theorem (PRL 48:291, 1982).
+A product vertex is an assignment (a0, a1, b0, b1), and the remainder
+fixes the pairwise marginals p(a_x, b_y).  Adding Alice's chord
+q = p(a0=0, a1=0) splits them into the triangles (a0, a1, b_y), whose
+cells are affine in q and r_y = p(a0=0, a1=0, b_y=0).  q and then each
+r_y take their least feasible values (locality leaves room, by Fine),
+and the triangles are glued along the chord:
+w(a0 a1 b0 b1) = t_0(a0 a1 b0) t_1(a0 a1 b1) / p(a0 a1).  The result is
+deterministic and lists at most 12 products, in catalog order.
+Decompositions are not unique in general; callers verify results by
+remixing, not by comparing witnesses.  The tests check both closed
+forms against an exact simplex.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ import functools
 import hashlib
 import itertools
 from fractions import Fraction
-from typing import Sequence
 
 from .boxes import BipartiteBox, PRBox, SBox, _require_no_signalling
 from .ensembles import NonlocalEnsemble, PRMember, ProductMember
-from .errors import InfeasibleError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "catalog_products",
@@ -76,96 +78,30 @@ def catalog_labels() -> tuple[str, ...]:
     ) + tuple(pr.label for pr in catalog_prs())
 
 
-def _flatten(box: BipartiteBox) -> list[Fraction]:
-    return [
-        box.prob(x, y, a, b)
-        for x, y, a, b in itertools.product((0, 1), repeat=4)
-    ]
-
-
 @functools.cache
 def _catalog_columns() -> tuple[tuple[Fraction, ...], ...]:
-    columns = [
-        tuple(_flatten(ProductMember(Fraction(1), alice, bob).as_bipartite_box()))
+    """Each vertex's table, flattened in (x, y, a, b) order."""
+    boxes = [
+        ProductMember(Fraction(1), alice, bob).as_bipartite_box()
         for alice, bob in catalog_products()
-    ]
-    columns += [tuple(_flatten(pr.as_bipartite_box())) for pr in catalog_prs()]
-    return tuple(columns)
+    ] + [pr.as_bipartite_box() for pr in catalog_prs()]
+    return tuple(
+        tuple(box.prob(*key) for key in itertools.product((0, 1), repeat=4))
+        for box in boxes
+    )
 
 
 @functools.cache
 def catalog_hash() -> str:
-    """Digest of the vertex ordering and tables; changing either changes
-    every decomposition witness, so the digest names the convention."""
+    """Digest of the vertex ordering and tables.  A decomposition witness
+    depends on this convention and on the split rule of
+    :func:`decompose`, so the digest and the package version together
+    name the witnesses a box gets."""
     payload = "|".join(
         label + ":" + ",".join(str(v) for v in column)
         for label, column in zip(catalog_labels(), _catalog_columns())
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
-
-
-def solve_nonneg_exact(
-    columns: tuple[tuple[Fraction, ...], ...], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Find x >= 0 with sum_j x_j * columns[j] == rhs, exactly.
-
-    Phase-one simplex: artificial variables start basic, the entering
-    column is the lowest-index real column with positive reduced cost,
-    and the leaving row is the minimum-ratio row with the lowest basis
-    index.  Returns None when no nonnegative solution exists.
-    """
-    n = len(columns)
-    m = len(rhs)
-    # tableau rows: real columns, then rhs; the artificial columns are
-    # never read, so only their basis labels n + i are kept
-    rows: list[list[Fraction]] = []
-    for i in range(m):
-        row = [columns[j][i] for j in range(n)]
-        row.append(rhs[i])
-        if rhs[i] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the artificial total, then that total
-    cost = [sum(rows[i][j] for i in range(m)) for j in range(n + 1)]
-
-    while True:
-        enter = next((j for j in range(n) if cost[j] > 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            coeff = rows[i][enter]
-            if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    leave, best = i, ratio
-        if leave is None:
-            raise InfeasibleError("phase-one objective unbounded; malformed system")
-        pivot = rows[leave][enter]
-        if pivot != 1:
-            rows[leave] = [v / pivot if v else v for v in rows[leave]]
-        pivot_row = rows[leave]
-        # zero entries of the pivot row leave every other row unchanged
-        support = [k for k, v in enumerate(pivot_row) if v]
-        for row in rows + [cost]:
-            factor = row[enter]
-            if factor and row is not pivot_row:
-                for k in support:
-                    row[k] -= factor * pivot_row[k]
-        basis[leave] = enter
-
-    if cost[-1] != 0:
-        return None
-    solution = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[var] = rows[i][-1]
-    return solution
 
 
 def _require_scenario(box: BipartiteBox, op: str) -> None:
@@ -193,52 +129,78 @@ def _strongest_chsh(box: BipartiteBox) -> tuple[Fraction, int, int]:
     return strongest
 
 
-def _collins_gisin(flat: Sequence[Fraction]) -> list[Fraction]:
-    """pA(0|x), pB(0|y), p(00|xy) and the normalization of a flat
-    (x, y, a, b) no-signalling table, which they determine."""
-    return (
-        [flat[8 * x] + flat[8 * x + 1] for x in (0, 1)]
-        + [flat[4 * y] + flat[4 * y + 2] for y in (0, 1)]
-        + [flat[8 * x + 4 * y] for x, y in itertools.product((0, 1), repeat=2)]
-        + [sum(flat[:4])]
+def _glued_triangles(
+    mass: Fraction, alice: list, bob: list, joint: list
+) -> list[dict[tuple[int, int, int], Fraction]]:
+    """The joints t_y(a0, a1, b_y), y = 0, 1, of Fine's two triangles for
+    a local table of total ``mass`` with p(a_x=0) ``alice[x]``, p(b_y=0)
+    ``bob[y]`` and p(a_x=0, b_y=0) ``joint[x][y]``."""
+    zero = Fraction(0)  # keeps every cell, and so every weight, a Fraction
+    triangles = []
+    for y in (0, 1):
+        p0, p1 = joint[0][y], joint[1][y]
+        # cell (a0, a1, b): (constant, coefficient on q, coefficient on r_y)
+        triangles.append({
+            (0, 0, 0): (zero, 0, 1),
+            (0, 0, 1): (zero, 1, -1),
+            (0, 1, 0): (p0, 0, -1),
+            (1, 0, 0): (p1, 0, -1),
+            (0, 1, 1): (alice[0] - p0, -1, 1),
+            (1, 0, 1): (alice[1] - p1, -1, 1),
+            (1, 1, 0): (bob[y] - p0 - p1, 0, 1),
+            (1, 1, 1): (mass - alice[0] - alice[1] - bob[y] + p0 + p1, 1, -1),
+        })
+    # a cell c + i*q + j*r_y >= 0 bounds r_y below (j = 1) or above
+    # (j = -1); a lower and an upper bound leave room for r_y iff
+    # (i + i') * q >= -(c + c'), with i + i' in {-1, 0, 1}.  The pairs
+    # with i + i' = 1 bound q below, and by Fine's theorem the others
+    # hold at the largest of those bounds.
+    q = max(
+        -(c + c_up)
+        for cells in triangles
+        for c, i, j in cells.values() if j == 1
+        for c_up, i_up, j_up in cells.values() if j_up == -1 and i + i_up == 1
     )
-
-
-@functools.cache
-def _catalog_cg_columns() -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_collins_gisin(col)) for col in _catalog_columns())
+    glued = []
+    for cells in triangles:
+        r = max(-c - i * q for c, i, j in cells.values() if j == 1)
+        glued.append({key: c + i * q + j * r for key, (c, i, j) in cells.items()})
+    return glued
 
 
 def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     """Exact convex decomposition of a one-bit no-signalling box over the
-    24-vertex catalog, with at most one PR member of minimal weight.
-    Remixing the result reproduces ``box`` exactly."""
+    24-vertex catalog, with at most one PR member of minimal weight and
+    the products in catalog order.  Remixing the result reproduces
+    ``box`` exactly."""
     _require_scenario(box, "decompose")
-    chsh, p, q = _strongest_chsh(box)
-    rhs = _collins_gisin(_flatten(box))
-    local_share = Fraction(1)
-    prs: tuple[PRMember, ...] = ()
-    if abs(chsh) > 2:
-        pr = PRBox(p, q, 0 if chsh > 0 else 1)
-        weight = (abs(chsh) - 2) / 2
-        prs = (PRMember(weight, pr),)
-        if weight == 1:
-            return NonlocalEnsemble((), prs)
-        local_share -= weight
-        vertex = _catalog_cg_columns()[16 + catalog_prs().index(pr)]
-        rhs = [(v - weight * c) / local_share for v, c in zip(rhs, vertex)]
-    weights = solve_nonneg_exact(_catalog_cg_columns()[:16], rhs)
-    if weights is None:
-        raise InfeasibleError(
-            "no convex combination of catalog vertices matches the table; "
-            "a normalized no-signalling table should never reach this"
-        )
-    products = tuple(
-        ProductMember(w * local_share, alice, bob)
-        for w, (alice, bob) in zip(weights, catalog_products())
-        if w != 0
+    chsh, alpha, beta = _strongest_chsh(box)
+    pr = PRBox(alpha, beta, 0 if chsh > 0 else 1)
+    weight = max(Fraction(0), (abs(chsh) - 2) / 2)
+    # the local remainder, unnormalized, by the numbers that fix it: its
+    # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0); the PR vertex has
+    # uniform marginals and p(00|xy) = 1/2 where it forces a XOR b = 0
+    half, t = weight / 2, box.table
+    t0, t1 = _glued_triangles(
+        1 - weight,
+        [t[x][0][0][0] + t[x][0][0][1] - half for x in (0, 1)],
+        [t[0][y][0][0] + t[0][y][1][0] - half for y in (0, 1)],
+        [
+            [t[x][y][0][0] - (0 if pr.parity(x, y) else half) for y in (0, 1)]
+            for x in (0, 1)
+        ],
     )
-    return NonlocalEnsemble(products, prs)
+    products = []
+    for s_alice, s_bob in catalog_products():
+        # an S box (alpha, beta) outputs beta on input 0, alpha XOR beta on 1
+        a0, a1 = s_alice.beta, s_alice.alpha ^ s_alice.beta
+        b0, b1 = s_bob.beta, s_bob.alpha ^ s_bob.beta
+        chord = t0[a0, a1, 0] + t0[a0, a1, 1]
+        w = t0[a0, a1, b0] * t1[a0, a1, b1] / chord if chord else 0
+        if w:
+            products.append(ProductMember(w, s_alice, s_bob))
+    prs = (PRMember(weight, pr),) if weight else ()
+    return NonlocalEnsemble(tuple(products), prs)
 
 
 def is_local(box: BipartiteBox) -> bool:

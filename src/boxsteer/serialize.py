@@ -19,8 +19,10 @@ documents for the CLI; they are outputs, not inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import Any
@@ -39,7 +41,20 @@ from .simulate import AuditVerdict, InputPolicy, RoundLog, SimulationReport
 
 
 def fraction_to_json(value: Fraction) -> str:
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # more digits than Python's int-string limit
+        raise ValidationError(f"cannot write a rational: {exc}") from exc
+
+
+@functools.cache
+def _int_string_bound(digits: int) -> int:
+    return 10**digits
+
+
+def _clipped(literal: str) -> str:
+    return literal if len(literal) <= 40 else literal[:20] + "..." + literal[-10:]
 
 
 def fraction_from_json(value: Any) -> Fraction:
@@ -49,9 +64,20 @@ def fraction_from_json(value: Any) -> Fraction:
             "JSON numbers are not accepted for probabilities"
         )
     try:
-        return Fraction(value)
+        frac = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational string {value!r}: {exc}") from exc
+        raise ValidationError(f"bad rational string {_clipped(value)!r}: {exc}") from exc
+    # exponent notation ("1e5000") gets past the int-string limit that a
+    # long literal hits, and would leave a value that cannot be printed
+    # (0, or a Python without the limit, means no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    largest = max(abs(frac.numerator), frac.denominator)
+    if digits and largest >= _int_string_bound(digits):
+        raise ValidationError(
+            f"bad rational string {_clipped(value)!r}: its numerator or "
+            f"denominator has more than {digits} digits"
+        )
+    return frac
 
 
 def _bit_from_json(value: Any, what: str) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from boxsteer.polytope import solve_nonneg_exact
+from simplex_oracle import solve_nonneg_exact
 from strategies import interior_targets, random_blind_split, realizes
 
 BITS = (0, 1)

@@ -56,7 +56,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.1.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.2.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -84,6 +84,15 @@ class TestBlind:
         result = run_cli("blind", s, t)
         assert result.returncode == 3
         assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+    def test_exponent_past_int_string_limit(self, literal):
+        result = run_cli("blind", literal, "1/2")
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: bad rational string '{literal}': its numerator or "
+            "denominator has more than 4300 digits\n"
+        )
 
     def test_degenerate_warns_but_solves(self):
         result = run_cli("blind", "1/4", "1/4")
@@ -224,6 +233,24 @@ class TestDecompose:
             tmp_path / "sig.json", {"X": 2, "Y": 2, "A": 2, "B": 2, "table": table}
         )
         assert run_cli("decompose", path).returncode == 2
+
+    def test_weights_past_int_string_limit(self, tmp_path):
+        # every entry has 2,501 digits, but glued weights have about
+        # twice as many, more than a rational string may hold
+        den = 10**2500
+        cuts = [0] + [den * k // 16 + k for k in range(1, 16)] + [den]
+        ensemble = bx.NonlocalEnsemble(
+            tuple(
+                bx.ProductMember(F(cuts[i + 1] - cuts[i], den), alice, bob)
+                for i, (alice, bob) in enumerate(bx.catalog_products())
+            ),
+            (),
+        )
+        doc = bx.bipartite_box_to_json(bx.mix_nonlocal(ensemble))
+        result = run_cli("decompose", write(tmp_path / "box.json", doc))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot write a rational")
+        assert "Traceback" not in result.stderr
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.json"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from boxsteer.polytope import _catalog_columns, solve_nonneg_exact
+from boxsteer.polytope import _catalog_columns
+from simplex_oracle import solve_nonneg_exact
 from strategies import chsh_values, facet_local, nonlocal_ensembles, rationals
 
 BITS = (0, 1)
@@ -102,6 +103,35 @@ def signalling_box():
     return bx.BipartiteBox(table)
 
 
+def assert_canonical(box: bx.BipartiteBox, ensemble: bx.NonlocalEnsemble) -> None:
+    """What every decomposition promises: an exact remix, at most one PR
+    member of minimal weight, positive Fraction weights, and at most 12
+    products listed in catalog order."""
+    assert bx.mix_nonlocal(ensemble) == box
+    assert len(ensemble.prs) <= 1
+    pr_weight = sum((m.weight for m in ensemble.prs), F(0))
+    assert pr_weight == max(F(0), (max(chsh_values(box)) - 2) / 2)
+    assert all(type(m.weight) is F and m.weight > 0 for m in ensemble.members)
+    positions = [
+        bx.catalog_products().index((m.alice, m.bob)) for m in ensemble.products
+    ]
+    assert positions == sorted(set(positions))
+    assert len(positions) <= 12
+
+
+def chord_feasible(box: bx.BipartiteBox, chord: F) -> bool:
+    """Whether some split of ``box`` over the 16 products gives Alice's
+    chord p(a0=0, a1=0) (the weight on her S00 box) the value ``chord``."""
+    columns = tuple(
+        col + (F(1), F(int(alice == bx.SBox(0, 0))))
+        for col, (alice, _) in zip(_catalog_columns(), bx.catalog_products())
+    )
+    rhs = [
+        box.prob(x, y, a, b) for x, y, a, b in itertools.product(BITS, repeat=4)
+    ] + [F(1), chord]
+    return solve_nonneg_exact(columns, rhs) is not None
+
+
 class TestCatalog:
     def test_counts_and_labels(self):
         labels = bx.catalog_labels()
@@ -150,6 +180,12 @@ class TestDecompose:
         )
         ensemble = bx.decompose(box)
         assert {m.label: m.weight for m in ensemble.members} == {"S01xS10": F(1)}
+        # every product vertex: three of the four chord cells are 0
+        for alice, bob in bx.catalog_products():
+            box = bx.product_box(alice.as_local_box(), bob.as_local_box())
+            ensemble = bx.decompose(box)
+            assert_canonical(box, ensemble)
+            assert ensemble.products == (bx.ProductMember(F(1), alice, bob),)
 
     def test_uniform_box_remixes(self):
         ensemble = bx.decompose(uniform_box())
@@ -178,13 +214,9 @@ class TestDecompose:
     @given(st.one_of(nonlocal_ensembles(), pr_heavy_ensembles()))
     def test_one_pr_member_of_minimal_weight(self, ensemble):
         box = bx.mix_nonlocal(ensemble)
-        violation = max(chsh_values(box)) - 2
         recovered = bx.decompose(box)
-        assert len(recovered.prs) <= 1
-        assert all(isinstance(m.weight, F) for m in recovered.members)
+        assert_canonical(box, recovered)
         pr_weight = sum((m.weight for m in recovered.prs), F(0))
-        assert pr_weight == max(F(0), violation / 2)
-        assert bx.mix_nonlocal(recovered) == box
         if 0 < pr_weight < 1:
             # any less PR weight would leave a remainder above the facet
             remainder = bx.NonlocalEnsemble(
@@ -251,6 +283,72 @@ class TestIsLocal:
         for v in (F(0), F(1, 4), F(1, 2)):
             ensemble = bx.decompose(noisy_pr(v))
             assert bx.mix_nonlocal(ensemble) == noisy_pr(v)
+
+
+class TestGluing:
+    def test_library_carries_no_simplex(self):
+        import boxsteer.polytope as polytope
+
+        for name in ("solve_nonneg_exact", "_collins_gisin", "_catalog_cg_columns"):
+            assert not hasattr(polytope, name)
+        assert not hasattr(bx, "InfeasibleError")
+        assert len(bx.__all__) == 94
+
+    def test_pinned_witness(self):
+        # the split rule decides the witness; a change of rule shows here
+        ensemble = bx.decompose(noisy_pr(F(1, 4)))
+        assert [(m.label, m.weight) for m in ensemble.members] == [
+            ("S00xS10", F(1, 8)),
+            ("S01xS01", F(1, 8)),
+            ("S10xS00", F(5, 32)),
+            ("S10xS01", F(1, 32)),
+            ("S10xS10", F(1, 32)),
+            ("S10xS11", F(5, 32)),
+            ("S11xS00", F(3, 32)),
+            ("S11xS01", F(3, 32)),
+            ("S11xS10", F(3, 32)),
+            ("S11xS11", F(3, 32)),
+        ]
+
+    @pytest.mark.parametrize("pr", bx.catalog_prs(), ids=lambda pr: pr.label)
+    def test_chsh_exactly_two(self, pr):
+        # on the facet the feasible chord values shrink to one point
+        box = noisy_pr(F(1, 2), pr)
+        ensemble = bx.decompose(box)
+        assert_canonical(box, ensemble)
+        assert ensemble.prs == ()
+        assert len(ensemble.products) == 8
+        assert all(m.weight == F(1, 8) for m in ensemble.products)
+        chord = sum(
+            (m.weight for m in ensemble.products if m.alice == bx.SBox(0, 0)), F(0)
+        )
+        assert chord_feasible(box, chord)
+        assert not chord_feasible(box, chord - F(1, 64))
+        assert not chord_feasible(box, chord + F(1, 64))
+
+    @pytest.mark.parametrize("pr", bx.catalog_prs(), ids=lambda pr: pr.label)
+    @pytest.mark.parametrize("v", [F(1, 4), F(1, 2) - F(1, 64)])
+    def test_noisy_pr_vertices(self, pr, v):
+        box = noisy_pr(v, pr)
+        assert_canonical(box, bx.decompose(box))
+
+    def test_deterministic_marginals(self):
+        # a deterministic Alice leaves three of the four chord cells at 0,
+        # a deterministic Bob half of the cells of each triangle
+        mixed = bx.LocalBox(((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))))
+        for s in (bx.SBox(i, j) for i, j in itertools.product(BITS, repeat=2)):
+            box = bx.product_box(s.as_local_box(), mixed)
+            ensemble = bx.decompose(box)
+            assert_canonical(box, ensemble)
+            assert {m.alice for m in ensemble.products} == {s}
+            box = bx.product_box(mixed, s.as_local_box())
+            ensemble = bx.decompose(box)
+            assert_canonical(box, ensemble)
+            assert {m.bob for m in ensemble.products} == {s}
+
+    def test_boundary_boxes(self):
+        for box in boundary_boxes():
+            assert_canonical(box, bx.decompose(box))
 
 
 class TestScenarioErrors:

@@ -45,6 +45,27 @@ class TestFractions:
         with pytest.raises(bx.ValidationError):
             bx.fraction_from_json(bad)
 
+    @pytest.mark.parametrize("literal", ["1e5000", "1e-5000", "1e4300", "-1e-4300"])
+    def test_exponent_past_int_string_limit(self, literal):
+        # 10**4300 has one digit more than the default limit allows
+        with pytest.raises(bx.ValidationError, match="more than 4300 digits"):
+            bx.fraction_from_json(literal)
+
+    @pytest.mark.parametrize("literal", ["1e4299", "-1e-4299"])
+    def test_exponent_at_int_string_limit(self, literal):
+        value = bx.fraction_from_json(literal)
+        assert bx.fraction_from_json(bx.fraction_to_json(value)) == value
+
+    def test_long_literal_clipped_in_message(self):
+        literal = "1/" + "7" * 5000
+        with pytest.raises(bx.ValidationError) as err:
+            bx.fraction_from_json(literal)
+        assert "'1/777777777777777777...7777777777'" in str(err.value)
+
+    def test_unprintable_value_rejected(self):
+        with pytest.raises(bx.ValidationError, match="cannot write a rational"):
+            bx.fraction_to_json(F(1, 10**5000))
+
 
 class TestLocalBox:
     def test_frozen_form(self):
