@@ -45,12 +45,10 @@ from .boxes import LocalBox, PRBox, SBox, alice_marginal, as_prob, bob_outcome_d
 from .ensembles import (
     AliceReduction,
     Ensemble,
-    Member,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
     _sbox_ensemble,
-    constituent_after_measurement,
     mix_nonlocal,
     posterior_alice_reduction,
 )
@@ -282,7 +280,7 @@ def build_nonlocal_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# verification, referee inference, Bob's posterior
+# verification, Bob's posterior
 # ---------------------------------------------------------------------------
 
 
@@ -368,25 +366,6 @@ def verify_blind_steering(
 
 def _describe(weights: dict[SBox, Fraction]) -> str:
     return " + ".join(f"{w}*{sbox.label}" for sbox, w in weights.items())
-
-
-def referee_infer(member: Member, y: int, b: int) -> SBox:
-    """The Referee's round bookkeeping: knowing the member, Bob's input
-    and Bob's outcome, name Alice's constituent.
-
-    Product rounds need no outcome at all: Alice's factor is the answer.
-    PR rounds resolve through the parity relation; a PR member with
-    beta=1 never occurs in a valid blind-steering ensemble, so inference
-    refuses it rather than guessing.
-    """
-    if y not in (0, 1) or b not in (0, 1):
-        raise ValidationError(f"(y, b) must be bits, got ({y!r}, {b!r})")
-    if isinstance(member, PRMember) and member.box.beta == 1:
-        raise ValidationError(
-            f"{member.box.label} has beta=1 and cannot appear in a valid "
-            "blind-steering ensemble"
-        )
-    return constituent_after_measurement(member, y, b)
 
 
 def bob_posterior(

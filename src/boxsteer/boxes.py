@@ -54,6 +54,11 @@ def as_prob(value: Fraction | int | str) -> Fraction:
     else:
         raise ValidationError(f"cannot interpret {value!r} as a probability")
     if not 0 <= frac <= 1:
+        # str() raises on a numerator or denominator past the int-string
+        # limit, so a long value is named by its side of the interval
+        if max(abs(frac.numerator), frac.denominator).bit_length() > 128:
+            side = "below 0" if frac < 0 else "above 1"
+            raise ValidationError(f"probability {side}, outside [0, 1]")
         raise ValidationError(f"probability {frac} outside [0, 1]")
     return frac
 

@@ -425,7 +425,3 @@ def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduct
                 )
     return AliceReduction(y, tuple(records))
 
-
-def posterior_alice_ensemble(ensemble: NonlocalEnsemble, y: int) -> Ensemble:
-    """The merged single-party ensemble Bob's input ``y`` prepares for Alice."""
-    return posterior_alice_reduction(ensemble, y).ensemble

@@ -2,10 +2,10 @@
 
 Each round the Referee draws a member of the declared ensemble, the
 players draw inputs (x, y) from the input policy, and outcomes (a, b)
-are sampled from the member's table.  The Referee then names Alice's
-resulting constituent twice, through two independent routes: the
-parity-relation rule (:func:`constituent_after_measurement`) and table
-conditioning (:func:`condition_on_bob`); a round is logged with both.
+are sampled from the member's vertex formula.  The Referee then names
+Alice's resulting constituent by the parity-relation rule
+(:func:`constituent_after_measurement`); a round is logged with it as
+both the Referee's inference and Alice's actual constituent.
 
 Randomness scheme: one substream per round.  Round ``r`` of a run with
 seed ``s`` uses ``numpy.random.default_rng([s, r])``, i.e. a fresh
@@ -40,9 +40,11 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .boxes import SBox, as_prob, condition_on_bob
+from .boxes import SBox, as_prob
 from .ensembles import (
+    Member,
     NonlocalEnsemble,
+    ProductMember,
     constituent_after_measurement,
     posterior_alice_reduction,
 )
@@ -249,13 +251,23 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
     return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
 
 
+def _vertex_row(member: Member, x: int, y: int) -> list[Fraction]:
+    """The member's vertex table p(ab|xy) on (x, y), for (a, b) in PAIRS:
+    a product vertex gives [a = f_A(x)] [b = f_B(y)], a PR vertex gives
+    1/2 [a XOR b = parity(x, y)]."""
+    if isinstance(member, ProductMember):
+        cell = (member.alice.output(x), member.bob.output(y))
+        return [Fraction(pair == cell) for pair in PAIRS]
+    parity = member.box.parity(x, y)
+    return [Fraction(a ^ b == parity, 2) for a, b in PAIRS]
+
+
 def sample_rounds(
     ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
 ) -> Iterator[RoundLog]:
     """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time.  The arguments, and the agreement of the two
-    constituent-naming routes (a broken implementation otherwise), are
-    checked on the call."""
+    one at a time.  The arguments are checked on the call, and the
+    sampling tables are read off the members' vertex formulas."""
     if not isinstance(rounds, int) or isinstance(rounds, bool):
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
@@ -266,24 +278,16 @@ def sample_rounds(
     members = ensemble.members
     member_thresholds = np.array(_thresholds(m.weight for m in members), _U64)
     pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
-    outcome_thresholds = []  # [member][index of (x, y)][index of (a, b)]
-    constituents = {}
-    for i, member in enumerate(members):
-        box = member.as_bipartite_box()
-        outcome_thresholds.append(
-            [_thresholds(box.prob(x, y, a, b) for a, b in PAIRS) for x, y in PAIRS]
-        )
-        for y, b in PAIRS:
-            if any(box.prob(0, y, a, b) > 0 for a in BITS):
-                inference = constituent_after_measurement(member, y, b)
-                truth = SBox.from_local_box(condition_on_bob(box, y, b))
-                if inference != truth:
-                    raise RuntimeError(
-                        f"constituent-naming routes disagree for member {i} "
-                        f"at (y={y}, b={b}): {inference.label} vs {truth.label}"
-                    )
-                constituents[i, y, b] = inference
-    outcome_thresholds = np.array(outcome_thresholds, _U64)
+    # [member][index of (x, y)][index of (a, b)]
+    outcome_thresholds = np.array(
+        [[_thresholds(_vertex_row(m, x, y)) for x, y in PAIRS] for m in members], _U64
+    )
+    # keys with p(b|y) = 0 are built too; no draw looks them up
+    constituents = {
+        (i, y, b): constituent_after_measurement(m, y, b)
+        for i, m in enumerate(members)
+        for y, b in PAIRS
+    }
 
     def draw() -> Iterator[RoundLog]:
         for start in range(0, rounds, _BLOCK):

@@ -14,7 +14,7 @@ the matching constituent with the right probability.  Bob's outcome
 tells him exactly which constituent Alice holds.
 
 :func:`construct_steering_state` writes that table from the strategies;
-the four proof obligations behind it are exposed as independently
+the three proof obligations behind it are exposed as independently
 callable checks and bundled by :func:`verify_steering_state`.  The
 conditioning check compares the box with the formula entry by entry, so
 it needs no no-signalling precondition and builds no conditional box.
@@ -150,29 +150,6 @@ def check_common_mixture(ensembles: Sequence[Ensemble]) -> CheckResult:
     return CheckResult("mixture_consistency", True)
 
 
-def check_probability_table(box: BipartiteBox) -> CheckResult:
-    """Entries nonnegative, every input pair exactly normalized."""
-    for x, block_y in enumerate(box.table):
-        for y, block_a in enumerate(block_y):
-            total = Fraction(0)
-            for a, row in enumerate(block_a):
-                for b, p in enumerate(row):
-                    if p < 0:
-                        return CheckResult(
-                            "probability_table",
-                            False,
-                            f"negative entry at (x={x}, y={y}, a={a}, b={b}): {p}",
-                        )
-                    total += p
-            if total != 1:
-                return CheckResult(
-                    "probability_table",
-                    False,
-                    f"entries for (x={x}, y={y}) sum to {total}",
-                )
-    return CheckResult("probability_table", True)
-
-
 def check_no_signalling_box(box: BipartiteBox) -> CheckResult:
     problems = no_signalling_violations(box)
     if problems:
@@ -221,11 +198,12 @@ def check_conditioning(state: SteeringState) -> CheckResult:
 
 
 def verify_steering_state(state: SteeringState) -> VerificationReport:
-    """Run all four proof obligations against a steering state."""
+    """Run all three proof obligations against a steering state.  The
+    box's entries need no check of their own: :class:`BipartiteBox`
+    validates them on construction."""
     return VerificationReport(
         checks=(
             check_common_mixture(state.source_ensembles),
-            check_probability_table(state.box),
             check_no_signalling_box(state.box),
             check_conditioning(state),
         )

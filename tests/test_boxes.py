@@ -26,7 +26,9 @@ class TestAsProb:
         with pytest.raises(bx.ValidationError):
             bx.as_prob(0.5)
 
-    @pytest.mark.parametrize("bad", [F(-1, 2), F(3, 2), -1, 2, "7/5"])
+    @pytest.mark.parametrize(
+        "bad", [F(-1, 2), F(3, 2), -1, 2, "7/5", F(10**5000), F(-1, 10**5000)]
+    )
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(bx.ValidationError):
             bx.as_prob(bad)

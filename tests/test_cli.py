@@ -56,7 +56,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.2.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.3.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -148,7 +148,6 @@ class TestSteer:
         assert report["passed"] is True
         assert {c["name"] for c in report["checks"]} == {
             "mixture_consistency",
-            "probability_table",
             "no_signalling",
             "conditioning",
         }

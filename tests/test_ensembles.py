@@ -200,32 +200,36 @@ class TestConstituentAfterMeasurement:
         assert bx.constituent_after_measurement(m, y, b) == bx.SBox(*expected)
 
     def test_matches_table_conditioning(self):
-        # bit-algebra route equals the conditioning route on every member
-        for m in [
-            bx.PRMember(F(1), bx.PRBox(a, b, d))
-            for a in BITS
-            for b in BITS
-            for d in BITS
-        ]:
+        # bit-algebra route equals the conditioning route on all 24
+        # vertices, at every (y, b) Bob can see
+        vertices = [
+            bx.ProductMember(F(1), alice, bob) for alice, bob in bx.catalog_products()
+        ] + [bx.PRMember(F(1), pr) for pr in bx.catalog_prs()]
+        checked = 0
+        for m in vertices:
             box = m.as_bipartite_box()
             for y in BITS:
                 for outcome in BITS:
+                    if bx.bob_outcome_distribution(box, y)[outcome] == 0:
+                        continue
                     conditioned = bx.condition_on_bob(box, y, outcome)
                     assert (
                         bx.constituent_after_measurement(m, y, outcome)
                         == bx.SBox.from_local_box(conditioned)
                     )
+                    checked += 1
+        assert checked == 16 * 2 + 8 * 4
 
 
 class TestPosteriorAliceEnsemble:
     def test_pr000_reductions(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         assert bx.ensembles_equal(
-            bx.posterior_alice_ensemble(e, 0),
+            bx.posterior_alice_reduction(e, 0).ensemble,
             sbox_ensemble((HALF, (0, 0)), (HALF, (0, 1))),
         )
         assert bx.ensembles_equal(
-            bx.posterior_alice_ensemble(e, 1),
+            bx.posterior_alice_reduction(e, 1).ensemble,
             sbox_ensemble((HALF, (1, 0)), (HALF, (1, 1))),
         )
 
@@ -233,7 +237,7 @@ class TestPosteriorAliceEnsemble:
         e = bx.NonlocalEnsemble.from_weights(products={((0, 1), (0, 0)): F(1)})
         for y in BITS:
             assert bx.ensembles_equal(
-                bx.posterior_alice_ensemble(e, y), sbox_ensemble((F(1), (0, 1)))
+                bx.posterior_alice_reduction(e, y).ensemble, sbox_ensemble((F(1), (0, 1)))
             )
 
     def test_provenance_records(self):
@@ -254,7 +258,7 @@ class TestPosteriorAliceEnsemble:
     @given(nonlocal_ensembles())
     def test_generic_reduction_matches_closed_form(self, ensemble):
         for y in BITS:
-            reduced = bx.posterior_alice_ensemble(ensemble, y)
+            reduced = bx.posterior_alice_reduction(ensemble, y).ensemble
             expected = closed_form_reduction(ensemble, y)
             got = {
                 bx.SBox.from_local_box(box): w for w, box in reduced.members
@@ -266,7 +270,7 @@ class TestPosteriorAliceEnsemble:
     def test_reduction_preserves_marginal(self, ensemble):
         marginal = bx.alice_marginal(bx.mix_nonlocal(ensemble))
         for y in BITS:
-            assert bx.mix(bx.posterior_alice_ensemble(ensemble, y)) == marginal
+            assert bx.mix(bx.posterior_alice_reduction(ensemble, y).ensemble) == marginal
 
     @settings(max_examples=50, deadline=None)
     @given(local_boxes(3, 2))

@@ -149,22 +149,20 @@ class TestSampleRounds:
         with pytest.raises(bx.ValidationError):
             sample_rounds(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
 
-    def test_route_check_raises_on_every_call(self, monkeypatch):
-        e = pr_singleton()
+    def test_builds_no_box(self, monkeypatch):
+        # the tables come from the vertex formulas: no validated table,
+        # no no-signalling scan, no conditioning
+        e = canonical_ensemble()
 
-        def wrong(member, y, b):
-            right = bx.constituent_after_measurement(member, y, b)
-            return bx.SBox(right.alpha ^ 1, right.beta)
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built")
 
-        monkeypatch.setattr(simulate, "constituent_after_measurement", wrong)
-        for _ in range(2):  # nothing of a failed check is kept
-            with pytest.raises(
-                RuntimeError, match=r"member 0 at \(y=0, b=0\): S10 vs S00"
-            ):
-                sample_rounds(e, 10, 0, bx.InputPolicy.uniform())
+        monkeypatch.setattr(bx.BipartiteBox, "__post_init__", refuse)
+        monkeypatch.setattr(bx.LocalBox, "__post_init__", refuse)
+        logs = list(sample_rounds(e, 50, 0, bx.InputPolicy.uniform()))
         monkeypatch.undo()
-        policy = bx.InputPolicy.uniform()
-        assert list(sample_rounds(e, 10, 0, policy)) == _reference_rounds(e, 10, 0, policy)
+        assert logs == _reference_rounds(e, 50, 0, bx.InputPolicy.uniform())
+        assert not hasattr(simulate, "condition_on_bob")
 
 
 def _reference_rounds(ensemble, rounds, seed, policy):
@@ -197,6 +195,11 @@ def _reference_rounds(ensemble, rounds, seed, policy):
 
 ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128]
 
+SINGLE_VERTEX = [
+    bx.NonlocalEnsemble((bx.ProductMember(F(1), alice, bob),), ())
+    for alice, bob in bx.catalog_products()
+] + [bx.NonlocalEnsemble((), (bx.PRMember(F(1), pr),)) for pr in bx.catalog_prs()]
+
 
 class TestBlockSampler:
     @settings(max_examples=40, deadline=None)
@@ -219,6 +222,15 @@ class TestBlockSampler:
         # k * 2**-53 < c exactly when k < T, for every cumulative weight c
         for c, t in zip(itertools.accumulate(weights), simulate._thresholds(weights)):
             assert F(t - 1, 2**53) < c <= F(t, 2**53)
+
+    @pytest.mark.parametrize("ensemble", SINGLE_VERTEX, ids=lambda e: e.members[0].label)
+    def test_matches_reference_on_every_vertex(self, ensemble):
+        # the formula thresholds against the reference's table of the
+        # vertex's own box, on every input pair
+        policy = bx.InputPolicy.uniform()
+        logs = list(sample_rounds(ensemble, 100, 3, policy))
+        assert logs == _reference_rounds(ensemble, 100, 3, policy)
+        assert {(log.x, log.y) for log in logs} == set(itertools.product(BITS, BITS))
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_matches_reference_across_a_block_edge(self, seed):

@@ -132,13 +132,12 @@ class TestBobIdentifiesConstituent:
 
 
 class TestObligations:
-    def test_all_four_pass_on_construction(self):
+    def test_all_three_pass_on_construction(self):
         state = bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1])
         report = bx.verify_steering_state(state)
         assert report.passed
         assert [c.name for c in report.checks] == [
             "mixture_consistency",
-            "probability_table",
             "no_signalling",
             "conditioning",
         ]
