@@ -31,10 +31,11 @@ def main() -> int:
     plan = bx.plan_blind_steering(target)
 
     print(f"target state: s = {target.s}, t = {target.t}")
-    if not plan.relabeling.is_identity:
+    if not plan.report.relabeling.is_identity:
+        canonical = plan.report.canonical_target
         print(
             f"  relabeled into the canonical triangle as "
-            f"(s = {plan.canonical_target.s}, t = {plan.canonical_target.t})"
+            f"(s = {canonical.s}, t = {canonical.t})"
         )
     print("referee ensemble:")
     for member in plan.ensemble.members:

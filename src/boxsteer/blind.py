@@ -27,12 +27,19 @@ figure directly ("upper" pairs the target with the constant boxes' edge,
     upper:  s * S00 + (1-t) * S01 + (t-s) * S11      (Bob input 0)
     lower:  (1-s-t) * S01 + s * S10 + t * S11        (Bob input 1)
 
-Matching both against the reductions of a product-plus-PR ensemble
-forces, via positivity, a unique set of aggregate weights: PR members
-must all have ``beta = 0`` with total weight 2s, and the product
-members' Alice factors carry ``1-s-t`` on S01 and ``t-s`` on S11.  How
-those aggregates split over individual members is free, and every valid
-split produces identical reductions, which is what keeps Bob blind.
+Matching the Bob-input-0 reduction of a product-plus-PR ensemble to the
+upper triangle and its Bob-input-1 reduction to the lower one leaves a
+single free aggregate, the weight of products whose Alice factor is
+S00.  Positivity forces it to zero, and with it the S10 products and
+the whole ``beta = 1`` PR sector.  What is left is unique:
+
+    PR (beta=0) total = 2s,   S01 products = 1-s-t,   S11 products = t-s.
+
+:func:`plan_blind_steering` builds these as PR000, S01xS00 and S11xS00
+and relabels them into the target's coordinates.  How the aggregates
+split over individual members is free, and every valid split produces
+identical reductions, which is what keeps Bob blind.  The tests check
+with an exact simplex that no other aggregates are feasible.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .boxes import LocalBox, PRBox, SBox, alice_marginal, as_prob, bob_outcome_distribution
 from .ensembles import (
@@ -167,22 +175,6 @@ def canonicalize(target: TargetState) -> tuple[TargetState, Relabeling]:
     return relabeling.on_target(target), relabeling
 
 
-def _require_canonical(target: TargetState, op: str) -> None:
-    if not target.in_canonical_region:
-        raise RegionError(
-            f"{op} expects a target in the canonical triangle "
-            f"(t >= s and s + t < 1); got (s={target.s}, t={target.t}). "
-            "Canonicalize via relabeling first."
-        )
-    if target.on_boundary:
-        warnings.warn(
-            f"target (s={target.s}, t={target.t}) sits on the triangle "
-            "boundary: construction degenerates and blindness may fail",
-            DegenerateRegionWarning,
-            stacklevel=3,
-        )
-
-
 def upper_triangle_weights(target: TargetState) -> dict[SBox, Fraction]:
     """The decomposition Bob's input 0 prepares for a canonical target."""
     s, t = target.s, target.t
@@ -193,90 +185,6 @@ def lower_triangle_weights(target: TargetState) -> dict[SBox, Fraction]:
     """The decomposition Bob's input 1 prepares for a canonical target."""
     s, t = target.s, target.t
     return {_S00: Fraction(0), _S01: 1 - s - t, _S10: s, _S11: t}
-
-
-# ---------------------------------------------------------------------------
-# aggregate weights
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlindSteeringSolution:
-    """Pinned aggregate weights for a canonical target and the
-    canonical-split ensemble realizing them."""
-
-    target: TargetState
-    product_totals: dict[tuple[int, int], Fraction]
-    pr_totals: dict[int, Fraction]
-    ensemble: NonlocalEnsemble
-
-    def product_total(self, alpha: int, beta: int) -> Fraction:
-        return self.product_totals.get((alpha, beta), Fraction(0))
-
-    def pr_total(self, beta: int) -> Fraction:
-        return self.pr_totals.get(beta, Fraction(0))
-
-
-def solve_constraints(target: TargetState) -> BlindSteeringSolution:
-    """The aggregate member weights for a canonical-region target.
-
-    Matching the Bob-input-0 reduction to the upper triangle and the
-    Bob-input-1 reduction to the lower one leaves one free aggregate,
-    the S00-product weight; positivity forces it to zero, and with it
-    the S10 products and the whole beta=1 PR sector, leaving
-
-        PR total (beta=0) = 2s,   S01 products = 1-s-t,   S11 products = t-s.
-    """
-    _require_canonical(target, "solve_constraints")
-    s, t = target.s, target.t
-    zero = Fraction(0)
-    product_totals = {(0, 0): zero, (0, 1): 1 - s - t, (1, 0): zero, (1, 1): t - s}
-    pr_totals = {0: 2 * s, 1: zero}
-    # canonical split: all PR weight on the (0,0,0) box, all Bob factors on S00
-    ensemble = NonlocalEnsemble(
-        tuple(
-            ProductMember(w, SBox(*key), _S00)
-            for key, w in product_totals.items()
-            if w != 0
-        ),
-        (PRMember(pr_totals[0], PRBox(0, 0, 0)),) if s != 0 else (),
-    )
-    return BlindSteeringSolution(
-        target=target,
-        product_totals=product_totals,
-        pr_totals=pr_totals,
-        ensemble=ensemble,
-    )
-
-
-def build_nonlocal_ensemble(
-    solution: BlindSteeringSolution, split: NonlocalEnsemble | None = None
-) -> NonlocalEnsemble:
-    """The canonical-split ensemble, or a caller-chosen split validated
-    against the solution's aggregates.
-
-    A split may distribute PR weight over any beta=0 boxes and product
-    weight over any Bob factors; reductions depend only on aggregates,
-    so every valid split steers identically.
-    """
-    if split is None:
-        return solution.ensemble
-    split_products = {
-        k: v for k, v in split.product_totals().items() if v != 0
-    }
-    wanted_products = {k: v for k, v in solution.product_totals.items() if v != 0}
-    if split_products != wanted_products:
-        raise ValidationError(
-            f"split product aggregates {split_products} do not match "
-            f"required {wanted_products}"
-        )
-    split_prs = {k: v for k, v in split.pr_totals().items() if v != 0}
-    wanted_prs = {k: v for k, v in solution.pr_totals.items() if v != 0}
-    if split_prs != wanted_prs:
-        raise ValidationError(
-            f"split PR aggregates {split_prs} do not match required {wanted_prs}"
-        )
-    return split
 
 
 # ---------------------------------------------------------------------------
@@ -410,42 +318,66 @@ def _posterior(reduction: AliceReduction, b: int) -> dict[SBox, Fraction]:
 
 @dataclass(frozen=True)
 class BlindSteeringPlan:
-    """Everything needed to run the protocol on an off-diagonal target:
-    the solved canonical problem, the relabeling used, the final ensemble
-    in the target's own coordinates, and its verification report."""
+    """The ensemble that blind-steers a target, in the target's own
+    coordinates, and its verification report; the report also names the
+    canonical target and the relabeling used."""
 
-    target: TargetState
-    canonical_target: TargetState
-    relabeling: Relabeling
-    solution: BlindSteeringSolution
     ensemble: NonlocalEnsemble
     report: BlindReport
+
+
+def _canonical_ensemble(target: TargetState) -> NonlocalEnsemble:
+    """The closed form for a canonical target, with all PR weight on
+    PR000 and every Bob factor S00: S01xS00 with weight 1-s-t, S11xS00
+    with t-s and PR000 with 2s, zero weights dropped."""
+    s, t = target.s, target.t
+    products = ((1 - s - t, _S01), (t - s, _S11))
+    return NonlocalEnsemble(
+        tuple(ProductMember(w, alice, _S00) for w, alice in products if w != 0),
+        (PRMember(2 * s, PRBox(0, 0, 0)),) if s != 0 else (),
+    )
+
+
+def _check_split(split: NonlocalEnsemble, ensemble: NonlocalEnsemble) -> None:
+    """Reject a split whose aggregates differ from the closed form's:
+    product weight per Alice S box, PR weight per beta."""
+    for kind, totals, name in (
+        ("product", NonlocalEnsemble.product_totals, lambda key: SBox(*key).label),
+        ("PR", NonlocalEnsemble.pr_totals, lambda beta: f"beta={beta}"),
+    ):
+        found, required = totals(split), totals(ensemble)
+        if found != required:
+            raise ValidationError(
+                f"split {kind} aggregates {_describe_totals(found, name)} "
+                f"do not match required {_describe_totals(required, name)}"
+            )
+
+
+def _describe_totals(totals: dict, name: Callable) -> str:
+    return "{" + ", ".join(f"{name(k)}: {w}" for k, w in sorted(totals.items())) + "}"
 
 
 def plan_blind_steering(
     target: TargetState, split: NonlocalEnsemble | None = None
 ) -> BlindSteeringPlan:
-    """Solve the target (relabeling into the canonical triangle if
-    needed), apply an optional split, map the ensemble back, and verify
-    it against the original coordinates.
+    """The blind-steering ensemble for an off-diagonal target, verified.
 
-    ``split``, when given, is interpreted in the target's own
-    coordinates; it is relabeled alongside everything else before its
-    aggregates are checked.
+    Without ``split`` the ensemble is the canonical closed form relabeled
+    into the target's coordinates.  A ``split``, given in the target's
+    own coordinates, is used as it is if its aggregates equal that
+    ensemble's; relabeling maps Alice's S boxes one to one and keeps
+    every PR's beta, so the comparison needs no canonical frame.
     """
     canonical_target, relabeling = canonicalize(target)
-    solution = solve_constraints(canonical_target)
-    canonical_split = (
-        relabeling.on_nonlocal_ensemble(split) if split is not None else None
-    )
-    canonical_ensemble = build_nonlocal_ensemble(solution, canonical_split)
-    ensemble = relabeling.on_nonlocal_ensemble(canonical_ensemble)
-    report = verify_blind_steering(ensemble, target)
-    return BlindSteeringPlan(
-        target=target,
-        canonical_target=canonical_target,
-        relabeling=relabeling,
-        solution=solution,
-        ensemble=ensemble,
-        report=report,
-    )
+    if canonical_target.on_boundary:
+        warnings.warn(
+            f"target (s={target.s}, t={target.t}) sits on the triangle "
+            "boundary: construction degenerates and blindness may fail",
+            DegenerateRegionWarning,
+            stacklevel=2,
+        )
+    ensemble = relabeling.on_nonlocal_ensemble(_canonical_ensemble(canonical_target))
+    if split is not None:
+        _check_split(split, ensemble)
+        ensemble = split
+    return BlindSteeringPlan(ensemble, verify_blind_steering(ensemble, target))

@@ -37,7 +37,6 @@ from .boxes import (
     SBox,
     as_prob,
     deterministic_table,
-    product_box,
 )
 from .errors import ValidationError
 
@@ -213,9 +212,6 @@ class ProductMember:
     def label(self) -> str:
         return f"{self.alice.label}x{self.bob.label}"
 
-    def as_bipartite_box(self) -> BipartiteBox:
-        return product_box(self.alice.as_local_box(), self.bob.as_local_box())
-
 
 @dataclass(frozen=True)
 class PRMember:
@@ -232,9 +228,6 @@ class PRMember:
     @property
     def label(self) -> str:
         return self.box.label
-
-    def as_bipartite_box(self) -> BipartiteBox:
-        return self.box.as_bipartite_box()
 
 
 Member = Union[ProductMember, PRMember]

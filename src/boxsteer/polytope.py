@@ -77,19 +77,6 @@ def catalog_labels() -> tuple[str, ...]:
     ) + tuple(pr.label for pr in catalog_prs())
 
 
-@functools.cache
-def _catalog_columns() -> tuple[tuple[Fraction, ...], ...]:
-    """Each vertex's table, flattened in (x, y, a, b) order."""
-    boxes = [
-        ProductMember(Fraction(1), alice, bob).as_bipartite_box()
-        for alice, bob in catalog_products()
-    ] + [pr.as_bipartite_box() for pr in catalog_prs()]
-    return tuple(
-        tuple(box.prob(*key) for key in itertools.product((0, 1), repeat=4))
-        for box in boxes
-    )
-
-
 def catalog_hash() -> str:
     """Digest of the vertex ordering and tables: the first 16 hex digits
     of the SHA-256 of ``label:p,p,...`` per vertex (the labels of

@@ -114,24 +114,39 @@ def random_nonlocal_ensemble(rng: random.Random) -> bx.NonlocalEnsemble:
     return bx.NonlocalEnsemble(tuple(products), tuple(prs))
 
 
-def random_blind_split(rng: random.Random, solution) -> bx.NonlocalEnsemble:
-    """Random member split honoring a blind solution's exact aggregates."""
+def random_blind_split(rng: random.Random, ensemble: bx.NonlocalEnsemble) -> bx.NonlocalEnsemble:
+    """Random member split honoring a blind ensemble's exact aggregates:
+    each Alice factor's product weight spread over the four Bob factors,
+    the PR weight over the four beta=0 PR boxes."""
     products = {}
-    for (i, j), total in solution.product_totals.items():
-        if total == 0:
-            continue
+    for (i, j), total in ensemble.product_totals().items():
         shares = random_weights(rng, 4)
         for (k, l), share in zip(itertools.product(BITS, BITS), shares):
             if share != 0:
                 products[((i, j), (k, l))] = total * share
     prs = {}
-    pr_weight = solution.pr_totals.get(0, Fraction(0))
+    pr_weight = ensemble.pr_totals().get(0, Fraction(0))
     if pr_weight != 0:
         shares = random_weights(rng, 4)
         for (alpha, delta), share in zip(itertools.product(BITS, BITS), shares):
             if share != 0:
                 prs[(alpha, 0, delta)] = pr_weight * share
     return bx.NonlocalEnsemble.from_weights(products=products, prs=prs)
+
+
+def member_box(member: bx.Member) -> bx.BipartiteBox:
+    """A member's vertex table: the product of its two S boxes, or its PR box."""
+    if isinstance(member, bx.PRMember):
+        return member.box.as_bipartite_box()
+    return bx.product_box(member.alice.as_local_box(), member.bob.as_local_box())
+
+
+def catalog_boxes() -> list[bx.BipartiteBox]:
+    """The 24 vertex tables in catalog order: 16 products, then 8 PR boxes."""
+    return [
+        bx.product_box(alice.as_local_box(), bob.as_local_box())
+        for alice, bob in bx.catalog_products()
+    ] + [pr.as_bipartite_box() for pr in bx.catalog_prs()]
 
 
 def strategy_of(box: bx.LocalBox) -> tuple[int, ...]:

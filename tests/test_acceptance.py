@@ -81,14 +81,10 @@ def test_criterion_3_blind_grid():
     assert len(INTERIOR_GRID) == 49
     for target in INTERIOR_GRID:
         s, t = target.s, target.t
-        solution = bx.solve_constraints(target)
-        assert solution.pr_total(0) == 2 * s
-        assert solution.pr_total(1) == 0
-        assert solution.product_total(0, 1) == 1 - s - t
-        assert solution.product_total(1, 1) == t - s
-        assert solution.product_total(0, 0) == 0
-        assert solution.product_total(1, 0) == 0
         plan = bx.plan_blind_steering(target)
+        # the closed-form aggregates; no S00 or S10 product, no beta=1 PR
+        assert plan.ensemble.pr_totals() == {0: 2 * s}
+        assert plan.ensemble.product_totals() == {(0, 1): 1 - s - t, (1, 1): t - s}
         assert plan.report.passed
         for y, b in itertools.product(BITS, BITS):
             assert len(bx.bob_posterior(plan.ensemble, y, b)) >= 2
@@ -101,16 +97,18 @@ def test_criterion_4_family_invariance():
     started = time.perf_counter()
     rng = random.Random(SEED + 4)
     for target in INTERIOR_GRID:
-        solution = bx.solve_constraints(target)
+        canonical = bx.plan_blind_steering(target).ensemble
         expected = {
-            y: bx.posterior_alice_reduction(solution.ensemble, y).ensemble for y in BITS
+            y: bx.posterior_alice_reduction(canonical, y).ensemble for y in BITS
         }
         for _ in range(100):
-            split = random_blind_split(rng, solution)
-            built = bx.build_nonlocal_ensemble(solution, split)
+            split = random_blind_split(rng, canonical)
+            plan = bx.plan_blind_steering(target, split)
+            assert plan.report.passed
             for y in BITS:
                 assert bx.ensembles_equal(
-                    bx.posterior_alice_reduction(built, y).ensemble, expected[y]
+                    bx.posterior_alice_reduction(plan.ensemble, y).ensemble,
+                    expected[y],
                 )
     stamp(4, "100 random splits per grid point, identical reductions",
           time.perf_counter() - started)
@@ -214,8 +212,8 @@ def test_criterion_7_region_handling():
     ]
     for target in mirrored:
         plan = bx.plan_blind_steering(target)
-        assert not plan.relabeling.is_identity
-        assert plan.canonical_target.in_canonical_region
+        assert not plan.report.relabeling.is_identity
+        assert plan.report.canonical_target.in_canonical_region
         assert plan.report.passed
         marginal = bx.alice_marginal(bx.mix_nonlocal(plan.ensemble))
         assert marginal.prob(0, 0) == target.s

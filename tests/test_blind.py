@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import boxsteer as bx
 from simplex_oracle import solve_nonneg_exact
-from strategies import interior_targets, random_blind_split, realizes
+from strategies import catalog_boxes, interior_targets, random_blind_split, realizes
 
 BITS = (0, 1)
 HALF = F(1, 2)
@@ -170,63 +171,67 @@ class TestTriangles:
         assert realizes(report.expected_lower, target.to_box())
 
 
+def aggregates(plan):
+    """(product weight per Alice S box, PR weight per beta) of a plan's
+    ensemble, zero totals left out."""
+    return plan.ensemble.product_totals(), plan.ensemble.pr_totals()
+
+
 class TestSolveConstraints:
+    """The closed-form aggregates of the canonical ensemble, read off the
+    plan: PR (beta=0) weight 2s, S01 products 1-s-t, S11 products t-s,
+    and nothing on S00 or S10 products or on beta=1 PR boxes."""
+
     def test_canonical_example(self):
-        solution = bx.solve_constraints(CANONICAL)
-        assert solution.pr_total(0) == HALF
-        assert solution.product_total(0, 1) == QUARTER
-        assert solution.product_total(1, 1) == QUARTER
-        assert solution.product_total(0, 0) == 0
-        assert solution.product_total(1, 0) == 0
-        assert solution.pr_total(1) == 0
+        assert aggregates(bx.plan_blind_steering(CANONICAL)) == (
+            {(0, 1): QUARTER, (1, 1): QUARTER},
+            {0: HALF},
+        )
 
     def test_vertex_target(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", bx.DegenerateRegionWarning)
-            solution = bx.solve_constraints(bx.TargetState(F(0), F(0)))
-        assert solution.pr_total(0) == 0
-        assert solution.product_total(0, 1) == 1
+        assert aggregates(quiet_plan(bx.TargetState(F(0), F(0)))) == (
+            {(0, 1): F(1)},
+            {},
+        )
 
     def test_degenerate_boundary_warns(self):
-        with pytest.warns(bx.DegenerateRegionWarning):
-            solution = bx.solve_constraints(bx.TargetState(QUARTER, QUARTER))
-        assert solution.pr_total(0) == HALF
-        assert solution.product_total(0, 1) == HALF
-        assert solution.product_total(1, 1) == 0
+        with pytest.warns(
+            bx.DegenerateRegionWarning,
+            match=r"^target \(s=1/4, t=1/4\) sits on the triangle boundary",
+        ):
+            plan = bx.plan_blind_steering(bx.TargetState(QUARTER, QUARTER))
+        assert aggregates(plan) == ({(0, 1): HALF}, {0: HALF})
 
     def test_out_of_region_rejected(self):
+        # the plan relabels every off-diagonal target, so only the
+        # anti-diagonal, which no relabeling leaves, is out of its region
         with pytest.raises(bx.RegionError):
-            bx.solve_constraints(bx.TargetState(F(3, 4), HALF))
+            bx.plan_blind_steering(bx.TargetState(F(3, 4), QUARTER))
 
     def test_near_center_example(self):
-        solution = bx.solve_constraints(bx.TargetState(F(3, 8), HALF))
-        assert solution.pr_total(0) == F(3, 4)
-        assert solution.product_total(0, 1) == F(1, 8)
-        assert solution.product_total(1, 1) == F(1, 8)
+        assert aggregates(bx.plan_blind_steering(bx.TargetState(F(3, 8), HALF))) == (
+            {(0, 1): F(1, 8), (1, 1): F(1, 8)},
+            {0: F(3, 4)},
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(interior_targets())
     def test_totals_sum_to_one(self, target):
-        solution = bx.solve_constraints(target)
-        total = sum(solution.product_totals.values()) + sum(
-            solution.pr_totals.values()
-        )
-        assert total == 1
-        assert solution.pr_total(0) == 2 * target.s
-        assert solution.product_total(0, 1) == 1 - target.s - target.t
-        assert solution.product_total(1, 1) == target.t - target.s
+        products, prs = aggregates(bx.plan_blind_steering(target))
+        assert sum(products.values()) + sum(prs.values()) == 1
+        assert prs == {0: 2 * target.s}
+        assert products == {
+            (0, 1): 1 - target.s - target.t,
+            (1, 1): target.t - target.s,
+        }
 
 
 def vertex_reduction_columns():
     """Each catalog vertex's two Alice reductions as one column, rows
     (y, i, j) in lexicographic order, read off by conditioning the vertex
     table on Bob's outcome."""
-    vertices = [
-        bx.ProductMember(F(1), alice, bob).as_bipartite_box()
-        for alice, bob in bx.catalog_products()
-    ] + [pr.as_bipartite_box() for pr in bx.catalog_prs()]
     columns = []
-    for box in vertices:
+    for box in catalog_boxes():
         column = dict.fromkeys(itertools.product(BITS, BITS, BITS), F(0))
         for y in BITS:
             for b, p in enumerate(bx.bob_outcome_distribution(box, y)):
@@ -269,15 +274,15 @@ class TestAggregatesForced:
 
     @staticmethod
     def closed_form(target):
-        solution = bx.solve_constraints(target)
+        products, prs = aggregates(bx.plan_blind_steering(target))
         products = [
             (tuple(int(alice == bx.SBox(i, j)) for alice, _ in bx.catalog_products())
-             + (0,) * 8, solution.product_total(i, j))
+             + (0,) * 8, products.get((i, j), F(0)))
             for i, j in itertools.product(BITS, BITS)
         ]
         prs = [
             ((0,) * 16 + tuple(int(pr.beta == beta) for pr in bx.catalog_prs()),
-             solution.pr_total(beta))
+             prs.get(beta, F(0)))
             for beta in BITS
         ]
         return products + prs
@@ -293,42 +298,50 @@ class TestAggregatesForced:
 
 
 class TestBuildEnsemble:
+    """The plan's ensemble: the canonical split by default, or a caller's
+    split accepted as it is when its aggregates match."""
+
     def test_canonical_split(self):
-        solution = bx.solve_constraints(CANONICAL)
-        ensemble = bx.build_nonlocal_ensemble(solution)
-        labels = {m.label: m.weight for m in ensemble.members}
-        assert labels == {"S01xS00": QUARTER, "S11xS00": QUARTER, "PR000": HALF}
+        ensemble = bx.plan_blind_steering(CANONICAL).ensemble
+        labels = [(m.label, m.weight) for m in ensemble.members]
+        assert labels == [("S01xS00", QUARTER), ("S11xS00", QUARTER), ("PR000", HALF)]
 
     def test_alternative_split_accepted(self):
-        solution = bx.solve_constraints(CANONICAL)
         split = bx.NonlocalEnsemble.from_weights(
             products={((0, 1), (1, 0)): QUARTER, ((1, 1), (0, 1)): QUARTER},
             prs={(0, 0, 0): QUARTER, (1, 0, 1): QUARTER},
         )
-        built = bx.build_nonlocal_ensemble(solution, split)
-        assert built == split
+        plan = bx.plan_blind_steering(CANONICAL, split)
+        assert plan.ensemble is split
+        assert plan.report.passed
+        canonical = bx.plan_blind_steering(CANONICAL).ensemble
         for y in BITS:
             assert bx.ensembles_equal(
-                bx.posterior_alice_reduction(built, y).ensemble,
-                bx.posterior_alice_reduction(solution.ensemble, y).ensemble,
+                bx.posterior_alice_reduction(split, y).ensemble,
+                bx.posterior_alice_reduction(canonical, y).ensemble,
             )
 
     def test_wrong_aggregates_rejected(self):
-        solution = bx.solve_constraints(CANONICAL)
         wrong = bx.NonlocalEnsemble.from_weights(
             products={((0, 1), (0, 0)): HALF}, prs={(0, 0, 0): HALF}
         )
-        with pytest.raises(bx.ValidationError):
-            bx.build_nonlocal_ensemble(solution, wrong)
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.plan_blind_steering(CANONICAL, wrong)
+        assert str(raised.value) == (
+            "split product aggregates {S01: 1/2} do not match required "
+            "{S01: 1/4, S11: 1/4}"
+        )
 
     def test_beta1_pr_split_rejected(self):
-        solution = bx.solve_constraints(CANONICAL)
         wrong = bx.NonlocalEnsemble.from_weights(
             products={((0, 1), (0, 0)): QUARTER, ((1, 1), (0, 0)): QUARTER},
             prs={(0, 1, 0): HALF},
         )
-        with pytest.raises(bx.ValidationError):
-            bx.build_nonlocal_ensemble(solution, wrong)
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.plan_blind_steering(CANONICAL, wrong)
+        assert str(raised.value) == (
+            "split PR aggregates {beta=1: 1/2} do not match required {beta=0: 1/2}"
+        )
 
 
 class TestVerifyBlindSteering:
@@ -416,13 +429,13 @@ class TestBobPosterior:
 @settings(max_examples=40, deadline=None)
 @given(interior_targets(), st.randoms(use_true_random=False))
 def test_family_invariance(target, rng):
-    solution = bx.solve_constraints(target)
-    split = random_blind_split(rng, solution)
-    built = bx.build_nonlocal_ensemble(solution, split)
+    canonical = bx.plan_blind_steering(target).ensemble
+    plan = bx.plan_blind_steering(target, random_blind_split(rng, canonical))
+    assert plan.report.passed
     for y in BITS:
         assert bx.ensembles_equal(
-            bx.posterior_alice_reduction(built, y).ensemble,
-            bx.posterior_alice_reduction(solution.ensemble, y).ensemble,
+            bx.posterior_alice_reduction(plan.ensemble, y).ensemble,
+            bx.posterior_alice_reduction(canonical, y).ensemble,
         )
 
 
@@ -449,10 +462,10 @@ class TestPosteriorSupports:
         split = None
         if with_split:
             split = relabeling.on_nonlocal_ensemble(
-                random_blind_split(rng, bx.solve_constraints(target))
+                random_blind_split(rng, bx.plan_blind_steering(target).ensemble)
             )
         plan = bx.plan_blind_steering(relabeling.on_target(target), split)
-        assert plan.canonical_target == target
+        assert plan.report.canonical_target == target
         assert plan.report.posterior_supports == expected_supports(plan.ensemble)
 
     @pytest.mark.parametrize(
@@ -490,8 +503,8 @@ def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
 class TestPlanRelabeled:
     def test_mirrored_target_frozen(self):
         plan = bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
-        assert plan.relabeling == bx.Relabeling(flip_outputs=True)
-        assert plan.canonical_target == CANONICAL
+        assert plan.report.relabeling == bx.Relabeling(flip_outputs=True)
+        assert plan.report.canonical_target == CANONICAL
         labels = {m.label: m.weight for m in plan.ensemble.members}
         assert labels == {"S00xS00": QUARTER, "S10xS00": QUARTER, "PR001": HALF}
         assert plan.report.passed
@@ -505,8 +518,9 @@ class TestPlanRelabeled:
             prs={(0, 0, 1): HALF},
         )
         plan = bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF), split)
-        assert plan.ensemble == split
+        assert plan.ensemble is split
         assert plan.report.passed
+        assert [f.name for f in dataclasses.fields(plan)] == ["ensemble", "report"]
 
     @settings(max_examples=50, deadline=None)
     @given(

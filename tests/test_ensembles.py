@@ -9,6 +9,7 @@ from strategies import (
     det_box,
     ensemble_weight_map,
     local_boxes,
+    member_box,
     nonlocal_ensembles,
     product_decomposition,
     realizes,
@@ -207,7 +208,7 @@ class TestConstituentAfterMeasurement:
         ] + [bx.PRMember(F(1), pr) for pr in bx.catalog_prs()]
         checked = 0
         for m in vertices:
-            box = m.as_bipartite_box()
+            box = member_box(m)
             for y in BITS:
                 for outcome in BITS:
                     if bx.bob_outcome_distribution(box, y)[outcome] == 0:

@@ -7,8 +7,11 @@ the degenerate boundary), the stdout, stderr and exit code of
 ``boxsteer steer`` and ``boxsteer verify`` on passing, padded, failing
 and wrong-alphabet cases, the SHA-256 digests of the NDJSON log and the
 report document of ten seeded simulations, and the audit verdict of one
-tampered log.  Any change to them changes a CLI document or a log byte,
-so it must be deliberate and recorded.  ``PYTHONPATH=src python3
+tampered log.  Inline SHA-256 digests pin the stdout of ``boxsteer
+blind`` for two relabeled targets with a ``--split`` and for a mirrored
+boundary target; the stderr of rejected splits is pinned inline too.
+Any change to them changes a CLI document or a log byte, so it must be
+deliberate and recorded.  ``PYTHONPATH=src python3
 tests/test_golden.py`` rewrites the simulation and steer/verify files
 from the current library.
 """
@@ -49,6 +52,104 @@ def test_blind_documents(capsys, s, t, stem, stderr):
     assert code == 0
     assert out == (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
     assert err == stderr
+
+
+def blind_run(tmp_path, s, t, split):
+    """(exit code, stdout, stderr) of ``boxsteer blind S T --split FILE``."""
+    path = tmp_path / "split.json"
+    path.write_text(bx.dumps(bx.nonlocal_ensemble_to_json(split)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["blind", s, t, "--split", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+# Splits valid in the target's own coordinates; the relabeled targets take
+# different Alice factors than the canonical one (S00 and S10 for the
+# mirror, S01 and S10 for the input flip).  The stdout digests pin the
+# whole document.
+SPLIT_CASES = {
+    "mirrored": (
+        "3/4",
+        "1/2",
+        bx.NonlocalEnsemble.from_weights(
+            products={
+                ((0, 0), (0, 1)): F(1, 8),
+                ((1, 0), (1, 1)): F(1, 4),
+                ((0, 0), (1, 0)): F(1, 8),
+            },
+            prs={(1, 0, 0): F(3, 8), (0, 0, 1): F(1, 8)},
+        ),
+        "87af46d442bdbab6013f473b8f37ecb96c86b22d63b81e8e0782c6118d00a203",
+    ),
+    "input_flipped": (
+        "1/2",
+        "1/4",
+        bx.NonlocalEnsemble.from_weights(
+            products={
+                ((1, 0), (0, 0)): F(1, 8),
+                ((0, 1), (1, 1)): F(1, 4),
+                ((1, 0), (0, 1)): F(1, 8),
+            },
+            prs={(0, 0, 1): F(1, 4), (1, 0, 0): F(1, 4)},
+        ),
+        "8fae51a391d33f62e8d700d5d49e18cef60a4f8fd5669acfff4f6900277269b2",
+    ),
+}
+
+
+# stdout of ``boxsteer blind 3/4 3/4``, the mirror of blind_degenerate
+BLIND_3_4_3_4_DIGEST = "cf02c30afcfd1924a3b3d18841d0aa3237e03c931099c9cda8dfc4b0b5e37f60"
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_blind_split_documents(tmp_path, name):
+    s, t, split, digest = SPLIT_CASES[name]
+    code, out, err = blind_run(tmp_path, s, t, split)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the split comes back member for member, in the target's coordinates
+    assert json.loads(out)["ensemble"] == bx.nonlocal_ensemble_to_json(split)
+
+
+# (1/2, 1/4) flips the canonical target's inputs: its product members
+# carry Alice's S01 and S10, and its PR members beta = 0
+@pytest.mark.parametrize(
+    "split,stderr",
+    [
+        (
+            bx.NonlocalEnsemble.from_weights(
+                products={((0, 1), (0, 0)): F(1, 2)}, prs={(0, 0, 0): F(1, 2)}
+            ),
+            "error: split product aggregates {S01: 1/2} do not match "
+            "required {S01: 1/4, S10: 1/4}\n",
+        ),
+        (
+            bx.NonlocalEnsemble.from_weights(
+                products={((0, 1), (0, 0)): F(1, 4), ((1, 0), (1, 1)): F(1, 4)},
+                prs={(0, 1, 0): F(1, 2)},
+            ),
+            "error: split PR aggregates {beta=1: 1/2} do not match "
+            "required {beta=0: 1/2}\n",
+        ),
+    ],
+    ids=["products", "beta1_prs"],
+)
+def test_blind_wrong_split_message(tmp_path, split, stderr):
+    assert blind_run(tmp_path, "1/2", "1/4", split) == (2, "", stderr)
+
+
+def test_blind_degenerate_warning_names_given_target(capsys):
+    # (3/4, 3/4) canonicalizes to the boundary point (1/4, 1/4)
+    code = cli.main(["blind", "3/4", "3/4"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == (
+        "warning: target (s=3/4, t=3/4) sits on the triangle boundary: "
+        "construction degenerates and blindness may fail\n"
+    )
+    assert json.loads(out)["report"]["degenerate"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == BLIND_3_4_3_4_DIGEST
 
 
 # every reduction of this ensemble is wrong for both targets

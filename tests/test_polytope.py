@@ -10,13 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from boxsteer.polytope import _catalog_columns
 from simplex_oracle import solve_nonneg_exact
-from strategies import chsh_values, facet_local, nonlocal_ensembles, rationals
+from strategies import (
+    catalog_boxes,
+    chsh_values,
+    facet_local,
+    nonlocal_ensembles,
+    rationals,
+)
 
 BITS = (0, 1)
 
 CATALOG_HASH = "843f5f0aaa8bd927"
+
+# each vertex's table, flattened in (x, y, a, b) order, in catalog order
+CATALOG_COLUMNS = tuple(
+    tuple(box.prob(*key) for key in itertools.product(BITS, repeat=4))
+    for box in catalog_boxes()
+)
 
 
 def uniform_box():
@@ -46,7 +57,7 @@ def noisy_pr(v: F, pr_box: bx.PRBox = bx.PRBox(0, 0, 0)) -> bx.BipartiteBox:
 def simplex_local(box: bx.BipartiteBox) -> bool:
     """Locality by the exact simplex over the 16 product vertices, the
     oracle for the closed-form :func:`bx.is_local`."""
-    columns = tuple(col + (F(1),) for col in _catalog_columns()[:16])
+    columns = tuple(col + (F(1),) for col in CATALOG_COLUMNS[:16])
     rhs = [
         box.prob(x, y, a, b) for x, y, a, b in itertools.product(BITS, repeat=4)
     ] + [F(1)]
@@ -57,11 +68,7 @@ def boundary_boxes() -> list[bx.BipartiteBox]:
     """Boxes on or next to the local facets: the 24 vertices, every PR
     vertex in white noise at the CHSH threshold and 1/64 either side,
     two-PR mixtures, and the uniform box."""
-    boxes = [
-        bx.product_box(alice.as_local_box(), bob.as_local_box())
-        for alice, bob in bx.catalog_products()
-    ]
-    boxes += [pr.as_bipartite_box() for pr in bx.catalog_prs()]
+    boxes = catalog_boxes()
     for pr in bx.catalog_prs():
         for v in (F(1, 2) - F(1, 64), F(1, 2), F(1, 2) + F(1, 64)):
             boxes.append(noisy_pr(v, pr))
@@ -127,7 +134,7 @@ def chord_feasible(box: bx.BipartiteBox, chord: F) -> bool:
     chord p(a0=0, a1=0) (the weight on her S00 box) the value ``chord``."""
     columns = tuple(
         col + (F(1), F(int(alice == bx.SBox(0, 0))))
-        for col, (alice, _) in zip(_catalog_columns(), bx.catalog_products())
+        for col, (alice, _) in zip(CATALOG_COLUMNS, bx.catalog_products())
     )
     rhs = [
         box.prob(x, y, a, b) for x, y, a, b in itertools.product(BITS, repeat=4)
@@ -155,7 +162,7 @@ class TestCatalog:
 
     def test_vertices_extremal(self):
         # no vertex is a mixture of the other 23
-        columns = _catalog_columns()
+        columns = CATALOG_COLUMNS
         for v in range(24):
             others = tuple(
                 col + (F(1),) for j, col in enumerate(columns) if j != v
@@ -168,21 +175,37 @@ class TestCatalog:
         # labels and tables it names
         payload = "|".join(
             label + ":" + ",".join(str(v) for v in column)
-            for label, column in zip(bx.catalog_labels(), _catalog_columns())
+            for label, column in zip(bx.catalog_labels(), CATALOG_COLUMNS)
         )
         digest = hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
         assert digest == bx.catalog_hash() == CATALOG_HASH
 
     def test_version_string_builds_no_vertex_table(self):
+        # a profile hook set before the import sees every BipartiteBox
+        # built while importing the CLI and building its parser
         code = (
-            "from boxsteer import cli, polytope; cli._build_parser(); "
-            "print(polytope._catalog_columns.cache_info().currsize)"
+            "import sys\n"
+            "built = []\n"
+            "def hook(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_qualname == "
+            "'BipartiteBox.__post_init__':\n"
+            "        built.append(1)\n"
+            "sys.setprofile(hook)\n"
+            "from boxsteer import cli\n"
+            "cli._build_parser()\n"
+            "sys.setprofile(None)\n"
+            "from boxsteer import PRBox\n"
+            "sys.setprofile(hook)\n"
+            "PRBox(0, 0, 0).as_bipartite_box()\n"
+            "sys.setprofile(None)\n"
+            "print(len(built))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0"
+        # the one table is the control, built after the parser
+        assert done.stdout.strip() == "1"
 
 
 class TestDecompose:
@@ -313,7 +336,7 @@ class TestGluing:
         for name in ("solve_nonneg_exact", "_collins_gisin", "_catalog_cg_columns"):
             assert not hasattr(polytope, name)
         assert not hasattr(bx, "InfeasibleError")
-        assert len(bx.__all__) == 91
+        assert len(bx.__all__) == 88
 
     def test_pinned_witness(self):
         # the split rule decides the witness; a change of rule shows here

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import boxsteer as bx
 from boxsteer import simulate
 from boxsteer.simulate import sample_rounds
-from strategies import nonlocal_ensembles, weight_vectors
+from strategies import member_box, nonlocal_ensembles, weight_vectors
 
 BITS = (0, 1)
 
@@ -181,7 +181,7 @@ def _reference_rounds(ensemble, rounds, seed, policy):
     member_cum = cumulative((m.weight, i) for i, m in enumerate(members))
     pairs = list(itertools.product(BITS, BITS))
     policy_cum = cumulative((policy.table[x][y], (x, y)) for x, y in pairs)
-    boxes = [m.as_bipartite_box() for m in members]
+    boxes = [member_box(m) for m in members]
     out = []
     for round_id in range(rounds):
         u_member, u_inputs, u_outcomes = np.random.default_rng([seed, round_id]).random(3)
