@@ -40,6 +40,15 @@ and relabels them into the target's coordinates.  How the aggregates
 split over individual members is free, and every valid split produces
 identical reductions, which is what keeps Bob blind.  The tests check
 with an exact simplex that no other aggregates are feasible.
+
+Verification reduces the ensemble once per Bob input and reads
+everything else off those records and the members, without mixing a
+two-party box: Alice's marginal is p(a|x) = sum of w * [S(x) = a] over
+the S-box weights of a reduction (the two records of a PR member give
+complementary outputs, so each gets half its weight); Bob sees outcome
+b on input y iff the ensemble has a PR member or a product member whose
+Bob factor outputs b at y; and his posterior after b holds every product
+record's S box and the S boxes of the PR records for b.
 """
 
 from __future__ import annotations
@@ -49,15 +58,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .boxes import LocalBox, PRBox, SBox, alice_marginal, as_prob, bob_outcome_distribution
+from .boxes import LocalBox, PRBox, SBox, as_prob
 from .ensembles import (
     AliceReduction,
     Ensemble,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
+    _is_index,
     _sbox_ensemble,
-    mix_nonlocal,
     posterior_alice_reduction,
 )
 from .errors import (
@@ -212,7 +221,16 @@ def verify_blind_steering(
     equal the target's triangle decompositions and its Alice marginal is
     the target state itself.  Both sides are compared as S-box weights;
     the canonical triangles are relabeled S box by S box."""
-    canonical_target, relabeling = canonicalize(target)
+    return _verify(ensemble, target, *canonicalize(target))
+
+
+def _verify(
+    ensemble: NonlocalEnsemble,
+    target: TargetState,
+    canonical_target: TargetState,
+    relabeling: Relabeling,
+) -> BlindReport:
+    """:func:`verify_blind_steering` for a target already canonicalized."""
     expected = [
         {
             relabeling.on_sbox(sbox): w
@@ -223,44 +241,38 @@ def verify_blind_steering(
     ]
 
     reductions = [posterior_alice_reduction(ensemble, y) for y in (0, 1)]
+    reduced = [reduction.constituent_weights() for reduction in reductions]
     checks = []
     for y in (0, 1):
-        reduced = reductions[y].constituent_weights()
-        if reduced == expected[y]:
+        if reduced[y] == expected[y]:
             checks.append(CheckResult(f"reduction_y{y}", True))
         else:
             checks.append(
                 CheckResult(
                     f"reduction_y{y}",
                     False,
-                    f"Bob input {y} prepares {_describe(reduced)}, "
+                    f"Bob input {y} prepares {_describe(reduced[y])}, "
                     f"expected {_describe(expected[y])}",
                 )
             )
-    box = mix_nonlocal(ensemble)
-    marginal = alice_marginal(box)
-    if marginal == target.to_box():
+    marginal = _alice_marginal(reduced[0])
+    if marginal == target.to_box().table:
         checks.append(CheckResult("alice_marginal", True))
     else:
         checks.append(
             CheckResult(
                 "alice_marginal",
                 False,
-                f"mixture marginal is {marginal.table}, expected "
+                f"mixture marginal is {marginal}, expected "
                 f"(s={target.s}, t={target.t})",
             )
         )
 
     supports = []
     for y in (0, 1):
-        outcome_dist = bob_outcome_distribution(box, y)
-        for b in (0, 1):
-            if outcome_dist[b] == 0:
-                continue
-            posterior = _posterior(reductions[y], b)
-            supports.append(
-                ((y, b), tuple(sorted(sbox.label for sbox in posterior)))
-            )
+        for b, labels in enumerate(_posterior_supports(reductions[y])):
+            if _bob_sees(ensemble, y, b):
+                supports.append(((y, b), labels))
     return BlindReport(
         checks=tuple(checks),
         target=target,
@@ -270,6 +282,41 @@ def verify_blind_steering(
         expected_lower=_sbox_ensemble(expected[1]),
         posterior_supports=tuple(supports),
     )
+
+
+def _alice_marginal(
+    weights: dict[SBox, Fraction],
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Alice's table p(a|x) from the S-box weights of either reduction:
+    each S box adds its weight to the one output it gives at x."""
+    rows = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    for sbox, w in weights.items():
+        for x, row in enumerate(rows):
+            row[sbox.output(x)] += w
+    return tuple(rows[0]), tuple(rows[1])
+
+
+def _bob_sees(ensemble: NonlocalEnsemble, y: int, b: int) -> bool:
+    """Whether Bob's outcome ``b`` on input ``y`` has positive probability.
+
+    A PR member gives each outcome half its weight, a product member all
+    of it to the outcome its Bob factor gives at ``y``; merged member
+    weights are positive.
+    """
+    return bool(ensemble.prs) or any(m.bob.output(y) == b for m in ensemble.products)
+
+
+def _posterior_supports(reduction: AliceReduction) -> tuple[tuple[str, ...], ...]:
+    """The sorted S-box labels of Bob's posterior after outcome 0 and
+    after outcome 1: every product record counts for both outcomes, a PR
+    record for its own.  Record weights are positive, so no weight needs
+    summing."""
+    labels: tuple[set[str], set[str]] = (set(), set())
+    for record in reduction.records:
+        outcomes = (0, 1) if record.bob_outcome is None else (record.bob_outcome,)
+        for b in outcomes:
+            labels[b].add(record.constituent.label)
+    return tuple(tuple(sorted(support)) for support in labels)
 
 
 def _describe(weights: dict[SBox, Fraction]) -> str:
@@ -288,10 +335,9 @@ def bob_posterior(
     play with its full weight whatever b he saw.  Only PR rounds let the
     outcome select between the two constituents they can leave behind.
     """
-    if y not in (0, 1) or b not in (0, 1):
+    if not all(_is_index(bit) and bit in (0, 1) for bit in (y, b)):
         raise ValidationError(f"(y, b) must be bits, got ({y!r}, {b!r})")
-    outcome_dist = bob_outcome_distribution(mix_nonlocal(ensemble), y)
-    if outcome_dist[b] == 0:
+    if not _bob_sees(ensemble, y, b):
         raise ZeroProbabilityError(
             f"Bob never sees b={b} on input y={y} under this ensemble"
         )
@@ -380,4 +426,6 @@ def plan_blind_steering(
     if split is not None:
         _check_split(split, ensemble)
         ensemble = split
-    return BlindSteeringPlan(ensemble, verify_blind_steering(ensemble, target))
+    return BlindSteeringPlan(
+        ensemble, _verify(ensemble, target, canonical_target, relabeling)
+    )

@@ -400,7 +400,7 @@ class AliceReduction:
 
 def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduction:
     """Reduce a two-party ensemble to Alice's ensemble for Bob input ``y``."""
-    if y not in (0, 1):
+    if not _is_index(y) or y not in (0, 1):
         raise ValidationError(f"y must be 0 or 1, got {y!r}")
     records: list[ReductionRecord] = []
     for member_id, member in enumerate(ensemble.members):

@@ -60,6 +60,34 @@ def nonlocal_ensembles(draw, max_denominator: int = 16):
     return bx.NonlocalEnsemble(products, prs)
 
 
+def vertex_ensembles():
+    """Single-member ensembles, one per catalog vertex: 16 products, 8 PRs."""
+    one = Fraction(1)
+    ensembles = [
+        bx.NonlocalEnsemble((bx.ProductMember(one, alice, bob),), ())
+        for alice, bob in bx.catalog_products()
+    ] + [bx.NonlocalEnsemble((), (bx.PRMember(one, pr),)) for pr in bx.catalog_prs()]
+    return st.sampled_from(ensembles)
+
+
+@st.composite
+def product_only_ensembles(draw, max_denominator: int = 16):
+    """Product members over one or two Bob factors and no PR member, so
+    that Bob often never sees one of his outcomes on some input."""
+    sboxes = [bx.SBox(alpha, beta) for alpha in BITS for beta in BITS]
+    bobs = draw(st.lists(st.sampled_from(sboxes), min_size=1, max_size=2, unique=True))
+    pairs = [(alice, bob) for alice in sboxes for bob in bobs]
+    weights = draw(weight_vectors(len(pairs), max_denominator))
+    return bx.NonlocalEnsemble(
+        tuple(
+            bx.ProductMember(w, alice, bob)
+            for w, (alice, bob) in zip(weights, pairs)
+            if w != 0
+        ),
+        (),
+    )
+
+
 @st.composite
 def interior_targets(draw, denominator: int = 24):
     """Rational (s,t) strictly inside the canonical triangle."""

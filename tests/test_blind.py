@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import boxsteer as bx
 from simplex_oracle import solve_nonneg_exact
-from strategies import catalog_boxes, interior_targets, random_blind_split, realizes
+from strategies import (
+    catalog_boxes,
+    interior_targets,
+    nonlocal_ensembles,
+    product_only_ensembles,
+    random_blind_split,
+    realizes,
+    vertex_ensembles,
+)
 
 BITS = (0, 1)
 HALF = F(1, 2)
@@ -416,6 +424,15 @@ class TestBobPosterior:
         with pytest.raises(bx.ZeroProbabilityError):
             bx.bob_posterior(e, 0, 1)
 
+    @pytest.mark.parametrize(
+        "y,b", [(1.0, 0), (0, 1.0), (True, 0), (0, False), (2, 0), (0, -1), ("0", 1)]
+    )
+    def test_non_bits_rejected(self, y, b):
+        plan = bx.plan_blind_steering(CANONICAL)
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.bob_posterior(plan.ensemble, y, b)
+        assert str(raised.value) == f"(y, b) must be bits, got ({y!r}, {b!r})"
+
     @settings(max_examples=50, deadline=None)
     @given(interior_targets())
     def test_blindness_interior(self, target):
@@ -478,16 +495,81 @@ class TestPosteriorSupports:
         assert plan.report.posterior_supports == expected_supports(plan.ensemble)
 
 
-def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
+# random mixtures over the 24 vertices (beta = 1 PRs included), single
+# vertices, and product-only ensembles in which Bob misses an outcome
+ANY_ENSEMBLE = st.one_of(
+    nonlocal_ensembles(), vertex_ensembles(), product_only_ensembles()
+)
+# off the anti-diagonal of the 1/8 grid
+GRID_TARGETS = (
+    st.tuples(st.integers(0, 8), st.integers(0, 8))
+    .filter(lambda ij: sum(ij) != 8)
+    .map(lambda ij: bx.TargetState(F(ij[0], 8), F(ij[1], 8)))
+)
+
+
+class TestClosedFormOracles:
+    """The verification's marginal and Bob's outcome support, read off the
+    members, against the mixed two-party box."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ANY_ENSEMBLE)
+    def test_marginal_of_either_reduction(self, ensemble):
+        expected = bx.alice_marginal(bx.mix_nonlocal(ensemble)).table
+        for y in BITS:
+            weights = bx.posterior_alice_reduction(ensemble, y).constituent_weights()
+            assert bx.blind._alice_marginal(weights) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(ANY_ENSEMBLE, GRID_TARGETS, st.booleans())
+    def test_marginal_check(self, ensemble, target, own_marginal):
+        marginal = bx.alice_marginal(bx.mix_nonlocal(ensemble))
+        if own_marginal and marginal.prob(0, 0) + marginal.prob(1, 0) != 1:
+            target = bx.TargetState.from_box(marginal)
+        if marginal == target.to_box():
+            expected = bx.CheckResult("alice_marginal", True)
+        else:
+            expected = bx.CheckResult(
+                "alice_marginal",
+                False,
+                f"mixture marginal is {marginal.table}, expected "
+                f"(s={target.s}, t={target.t})",
+            )
+        report = bx.verify_blind_steering(ensemble, target)
+        assert report.check("alice_marginal") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(ANY_ENSEMBLE)
+    def test_outcome_support(self, ensemble):
+        box = bx.mix_nonlocal(ensemble)
+        for y, b in itertools.product(BITS, BITS):
+            seen = bx.bob_outcome_distribution(box, y)[b] > 0
+            assert bx.blind._bob_sees(ensemble, y, b) == seen
+            if not seen:
+                with pytest.raises(bx.ZeroProbabilityError):
+                    bx.bob_posterior(ensemble, y, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ANY_ENSEMBLE, GRID_TARGETS)
+    def test_posterior_supports(self, ensemble, target):
+        report = bx.verify_blind_steering(ensemble, target)
+        assert report.posterior_supports == expected_supports(ensemble)
+
+
+def test_plan_reduces_once_per_input_and_never_mixes(monkeypatch):
     calls = {"mix_nonlocal": 0, "posterior_alice_reduction": 0, "Ensemble": 0}
-    for name in ("mix_nonlocal", "posterior_alice_reduction"):
-        original = getattr(bx.blind, name)
+    assert not hasattr(bx.blind, "mix_nonlocal")
+    for module, name in (
+        (bx.ensembles, "mix_nonlocal"),
+        (bx.blind, "posterior_alice_reduction"),
+    ):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(bx.blind, name, counted)
+        monkeypatch.setattr(module, name, counted)
     validate = bx.Ensemble.__post_init__
 
     def counted_ensemble(self):
@@ -497,7 +579,38 @@ def test_plan_mixes_once_and_reduces_once_per_input(monkeypatch):
     monkeypatch.setattr(bx.Ensemble, "__post_init__", counted_ensemble)
     bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
     # the only single-party ensembles built are the report's two expected ones
-    assert calls == {"mix_nonlocal": 1, "posterior_alice_reduction": 2, "Ensemble": 2}
+    assert calls == {"mix_nonlocal": 0, "posterior_alice_reduction": 2, "Ensemble": 2}
+
+
+def test_blind_path_builds_no_box(monkeypatch):
+    # the marginal and Bob's outcomes are read off the members: no
+    # validated two-party table and no no-signalling scan
+    target = bx.TargetState(F(3, 4), HALF)
+    split = bx.NonlocalEnsemble.from_weights(
+        products={((0, 0), (0, 1)): QUARTER, ((1, 0), (1, 1)): QUARTER},
+        prs={(0, 0, 1): HALF},
+    )
+    wrong = bx.NonlocalEnsemble.from_weights(prs={(0, 1, 0): F(1)})
+
+    def run():
+        plans = [bx.plan_blind_steering(target), bx.plan_blind_steering(target, split)]
+        reports = [plan.report for plan in plans]
+        reports.append(bx.verify_blind_steering(wrong, target))
+        posteriors = [
+            bx.bob_posterior(e, y, b)
+            for e in (split, wrong)
+            for y, b in itertools.product(BITS, BITS)
+        ]
+        return reports, posteriors
+
+    def refuse(self):
+        raise AssertionError("BipartiteBox built")
+
+    monkeypatch.setattr(bx.BipartiteBox, "__post_init__", refuse)
+    reports, posteriors = run()
+    monkeypatch.undo()
+    assert [r.passed for r in reports] == [True, True, False]
+    assert (reports, posteriors) == run()
 
 
 class TestPlanRelabeled:

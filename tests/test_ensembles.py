@@ -255,6 +255,13 @@ class TestPosteriorAliceEnsemble:
         assert {r.bob_outcome for r in pr_records} == {0, 1}
         assert sum(r.weight for r in reduction.records) == 1
 
+    @pytest.mark.parametrize("y", [1.0, True, False, 2, "0", None])
+    def test_non_bit_input_rejected(self, y):
+        e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.posterior_alice_reduction(e, y)
+        assert str(raised.value) == f"y must be 0 or 1, got {y!r}"
+
     @settings(max_examples=80, deadline=None)
     @given(nonlocal_ensembles())
     def test_generic_reduction_matches_closed_form(self, ensemble):

@@ -9,7 +9,9 @@ and wrong-alphabet cases, the SHA-256 digests of the NDJSON log and the
 report document of ten seeded simulations, and the audit verdict of one
 tampered log.  Inline SHA-256 digests pin the stdout of ``boxsteer
 blind`` for two relabeled targets with a ``--split`` and for a mirrored
-boundary target; the stderr of rejected splits is pinned inline too.
+boundary target; the stderr of rejected splits, the ``alice_marginal``
+witness of two wrong ensembles and Bob's unseen-outcome message are
+pinned inline too.
 Any change to them changes a CLI document or a log byte, so it must be
 deliberate and recorded.  ``PYTHONPATH=src python3
 tests/test_golden.py`` rewrites the simulation and steer/verify files
@@ -193,6 +195,45 @@ def test_reduction_witnesses(s, t, upper, lower):
         ((1, 0), ("S00", "S10")),
         ((1, 1), ("S01", "S10")),
     )
+
+
+# Bob always sees b = 1 here: his factor is S01 and no PR member is present
+CONSTANT = bx.NonlocalEnsemble.from_weights(products={((0, 0), (0, 1)): F(1)})
+
+
+@pytest.mark.parametrize(
+    "ensemble,table",
+    [
+        (
+            WRONG,
+            "((Fraction(5, 8), Fraction(3, 8)), (Fraction(3, 8), Fraction(5, 8)))",
+        ),
+        (
+            CONSTANT,
+            "((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)))",
+        ),
+    ],
+    ids=["wrong", "constant"],
+)
+def test_alice_marginal_witness(ensemble, table):
+    report = bx.verify_blind_steering(ensemble, bx.TargetState(F(1, 4), F(1, 2)))
+    assert report.check("alice_marginal") == bx.CheckResult(
+        "alice_marginal",
+        False,
+        f"mixture marginal is {table}, expected (s=1/4, t=1/2)",
+    )
+
+
+def test_unseen_outcome_message():
+    assert bx.verify_blind_steering(
+        CONSTANT, bx.TargetState(F(1, 4), F(1, 2))
+    ).posterior_supports == (((0, 1), ("S00",)), ((1, 1), ("S00",)))
+    for y in (0, 1):
+        with pytest.raises(bx.ZeroProbabilityError) as raised:
+            bx.bob_posterior(CONSTANT, y, 0)
+        assert str(raised.value) == (
+            f"Bob never sees b=0 on input y={y} under this ensemble"
+        )
 
 
 # ---------------------------------------------------------------------------
