@@ -58,14 +58,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .boxes import LocalBox, PRBox, SBox, as_prob
+from .boxes import LocalBox, PRBox, SBox, _is_index, as_prob
 from .ensembles import (
     AliceReduction,
     Ensemble,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
-    _is_index,
     _sbox_ensemble,
     posterior_alice_reduction,
 )

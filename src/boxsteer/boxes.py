@@ -334,6 +334,15 @@ def is_no_signalling(box: BipartiteBox) -> bool:
     return not no_signalling_violations(box)
 
 
+def _is_index(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_index(name: str, value: object, size: int) -> None:
+    if not _is_index(value) or not 0 <= value < size:
+        raise ValidationError(f"{name}={value} outside range(0, {size})")
+
+
 def _require_no_signalling(box: BipartiteBox, op: str) -> None:
     problems = no_signalling_violations(box)
     if problems:
@@ -358,8 +367,7 @@ def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
     """Bob's outcome distribution p(b|y); x-independent by no-signalling
     (read off at x=0)."""
     _require_no_signalling(box, "bob_outcome_distribution")
-    if not 0 <= y < box.num_inputs_bob:
-        raise ValidationError(f"y={y} outside range(0, {box.num_inputs_bob})")
+    _require_index("y", y, box.num_inputs_bob)
     A = box.num_outputs_alice
     return tuple(
         sum(box.table[0][y][a][b] for a in range(A))
@@ -370,10 +378,8 @@ def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
 def condition_on_bob(box: BipartiteBox, y: int, b: int) -> LocalBox:
     """Alice's conditional box p(a|x; y,b) after Bob measured y and saw b."""
     _require_no_signalling(box, "condition_on_bob")
-    if not 0 <= y < box.num_inputs_bob:
-        raise ValidationError(f"y={y} outside range(0, {box.num_inputs_bob})")
-    if not 0 <= b < box.num_outputs_bob:
-        raise ValidationError(f"b={b} outside range(0, {box.num_outputs_bob})")
+    _require_index("y", y, box.num_inputs_bob)
+    _require_index("b", b, box.num_outputs_bob)
     A = box.num_outputs_alice
     p_b = sum(box.table[0][y][a][b] for a in range(A))
     if p_b == 0:

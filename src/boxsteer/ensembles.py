@@ -35,6 +35,8 @@ from .boxes import (
     LocalBox,
     PRBox,
     SBox,
+    _is_index,
+    _require_index,
     as_prob,
     deterministic_table,
 )
@@ -66,10 +68,6 @@ def _strategy_of(
     if any(mass not in row for row in rows):
         raise ValidationError("ensemble constituents must be deterministic boxes")
     return tuple(row.index(mass) for row in rows)
-
-
-def _is_index(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, init=False)
@@ -290,10 +288,7 @@ class NonlocalEnsemble:
 
     def member(self, member_id: int) -> Member:
         members = self.members
-        if not 0 <= member_id < len(members):
-            raise ValidationError(
-                f"member_id {member_id} outside range(0, {len(members)})"
-            )
+        _require_index("member_id", member_id, len(members))
         return members[member_id]
 
     def product_totals(self) -> dict[tuple[int, int], Fraction]:

@@ -26,9 +26,16 @@ fixes the pairwise marginals p(a_x, b_y).  Adding Alice's chord
 q = p(a0=0, a1=0) splits them into the triangles (a0, a1, b_y), whose
 cells are affine in q and r_y = p(a0=0, a1=0, b_y=0).  q and then each
 r_y take their least feasible values (locality leaves room, by Fine),
-and the triangles are glued along the chord:
-w(a0 a1 b0 b1) = t_0(a0 a1 b0) t_1(a0 a1 b1) / p(a0 a1).  The result is
-deterministic and lists at most 12 products, in catalog order.
+and each chord cell (a0, a1) glues the triangles by its north-west
+corner rule (the Frechet-Hoeffding upper bound): w(a0 a1 b b) =
+min(t_0(a0 a1 b), t_1(a0 a1 b)) and w(a0 a1 b b') = max(0,
+t_0(a0 a1 b) - t_1(a0 a1 b)) for b' != b.  Nothing divides: triangle
+cells, and so weights, are integer combinations of box entries and of
+mu/2 = (|C_pq| - 2)/4, so every denominator divides 4 lcm(box's entry
+denominators).  A chord cell with n > 0 nonzero triangle cells gets at
+most n - 1 products; the least r_y zero a cell of each triangle and the
+least q two of one, so at most 13 of the 16 cells are nonzero, and the
+result lists at most 9 products, deterministically, in catalog order.
 Decompositions are not unique in general; callers verify results by
 remixing, not by comparing witnesses.  The tests check both closed
 forms against an exact simplex.
@@ -99,18 +106,15 @@ def _require_scenario(box: BipartiteBox, op: str) -> None:
 def _strongest_chsh(box: BipartiteBox) -> tuple[Fraction, int, int]:
     """(C_pq, p, q) for the CHSH form of largest |C_pq| (first in (p, q)
     order on ties)."""
-    correlators = [
+    (e00, e01), (e10, e11) = (
         [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block] for block in box.table
+    )
+    # the sign flips only at (x, y) = (1-p, 1-q)
+    forms = [
+        (e00 + e01 + e10 + e11 - 2 * e, p, q)
+        for e, p, q in ((e11, 0, 0), (e10, 0, 1), (e01, 1, 0), (e00, 1, 1))
     ]
-    strongest = None
-    for p, q in itertools.product((0, 1), repeat=2):
-        value = sum(
-            -correlators[x][y] if (x ^ p) & (y ^ q) else correlators[x][y]
-            for x, y in itertools.product((0, 1), repeat=2)
-        )
-        if strongest is None or abs(value) > abs(strongest[0]):
-            strongest = (value, p, q)
-    return strongest
+    return max(forms, key=lambda form: abs(form[0]))
 
 
 def _glued_triangles(
@@ -154,9 +158,9 @@ def _glued_triangles(
 
 def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     """Exact convex decomposition of a one-bit no-signalling box over the
-    24-vertex catalog, with at most one PR member of minimal weight and
-    the products in catalog order.  Remixing the result reproduces
-    ``box`` exactly."""
+    24-vertex catalog: at most one PR member, of minimal weight, and at
+    most 9 products in catalog order, glued by the north-west corner rule
+    above, so every weight's denominator divides 4 lcm(box's denominators)."""
     _require_scenario(box, "decompose")
     chsh, alpha, beta = _strongest_chsh(box)
     pr = PRBox(alpha, beta, 0 if chsh > 0 else 1)
@@ -169,18 +173,16 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
         1 - weight,
         [t[x][0][0][0] + t[x][0][0][1] - half for x in (0, 1)],
         [t[0][y][0][0] + t[0][y][1][0] - half for y in (0, 1)],
-        [
-            [t[x][y][0][0] - (0 if pr.parity(x, y) else half) for y in (0, 1)]
-            for x in (0, 1)
-        ],
+        [[t[x][y][0][0] - (0 if pr.parity(x, y) else half) for y in (0, 1)]
+         for x in (0, 1)],
     )
     products = []
     for s_alice, s_bob in catalog_products():
         # an S box (alpha, beta) outputs beta on input 0, alpha XOR beta on 1
         a0, a1 = s_alice.beta, s_alice.alpha ^ s_alice.beta
         b0, b1 = s_bob.beta, s_bob.alpha ^ s_bob.beta
-        chord = t0[a0, a1, 0] + t0[a0, a1, 1]
-        w = t0[a0, a1, b0] * t1[a0, a1, b1] / chord if chord else 0
+        u, v = t0[a0, a1, b0], t1[a0, a1, b0]
+        w = min(u, v) if b0 == b1 else max(0, u - v)
         if w:
             products.append(ProductMember(w, s_alice, s_bob))
     prs = (PRMember(weight, pr),) if weight else ()

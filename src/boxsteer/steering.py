@@ -29,6 +29,7 @@ from typing import Sequence
 from .boxes import (
     BipartiteBox,
     LocalBox,
+    _require_index,
     bob_outcome_distribution,
     deterministic_table,
     no_signalling_violations,
@@ -116,12 +117,8 @@ def bob_identifies_constituent(
     state: SteeringState, y: int, b: int
 ) -> tuple[int, LocalBox]:
     """The constituent Bob knows Alice holds after his input y gave outcome b."""
-    if not 0 <= y < len(state.source_ensembles):
-        raise ValidationError(f"y={y} outside range(0, {len(state.source_ensembles)})")
-    if not 0 <= b < state.box.num_outputs_bob:
-        raise ValidationError(
-            f"b={b} outside range(0, {state.box.num_outputs_bob})"
-        )
+    _require_index("y", y, len(state.source_ensembles))
+    _require_index("b", b, state.box.num_outputs_bob)
     ensemble = state.source_ensembles[y]
     if b >= ensemble.cardinality:
         raise ZeroProbabilityError(

@@ -248,6 +248,29 @@ class TestMarginalsAndConditioning:
         with pytest.raises(bx.SignallingError):
             bx.condition_on_bob(box, 0, 0)
 
+    @pytest.mark.parametrize(
+        "y,b,message",
+        [
+            (0.5, 0, "y=0.5"),
+            (1.0, 0, "y=1.0"),
+            (True, 0, "y=True"),
+            (0, 1.0, "b=1.0"),
+            (0, False, "b=False"),
+            (2, 0, "y=2"),
+            (0, -1, "b=-1"),
+        ],
+    )
+    def test_bad_indices_rejected(self, y, b, message):
+        # an index is an int, never a bool, inside the box's range
+        box = bx.PRBox(0, 0, 0).as_bipartite_box()
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.condition_on_bob(box, y, b)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+        if message.startswith("y"):
+            with pytest.raises(bx.ValidationError) as raised:
+                bx.bob_outcome_distribution(box, y)
+            assert str(raised.value) == f"{message} outside range(0, 2)"
+
     @settings(max_examples=60, deadline=None)
     @given(nonlocal_ensembles())
     def test_conditionals_average_to_marginal(self, ensemble):

@@ -56,7 +56,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.3.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.4.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -124,6 +124,16 @@ class TestBlind:
     def test_bad_rational_argument(self):
         result = run_cli("blind", "abc", "1/2")
         assert result.returncode == 2
+
+    def test_weights_past_int_string_limit(self):
+        # the two denominators are coprime, so the third weight of the
+        # target, 1 - s - t, has about 8,600 digits: the input reads, but
+        # the document cannot be written
+        s, t = "1/" + str(10**4299 + 1), "2/" + str(10**4299 + 3)
+        result = run_cli("blind", s, t)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot write a rational")
+        assert "Traceback" not in result.stderr
 
     def test_out_on_existing_file(self, tmp_path):
         taken = tmp_path / "taken"
@@ -234,8 +244,9 @@ class TestDecompose:
         assert run_cli("decompose", path).returncode == 2
 
     def test_weights_past_int_string_limit(self, tmp_path):
-        # every entry has 2,501 digits, but glued weights have about
-        # twice as many, more than a rational string may hold
+        # every entry has 2,501 digits; twice as many would be more than a
+        # rational string may hold, but the gluing never divides, so each
+        # weight's denominator divides 4 * 10**2500
         den = 10**2500
         cuts = [0] + [den * k // 16 + k for k in range(1, 16)] + [den]
         ensemble = bx.NonlocalEnsemble(
@@ -245,11 +256,14 @@ class TestDecompose:
             ),
             (),
         )
-        doc = bx.bipartite_box_to_json(bx.mix_nonlocal(ensemble))
+        box = bx.mix_nonlocal(ensemble)
+        doc = bx.bipartite_box_to_json(box)
         result = run_cli("decompose", write(tmp_path / "box.json", doc))
-        assert result.returncode == 2
-        assert result.stderr.startswith("error: cannot write a rational")
-        assert "Traceback" not in result.stderr
+        assert (result.returncode, result.stderr) == (0, "")
+        doc = json.loads(result.stdout)["ensemble"]
+        written = bx.nonlocal_ensemble_from_json(doc)
+        assert bx.mix_nonlocal(written) == box
+        assert all((4 * den) % m.weight.denominator == 0 for m in written.members)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.json"

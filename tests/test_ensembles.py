@@ -148,6 +148,13 @@ class TestNonlocalEnsemble:
         with pytest.raises(bx.ValidationError):
             e.member(1)
 
+    @pytest.mark.parametrize("member_id", [1.0, 0.0, False, -1, 1])
+    def test_member_lookup_needs_an_int(self, member_id):
+        e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
+        with pytest.raises(bx.ValidationError) as raised:
+            e.member(member_id)
+        assert str(raised.value) == f"member_id={member_id} outside range(0, 1)"
+
 
 class TestMixNonlocal:
     def test_singleton_pr(self):

@@ -5,17 +5,18 @@ The files under ``golden/`` hold the full stdout of ``boxsteer blind``
 for three targets (canonical, mirrored across the anti-diagonal, and on
 the degenerate boundary), the stdout, stderr and exit code of
 ``boxsteer steer`` and ``boxsteer verify`` on passing, padded, failing
-and wrong-alphabet cases, the SHA-256 digests of the NDJSON log and the
-report document of ten seeded simulations, and the audit verdict of one
-tampered log.  Inline SHA-256 digests pin the stdout of ``boxsteer
+and wrong-alphabet cases, the stdout of ``boxsteer decompose`` on a PR
+box in white noise (its witness depends on the split rule), the SHA-256
+digests of the NDJSON log and the report document of ten seeded
+simulations, and the audit verdict of one tampered log.  Inline SHA-256 digests pin the stdout of ``boxsteer
 blind`` for two relabeled targets with a ``--split`` and for a mirrored
 boundary target; the stderr of rejected splits, the ``alice_marginal``
 witness of two wrong ensembles and Bob's unseen-outcome message are
 pinned inline too.
 Any change to them changes a CLI document or a log byte, so it must be
 deliberate and recorded.  ``PYTHONPATH=src python3
-tests/test_golden.py`` rewrites the simulation and steer/verify files
-from the current library.
+tests/test_golden.py`` rewrites the simulation, steer/verify and
+decompose files from the current library.
 """
 
 import contextlib
@@ -31,6 +32,7 @@ import pytest
 
 import boxsteer as bx
 from boxsteer import cli
+from test_polytope import noisy_pr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -407,6 +409,29 @@ def write_remote_goldens():
     REMOTE_EXITS.write_text(json.dumps(exits, indent=2) + "\n", encoding="utf-8")
 
 
+# ---------------------------------------------------------------------------
+# decomposition witness
+# ---------------------------------------------------------------------------
+
+DECOMPOSE_NOISY_PR = GOLDEN / "decompose_noisy_pr.stdout"
+
+
+def decompose_stdout(directory):
+    """stdout of ``boxsteer decompose`` on PR000 at visibility 1/4."""
+    path = directory / "noisy_pr.json"
+    doc = bx.bipartite_box_to_json(noisy_pr(F(1, 4)))
+    path.write_text(bx.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["decompose", str(path)]) == 0
+    return out.getvalue()
+
+
+def test_decompose_document(tmp_path):
+    golden = DECOMPOSE_NOISY_PR.read_text(encoding="utf-8")
+    assert decompose_stdout(tmp_path) == golden
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_simulation_bytes(case):
     golden = json.loads(SIMULATE_DIGESTS.read_text(encoding="utf-8"))
@@ -418,11 +443,15 @@ def test_tampered_audit_document():
 
 
 if __name__ == "__main__":
-    # rewrite the simulation and remote-preparation files; only when log
-    # bytes or steer/verify output are meant to change
+    # rewrite the simulation, remote-preparation and decompose files; only
+    # when log bytes or steer/verify/decompose output are meant to change
     SIMULATE_DIGESTS.write_text(
         json.dumps({case_id(c): simulate_digests(c) for c in CASES}, indent=2) + "\n",
         encoding="utf-8",
     )
     AUDIT_TAMPERED.write_text(tampered_verdict(), encoding="utf-8")
     write_remote_goldens()
+    with tempfile.TemporaryDirectory() as scratch:
+        DECOMPOSE_NOISY_PR.write_text(
+            decompose_stdout(Path(scratch)), encoding="utf-8"
+        )

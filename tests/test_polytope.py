@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -115,18 +116,23 @@ def signalling_box():
 
 def assert_canonical(box: bx.BipartiteBox, ensemble: bx.NonlocalEnsemble) -> None:
     """What every decomposition promises: an exact remix, at most one PR
-    member of minimal weight, positive Fraction weights, and at most 12
+    member of minimal weight, positive Fraction weights whose
+    denominators divide 4 times the lcm of the box's, and at most 9
     products listed in catalog order."""
     assert bx.mix_nonlocal(ensemble) == box
     assert len(ensemble.prs) <= 1
     pr_weight = sum((m.weight for m in ensemble.prs), F(0))
     assert pr_weight == max(F(0), (max(chsh_values(box)) - 2) / 2)
     assert all(type(m.weight) is F and m.weight > 0 for m in ensemble.members)
+    bound = 4 * math.lcm(
+        *(box.prob(*key).denominator for key in itertools.product(BITS, repeat=4))
+    )
+    assert all(bound % m.weight.denominator == 0 for m in ensemble.members)
     positions = [
         bx.catalog_products().index((m.alice, m.bob)) for m in ensemble.products
     ]
     assert positions == sorted(set(positions))
-    assert len(positions) <= 12
+    assert len(positions) <= 9
 
 
 def chord_feasible(box: bx.BipartiteBox, chord: F) -> bool:
@@ -344,14 +350,11 @@ class TestGluing:
         assert [(m.label, m.weight) for m in ensemble.members] == [
             ("S00xS10", F(1, 8)),
             ("S01xS01", F(1, 8)),
-            ("S10xS00", F(5, 32)),
-            ("S10xS01", F(1, 32)),
-            ("S10xS10", F(1, 32)),
-            ("S10xS11", F(5, 32)),
-            ("S11xS00", F(3, 32)),
-            ("S11xS01", F(3, 32)),
-            ("S11xS10", F(3, 32)),
-            ("S11xS11", F(3, 32)),
+            ("S10xS00", F(3, 16)),
+            ("S10xS01", F(1, 16)),
+            ("S10xS11", F(1, 8)),
+            ("S11xS00", F(3, 16)),
+            ("S11xS01", F(3, 16)),
         ]
 
     @pytest.mark.parametrize("pr", bx.catalog_prs(), ids=lambda pr: pr.label)

@@ -102,6 +102,13 @@ class TestSteeredEnsemble:
         state = bx.construct_steering_state([e, e])
         assert bx.ensembles_equal(bx.steered_ensemble(state, 0), e)
 
+    @pytest.mark.parametrize("y", [0.5, 1.0, True, 2])
+    def test_bad_input_rejected(self, y):
+        state = bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1])
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.steered_ensemble(state, y)
+        assert str(raised.value) == f"y={y} outside range(0, 2)"
+
 
 class TestBobIdentifiesConstituent:
     def test_pr_state_lookup(self):
@@ -129,6 +136,23 @@ class TestBobIdentifiesConstituent:
         e1 = sbox_ensemble((F(1, 4), (1, 0)), (F(1, 4), (0, 1)), (HALF, (1, 1)))
         state = bx.construct_steering_state([e0, e1])
         assert bx.bob_identifies_constituent(state, 1, 2)[1] == bx.SBox(1, 1).as_local_box()
+
+    @pytest.mark.parametrize(
+        "y,b,message",
+        [
+            (0.5, 0, "y=0.5"),
+            (True, 0, "y=True"),
+            (0, 0.5, "b=0.5"),
+            (0, True, "b=True"),
+            (2, 0, "y=2"),
+            (0, -1, "b=-1"),
+        ],
+    )
+    def test_bad_indices_rejected(self, y, b, message):
+        state = bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1])
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.bob_identifies_constituent(state, y, b)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
 
 
 class TestObligations:
