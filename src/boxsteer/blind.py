@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .boxes import LocalBox, PRBox, SBox, _is_index, as_prob
+from .boxes import LocalBox, PRBox, SBox, _require_index, as_prob
 from .ensembles import (
     AliceReduction,
     Ensemble,
@@ -80,6 +80,7 @@ _S00 = SBox(0, 0)
 _S01 = SBox(0, 1)
 _S10 = SBox(1, 0)
 _S11 = SBox(1, 1)
+_PR000 = PRBox(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,6 @@ class Relabeling:
             pr.alpha ^ (1 if self.flip_inputs else 0),
             pr.beta,
             pr.delta ^ (1 if self.flip_outputs else 0),
-        )
-
-    def on_nonlocal_ensemble(self, ensemble: NonlocalEnsemble) -> NonlocalEnsemble:
-        return NonlocalEnsemble(
-            tuple(
-                ProductMember(m.weight, self.on_sbox(m.alice), m.bob)
-                for m in ensemble.products
-            ),
-            tuple(PRMember(m.weight, self.on_prbox(m.box)) for m in ensemble.prs),
         )
 
 
@@ -255,15 +247,15 @@ def _verify(
                 )
             )
     marginal = _alice_marginal(reduced[0])
-    if marginal == target.to_box().table:
+    s, t = target.s, target.t
+    if marginal == ((s, 1 - s), (t, 1 - t)):
         checks.append(CheckResult("alice_marginal", True))
     else:
         checks.append(
             CheckResult(
                 "alice_marginal",
                 False,
-                f"mixture marginal is {marginal}, expected "
-                f"(s={target.s}, t={target.t})",
+                f"mixture marginal is {marginal}, expected (s={s}, t={t})",
             )
         )
 
@@ -334,13 +326,13 @@ def bob_posterior(
     play with its full weight whatever b he saw.  Only PR rounds let the
     outcome select between the two constituents they can leave behind.
     """
-    if not all(_is_index(bit) and bit in (0, 1) for bit in (y, b)):
-        raise ValidationError(f"(y, b) must be bits, got ({y!r}, {b!r})")
+    reduction = posterior_alice_reduction(ensemble, y)
+    _require_index("b", b, 2)
     if not _bob_sees(ensemble, y, b):
         raise ZeroProbabilityError(
             f"Bob never sees b={b} on input y={y} under this ensemble"
         )
-    return _posterior(posterior_alice_reduction(ensemble, y), b)
+    return _posterior(reduction, b)
 
 
 def _posterior(reduction: AliceReduction, b: int) -> dict[SBox, Fraction]:
@@ -369,18 +361,6 @@ class BlindSteeringPlan:
 
     ensemble: NonlocalEnsemble
     report: BlindReport
-
-
-def _canonical_ensemble(target: TargetState) -> NonlocalEnsemble:
-    """The closed form for a canonical target, with all PR weight on
-    PR000 and every Bob factor S00: S01xS00 with weight 1-s-t, S11xS00
-    with t-s and PR000 with 2s, zero weights dropped."""
-    s, t = target.s, target.t
-    products = ((1 - s - t, _S01), (t - s, _S11))
-    return NonlocalEnsemble(
-        tuple(ProductMember(w, alice, _S00) for w, alice in products if w != 0),
-        (PRMember(2 * s, PRBox(0, 0, 0)),) if s != 0 else (),
-    )
 
 
 def _check_split(split: NonlocalEnsemble, ensemble: NonlocalEnsemble) -> None:
@@ -421,7 +401,19 @@ def plan_blind_steering(
             DegenerateRegionWarning,
             stacklevel=2,
         )
-    ensemble = relabeling.on_nonlocal_ensemble(_canonical_ensemble(canonical_target))
+    # the closed form, all PR weight on PR000 and every Bob factor S00:
+    # S01xS00 with weight 1-s-t, S11xS00 with t-s and PR000 with 2s,
+    # zero weights dropped and Alice's side relabeled
+    s, t = canonical_target.s, canonical_target.t
+    products = ((1 - s - t, _S01), (t - s, _S11))
+    ensemble = NonlocalEnsemble(
+        tuple(
+            ProductMember(w, relabeling.on_sbox(alice), _S00)
+            for w, alice in products
+            if w != 0
+        ),
+        (PRMember(2 * s, relabeling.on_prbox(_PR000)),) if s != 0 else (),
+    )
     if split is not None:
         _check_split(split, ensemble)
         ensemble = split

@@ -63,10 +63,16 @@ def as_prob(value: Fraction | int | str) -> Fraction:
     return frac
 
 
-def _bit(value: int, name: str) -> int:
-    if value not in (0, 1):
-        raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
+def _is_index(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_index(name: str, value: object, size: int) -> int:
+    """``value`` if it is an index into ``range(size)``: an ``int``, never a
+    ``bool`` or a float.  A bit is an index with ``size`` 2."""
+    if _is_index(value) and 0 <= value < size:
+        return value
+    raise ValidationError(f"{name}={value!r} outside range(0, {size})")
 
 
 @dataclass(frozen=True)
@@ -130,11 +136,11 @@ class SBox:
     beta: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _bit(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _bit(self.beta, "beta"))
+        _require_index("alpha", self.alpha, 2)
+        _require_index("beta", self.beta, 2)
 
     def output(self, x: int) -> int:
-        return (self.alpha * _bit(x, "x")) ^ self.beta
+        return (self.alpha * _require_index("x", x, 2)) ^ self.beta
 
     @property
     def index(self) -> int:
@@ -265,9 +271,9 @@ class PRBox:
     delta: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _bit(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _bit(self.beta, "beta"))
-        object.__setattr__(self, "delta", _bit(self.delta, "delta"))
+        _require_index("alpha", self.alpha, 2)
+        _require_index("beta", self.beta, 2)
+        _require_index("delta", self.delta, 2)
 
     @property
     def label(self) -> str:
@@ -275,7 +281,10 @@ class PRBox:
 
     def parity(self, x: int, y: int) -> int:
         """The forced value of a XOR b on inputs (x, y)."""
-        return ((x ^ self.alpha) & (y ^ self.beta)) ^ self.delta
+        return (
+            (_require_index("x", x, 2) ^ self.alpha)
+            & (_require_index("y", y, 2) ^ self.beta)
+        ) ^ self.delta
 
     def as_bipartite_box(self) -> BipartiteBox:
         table = tuple(
@@ -332,15 +341,6 @@ def no_signalling_violations(box: BipartiteBox) -> list[str]:
 def is_no_signalling(box: BipartiteBox) -> bool:
     """True iff each party's marginal is independent of the other's input."""
     return not no_signalling_violations(box)
-
-
-def _is_index(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_index(name: str, value: object, size: int) -> None:
-    if not _is_index(value) or not 0 <= value < size:
-        raise ValidationError(f"{name}={value} outside range(0, {size})")
 
 
 def _require_no_signalling(box: BipartiteBox, op: str) -> None:

@@ -14,9 +14,9 @@ Results go to stdout as one JSON document, or to individual files under
 line by line).  Rationals are "num/den" strings, on the command line too.
 
 Exit codes: 0 success; 2 invalid input (bad file, bad table, bad
-weights, incompatible ensembles); 3 target on a diagonal / outside any
-solvable region; 5 the requested checks ran and failed (verification
-report, no-signalling check, or audit).
+weights, incompatible ensembles); 3 target on the anti-diagonal
+s + t = 1; 5 the requested checks ran and failed (verification report,
+no-signalling check, or audit).
 """
 
 from __future__ import annotations

@@ -133,10 +133,7 @@ class Ensemble:
                     "ensemble members must be (weight, strategy) pairs"
                 ) from exc
             for x, a in enumerate(strategy):
-                if not _is_index(a) or not 0 <= a < outputs:
-                    raise ValidationError(
-                        f"strategy value {a!r} at x={x} is not in range(0, {outputs})"
-                    )
+                _require_index(f"f[{x}]", a, outputs)
             if not strategy:
                 raise ValidationError("a strategy needs at least one input")
             if pairs and len(strategy) != len(pairs[0][1]):
@@ -339,6 +336,8 @@ def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:
     affine function of x with slope ``y XOR beta`` and intercept
     ``alpha*(y XOR beta) XOR delta XOR b``.
     """
+    _require_index("y", y, 2)
+    _require_index("b", b, 2)
     if isinstance(member, ProductMember):
         return member.alice
     if isinstance(member, PRMember):
@@ -395,8 +394,7 @@ class AliceReduction:
 
 def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduction:
     """Reduce a two-party ensemble to Alice's ensemble for Bob input ``y``."""
-    if not _is_index(y) or y not in (0, 1):
-        raise ValidationError(f"y must be 0 or 1, got {y!r}")
+    _require_index("y", y, 2)
     records: list[ReductionRecord] = []
     for member_id, member in enumerate(ensemble.members):
         if isinstance(member, ProductMember):

@@ -24,9 +24,8 @@ class IncompatibleEnsemblesError(BoxWorldError):
 
 
 class RegionError(BoxWorldError):
-    """A target state lies where no triangle-pair construction exists
-    (on a diagonal of the local square), or outside the canonical
-    region of an operation that does not relabel."""
+    """A target state lies where no triangle-pair construction exists:
+    on the anti-diagonal s + t = 1 of the local square."""
 
 
 class DegenerateRegionWarning(UserWarning):

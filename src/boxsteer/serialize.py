@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any
 
 from .blind import BlindReport, TargetState
-from .boxes import BipartiteBox, LocalBox, PRBox, SBox
+from .boxes import BipartiteBox, LocalBox, PRBox, SBox, _is_index, _require_index
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
@@ -80,14 +80,8 @@ def fraction_from_json(value: Any) -> Fraction:
     return frac
 
 
-def _bit_from_json(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
-        raise ValidationError(f"{what} must be the integer 0 or 1, got {value!r}")
-    return value
-
-
 def _index_from_json(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_index(value) or value < 0:
         raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
 
@@ -98,6 +92,14 @@ def _field(obj: Any, key: str) -> Any:
     if key not in obj:
         raise ValidationError(f"missing field {key!r}")
     return obj[key]
+
+
+def _bits_from_json(obj: Any, key: str, length: int) -> list[int]:
+    """The ``length`` bits listed in field ``key``, each named by its position."""
+    bits = _field(obj, key)
+    if not isinstance(bits, list) or len(bits) != length:
+        raise ValidationError(f"{key} must be a {length}-bit list")
+    return [_require_index(f"{key}[{i}]", bit, 2) for i, bit in enumerate(bits)]
 
 
 def local_box_to_json(box: LocalBox) -> dict:
@@ -178,20 +180,15 @@ def ensemble_from_json(obj: Any) -> Ensemble:
     num_inputs = _index_from_json(_field(obj, "X"), "X")
     num_outputs = _index_from_json(_field(obj, "A"), "A")
     raw = _field(obj, "members")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("members must be a nonempty list")
+    if not isinstance(raw, list):
+        raise ValidationError("members must be a list")
     pairs = []
     for item in raw:
         weight = fraction_from_json(_field(item, "w"))
         strategy = _field(item, "f")
         if not isinstance(strategy, list) or len(strategy) != num_inputs:
             raise ValidationError(f"f must list one output per input ({num_inputs})")
-        outputs = tuple(_index_from_json(a, "output") for a in strategy)
-        if any(a >= num_outputs for a in outputs):
-            raise ValidationError(f"output out of range in {outputs}")
-        if not outputs:
-            raise ValidationError("local box table must be non-empty")
-        pairs.append((weight, outputs))
+        pairs.append((weight, strategy))
     return Ensemble.from_strategies(pairs, num_outputs)
 
 
@@ -220,50 +217,35 @@ def nonlocal_ensemble_from_json(obj: Any) -> NonlocalEnsemble:
     raw_prs = _field(obj, "prs")
     if not isinstance(raw_products, list) or not isinstance(raw_prs, list):
         raise ValidationError("products and prs must be lists")
-    products = []
-    for item in raw_products:
-        weight = fraction_from_json(_field(item, "w"))
-        ij = _field(item, "ij")
-        kl = _field(item, "kl")
-        for pair, name in ((ij, "ij"), (kl, "kl")):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"{name} must be a two-bit list")
-        alice = SBox(_bit_from_json(ij[0], "ij[0]"), _bit_from_json(ij[1], "ij[1]"))
-        bob = SBox(_bit_from_json(kl[0], "kl[0]"), _bit_from_json(kl[1], "kl[1]"))
-        products.append(ProductMember(weight, alice, bob))
-    prs = []
-    for item in raw_prs:
-        weight = fraction_from_json(_field(item, "w"))
-        abd = _field(item, "abd")
-        if not isinstance(abd, list) or len(abd) != 3:
-            raise ValidationError("abd must be a three-bit list")
-        prs.append(
-            PRMember(
-                weight,
-                PRBox(
-                    _bit_from_json(abd[0], "abd[0]"),
-                    _bit_from_json(abd[1], "abd[1]"),
-                    _bit_from_json(abd[2], "abd[2]"),
-                ),
-            )
+    products = tuple(
+        ProductMember(
+            fraction_from_json(_field(item, "w")),
+            SBox(*_bits_from_json(item, "ij", 2)),
+            SBox(*_bits_from_json(item, "kl", 2)),
         )
-    return NonlocalEnsemble(tuple(products), tuple(prs))
+        for item in raw_products
+    )
+    prs = tuple(
+        PRMember(
+            fraction_from_json(_field(item, "w")),
+            PRBox(*_bits_from_json(item, "abd", 3)),
+        )
+        for item in raw_prs
+    )
+    return NonlocalEnsemble(products, prs)
 
 
 def sbox_to_json(sbox: SBox) -> str:
     return sbox.label
 
 
+_SBOXES = {sbox.label: sbox for sbox in (SBox(i >> 1, i & 1) for i in range(4))}
+
+
 def sbox_from_json(value: Any) -> SBox:
-    if (
-        not isinstance(value, str)
-        or len(value) != 3
-        or value[0] != "S"
-        or value[1] not in "01"
-        or value[2] not in "01"
-    ):
-        raise ValidationError(f"expected an S-box label like \"S01\", got {value!r}")
-    return SBox(int(value[1]), int(value[2]))
+    if isinstance(value, str) and value in _SBOXES:
+        return _SBOXES[value]
+    raise ValidationError(f"expected an S-box label like \"S01\", got {value!r}")
 
 
 def round_log_to_json(log: RoundLog) -> dict:
@@ -283,10 +265,10 @@ def round_log_from_json(obj: Any) -> RoundLog:
     return RoundLog(
         round_id=_index_from_json(_field(obj, "round_id"), "round_id"),
         member_id=_index_from_json(_field(obj, "member_id"), "member_id"),
-        x=_bit_from_json(_field(obj, "x"), "x"),
-        y=_bit_from_json(_field(obj, "y"), "y"),
-        a=_bit_from_json(_field(obj, "a"), "a"),
-        b=_bit_from_json(_field(obj, "b"), "b"),
+        x=_require_index("x", _field(obj, "x"), 2),
+        y=_require_index("y", _field(obj, "y"), 2),
+        a=_require_index("a", _field(obj, "a"), 2),
+        b=_require_index("b", _field(obj, "b"), 2),
         referee_inference=sbox_from_json(_field(obj, "referee_inference")),
         alice_actual=sbox_from_json(_field(obj, "alice_actual")),
     )
@@ -313,7 +295,6 @@ _CANONICAL_LINE = re.compile(
     r'"member_id": (0|[1-9][0-9]*), "referee_inference": "(S[01][01])", '
     r'"round_id": (0|[1-9][0-9]*), "x": ([01]), "y": ([01])\}'
 )
-_SBOXES = {sbox.label: sbox for sbox in (SBox(i >> 1, i & 1) for i in range(4))}
 
 
 def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:

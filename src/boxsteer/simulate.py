@@ -40,7 +40,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .boxes import SBox, as_prob
+from .boxes import SBox, _is_index, as_prob
 from .ensembles import (
     Member,
     NonlocalEnsemble,
@@ -268,11 +268,11 @@ def sample_rounds(
     """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
     one at a time.  The arguments are checked on the call, and the
     sampling tables are read off the members' vertex formulas."""
-    if not isinstance(rounds, int) or isinstance(rounds, bool):
+    if not _is_index(rounds):
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ValidationError(f"rounds must be positive, got {rounds}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_index(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
     members = ensemble.members

@@ -425,13 +425,23 @@ class TestBobPosterior:
             bx.bob_posterior(e, 0, 1)
 
     @pytest.mark.parametrize(
-        "y,b", [(1.0, 0), (0, 1.0), (True, 0), (0, False), (2, 0), (0, -1), ("0", 1)]
+        "y,b,message",
+        [
+            (1.0, 0, "y=1.0"),
+            (0, 1.0, "b=1.0"),
+            (True, 0, "y=True"),
+            (0, False, "b=False"),
+            (2, 0, "y=2"),
+            (0, -1, "b=-1"),
+            ("0", 1, "y='0'"),
+        ],
+        ids=["1.0-0", "0-1.0", "True-0", "0-False", "2-0", "0--1", "0-1"],
     )
-    def test_non_bits_rejected(self, y, b):
+    def test_non_bits_rejected(self, y, b, message):
         plan = bx.plan_blind_steering(CANONICAL)
         with pytest.raises(bx.ValidationError) as raised:
             bx.bob_posterior(plan.ensemble, y, b)
-        assert str(raised.value) == f"(y, b) must be bits, got ({y!r}, {b!r})"
+        assert str(raised.value) == f"{message} outside range(0, 2)"
 
     @settings(max_examples=50, deadline=None)
     @given(interior_targets())
@@ -476,12 +486,11 @@ class TestPosteriorSupports:
     )
     def test_match_bob_posterior(self, target, rng, with_split, flip_outputs, flip_inputs):
         relabeling = bx.Relabeling(flip_outputs=flip_outputs, flip_inputs=flip_inputs)
+        relabeled = relabeling.on_target(target)
         split = None
         if with_split:
-            split = relabeling.on_nonlocal_ensemble(
-                random_blind_split(rng, bx.plan_blind_steering(target).ensemble)
-            )
-        plan = bx.plan_blind_steering(relabeling.on_target(target), split)
+            split = random_blind_split(rng, bx.plan_blind_steering(relabeled).ensemble)
+        plan = bx.plan_blind_steering(relabeled, split)
         assert plan.report.canonical_target == target
         assert plan.report.posterior_supports == expected_supports(plan.ensemble)
 

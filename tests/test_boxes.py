@@ -122,6 +122,27 @@ class TestSBox:
         with pytest.raises(bx.ValidationError):
             bx.SBox(2, 0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,message",
+        [
+            (2, 0, "alpha=2"),
+            (1.0, 0, "alpha=1.0"),
+            (0, True, "beta=True"),
+            (0, -1, "beta=-1"),
+        ],
+    )
+    def test_bits_are_ints(self, alpha, beta, message):
+        # a bit is an int, never a bool or a float: no coercion to SBox(1, 0)
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.SBox(alpha, beta)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+
+    @pytest.mark.parametrize("x", [1.0, True, 2, "1"])
+    def test_output_needs_a_bit(self, x):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.SBox(0, 1).output(x)
+        assert str(raised.value) == f"x={x!r} outside range(0, 2)"
+
 
 def signalling_box():
     # p(ab|xy) = [a=y][b=0]: Alice's marginal tracks Bob's input
@@ -198,6 +219,29 @@ class TestPRBox:
             supported = (a ^ b) == pr.parity(x, y)
             assert (box.prob(x, y, a, b) > 0) == supported
 
+    @pytest.mark.parametrize(
+        "abd,message",
+        [
+            ((0.0, 1, 0), "alpha=0.0"),
+            ((0, True, 0), "beta=True"),
+            ((0, 0, 2), "delta=2"),
+        ],
+    )
+    def test_bad_bits_rejected(self, abd, message):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.PRBox(*abd)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [(2, 0, "x=2"), (0, 3, "y=3"), (1.0, 0, "x=1.0"), (0, False, "y=False")],
+    )
+    def test_parity_needs_bits(self, x, y, message):
+        # (2 XOR 0) & (0 XOR 0) would otherwise read as parity 0
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.PRBox(0, 0, 0).parity(x, y)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+
 
 class TestProductBox:
     def test_products_cannot_signal(self):
@@ -258,6 +302,7 @@ class TestMarginalsAndConditioning:
             (0, False, "b=False"),
             (2, 0, "y=2"),
             (0, -1, "b=-1"),
+            ("0", 0, "y='0'"),  # the value's repr: not read as the index 0
         ],
     )
     def test_bad_indices_rejected(self, y, b, message):

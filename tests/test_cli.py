@@ -180,6 +180,13 @@ class TestSteer:
         path = write(tmp_path / "one.json", [PR_EMERGENCE_DOC[0]])
         assert run_cli("steer", path).returncode == 2
 
+    def test_output_out_of_range_named_by_field(self, tmp_path):
+        doc = json.loads(json.dumps(PR_EMERGENCE_DOC))
+        doc[1]["members"][0]["f"] = [0, 2]
+        result = run_cli("steer", write(tmp_path / "bad.json", doc))
+        assert result.returncode == 2
+        assert result.stderr == "error: f[1]=2 outside range(0, 2)\n"
+
 
 class TestVerify:
     def test_valid_pair(self, tmp_path):
@@ -359,6 +366,18 @@ class TestSimulate:
         assert "not valid JSON: Exceeds the limit" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("field", ["ij", "abd"])
+    @pytest.mark.parametrize("value", [True, 1.0, 2])
+    def test_non_bit_field_rejected(self, tmp_path, field, value):
+        doc = json.loads(json.dumps(CANONICAL_ENSEMBLE_DOC))
+        member = doc["products"][0] if field == "ij" else doc["prs"][0]
+        member[field][1] = value
+        path = write(tmp_path / "ensemble.json", doc)
+        result = run_cli("simulate", path, "--rounds", "10")
+        assert result.returncode == 2
+        assert result.stderr == f"error: {field}[1]={value!r} outside range(0, 2)\n"
+        assert result.stdout == ""
+
     def test_zero_rounds_rejected(self, tmp_path):
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         assert run_cli("simulate", path, "--rounds", "0").returncode == 2
@@ -471,6 +490,18 @@ class TestAudit:
         assert result.returncode == 2
         assert result.stderr.startswith("error: log line 7: Exceeds the limit")
         assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_non_bit_input_rejected(self, tmp_path):
+        logs, ensemble = self.run_simulation(tmp_path)
+        lines = logs.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["x"] = True
+        lines[3] = json.dumps(record, sort_keys=True)
+        logs.write_text("\n".join(lines) + "\n")
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 2
+        assert result.stderr == "error: x=True outside range(0, 2)\n"
         assert result.stdout == ""
 
     def test_non_utf8_log_file(self, tmp_path):

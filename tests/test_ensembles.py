@@ -66,6 +66,15 @@ class TestEnsembleConstruction:
         with pytest.raises(bx.ValidationError):
             bx.Ensemble.from_strategies(pairs, 2)
 
+    @pytest.mark.parametrize(
+        "strategy,message",
+        [((0, 2), "f[1]=2"), ((True, 0), "f[0]=True"), ((0, 1.0), "f[1]=1.0")],
+    )
+    def test_strategy_value_named_by_field(self, strategy, message):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.Ensemble.from_strategies(((F(1), strategy),), 2)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+
     def test_duplicates_merged_and_zeros_dropped(self):
         e = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 0)), (F(0), (1, 1)))
         assert e.cardinality == 1
@@ -207,6 +216,26 @@ class TestConstituentAfterMeasurement:
         m = bx.PRMember(F(1), bx.PRBox(*abd))
         assert bx.constituent_after_measurement(m, y, b) == bx.SBox(*expected)
 
+    @pytest.mark.parametrize(
+        "pr,y,b,message",
+        [
+            (True, 0.5, 0, "y=0.5"),
+            (True, 0, 2, "b=2"),
+            (False, 5, 7, "y=5"),
+            (False, 0, True, "b=True"),
+        ],
+    )
+    def test_non_bits_rejected(self, pr, y, b, message):
+        # checked for both member kinds, before any parameter is read
+        m = (
+            bx.PRMember(F(1), bx.PRBox(0, 0, 0))
+            if pr
+            else bx.ProductMember(F(1), bx.SBox(0, 1), bx.SBox(0, 0))
+        )
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.constituent_after_measurement(m, y, b)
+        assert str(raised.value) == f"{message} outside range(0, 2)"
+
     def test_matches_table_conditioning(self):
         # bit-algebra route equals the conditioning route on all 24
         # vertices, at every (y, b) Bob can see
@@ -267,7 +296,7 @@ class TestPosteriorAliceEnsemble:
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         with pytest.raises(bx.ValidationError) as raised:
             bx.posterior_alice_reduction(e, y)
-        assert str(raised.value) == f"y must be 0 or 1, got {y!r}"
+        assert str(raised.value) == f"y={y!r} outside range(0, 2)"
 
     @settings(max_examples=80, deadline=None)
     @given(nonlocal_ensembles())
