@@ -46,9 +46,9 @@ everything else off those records and the members, without mixing a
 two-party box: Alice's marginal is p(a|x) = sum of w * [S(x) = a] over
 the S-box weights of a reduction (the two records of a PR member give
 complementary outputs, so each gets half its weight); Bob sees outcome
-b on input y iff the ensemble has a PR member or a product member whose
-Bob factor outputs b at y; and his posterior after b holds every product
-record's S box and the S boxes of the PR records for b.
+b on input y iff some member's cells at x = 0 hold b; and his posterior
+after b holds every product record's S box and the S boxes of the PR
+records for b.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .boxes import LocalBox, PRBox, SBox, _require_index, as_prob
+from .boxes import PRBox, SBox, _require_index, as_prob
 from .ensembles import (
     AliceReduction,
     Ensemble,
@@ -93,15 +93,6 @@ class TargetState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", as_prob(self.s))
         object.__setattr__(self, "t", as_prob(self.t))
-
-    def to_box(self) -> LocalBox:
-        return LocalBox(((self.s, 1 - self.s), (self.t, 1 - self.t)))
-
-    @classmethod
-    def from_box(cls, box: LocalBox) -> "TargetState":
-        if box.num_inputs != 2 or box.num_outputs != 2:
-            raise ValidationError("target state requires a 2-input/2-output box")
-        return cls(box.prob(0, 0), box.prob(1, 0))
 
     @property
     def in_canonical_region(self) -> bool:
@@ -288,13 +279,14 @@ def _alice_marginal(
 
 
 def _bob_sees(ensemble: NonlocalEnsemble, y: int, b: int) -> bool:
-    """Whether Bob's outcome ``b`` on input ``y`` has positive probability.
-
-    A PR member gives each outcome half its weight, a product member all
-    of it to the outcome its Bob factor gives at ``y``; merged member
-    weights are positive.
-    """
-    return bool(ensemble.prs) or any(m.bob.output(y) == b for m in ensemble.products)
+    """Whether some member's cells at x = 0 hold Bob's outcome ``b`` on
+    input ``y`` (merged weights are positive).  Last to first, so that a
+    PR member, which allows both outcomes, answers before the products."""
+    for m in reversed(ensemble.members):
+        for _, cell_b in m.cells(0, y):
+            if cell_b == b:
+                return True
+    return False
 
 
 def _posterior_supports(reduction: AliceReduction) -> tuple[tuple[str, ...], ...]:

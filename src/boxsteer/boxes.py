@@ -18,7 +18,8 @@ Special families used throughout the package:
 * the four reversible single-bit strategies ``a = alpha*x XOR beta``
   (:class:`SBox`),
 * the eight extremal nonlocal correlations with
-  ``a XOR b = (x XOR alpha)(y XOR beta) XOR delta`` (:class:`PRBox`).
+  ``a XOR b = (x XOR alpha)(y XOR beta) XOR delta`` (:class:`PRBox`),
+  uniform on the two outcomes :meth:`PRBox.cells` names per input pair.
 """
 
 from __future__ import annotations
@@ -286,17 +287,16 @@ class PRBox:
             & (_require_index("y", y, 2) ^ self.beta)
         ) ^ self.delta
 
+    def cells(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        """The two outcomes (a, b) with ``a XOR b`` = parity, equally likely."""
+        p = self.parity(x, y)
+        return (0, p), (1, 1 ^ p)
+
     def as_bipartite_box(self) -> BipartiteBox:
         table = tuple(
             tuple(
-                tuple(
-                    tuple(
-                        _HALF if (a ^ b) == self.parity(x, y) else Fraction(0)
-                        for b in (0, 1)
-                    )
-                    for a in (0, 1)
-                )
-                for y in (0, 1)
+                tuple(tuple(_HALF * ((a, b) in cells) for b in (0, 1)) for a in (0, 1))
+                for cells in (self.cells(x, 0), self.cells(x, 1))
             )
             for x in (0, 1)
         )

@@ -207,6 +207,10 @@ class ProductMember:
     def label(self) -> str:
         return f"{self.alice.label}x{self.bob.label}"
 
+    def cells(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        """The one outcome (a, b) the two S boxes give on (x, y)."""
+        return ((self.alice.output(x), self.bob.output(y)),)
+
 
 @dataclass(frozen=True)
 class PRMember:
@@ -223,6 +227,9 @@ class PRMember:
     @property
     def label(self) -> str:
         return self.box.label
+
+    def cells(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        return self.box.cells(x, y)
 
 
 Member = Union[ProductMember, PRMember]
@@ -307,24 +314,19 @@ class NonlocalEnsemble:
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     """The two-party box realized by the ensemble.
 
-    Built from the vertex formulas: on every input pair (x, y) a product
-    member puts its weight on the one cell its two S boxes output, and a
-    PR member puts half its weight on each of the two cells with
-    ``a XOR b`` equal to its parity.
+    Built from the vertex formula: on every input pair (x, y) each
+    member spreads its weight evenly over the outcomes its ``cells``
+    allow, one for a product and two for a PR member.
     """
     acc = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for m in ensemble.products:
-        for x in range(2):
-            a = m.alice.output(x)
-            for y in range(2):
-                acc[x][y][a][m.bob.output(y)] += m.weight
-    for m in ensemble.prs:
-        half = m.weight / 2
+    for m in ensemble.members:
         for x in range(2):
             for y in range(2):
-                parity = m.box.parity(x, y)
-                for a in range(2):
-                    acc[x][y][a][a ^ parity] += half
+                cells = m.cells(x, y)
+                # a product's weight is kept: Fraction / 1 still normalizes
+                share = m.weight if len(cells) == 1 else m.weight / len(cells)
+                for a, b in cells:
+                    acc[x][y][a][b] += share
     return BipartiteBox(acc)
 
 

@@ -167,13 +167,13 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     weight = max(Fraction(0), (abs(chsh) - 2) / 2)
     # the local remainder, unnormalized, by the numbers that fix it: its
     # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0); the PR vertex has
-    # uniform marginals and p(00|xy) = 1/2 where it forces a XOR b = 0
+    # uniform marginals and p(00|xy) = 1/2 where its cells hold (0, 0)
     half, t = weight / 2, box.table
     t0, t1 = _glued_triangles(
         1 - weight,
         [t[x][0][0][0] + t[x][0][0][1] - half for x in (0, 1)],
         [t[0][y][0][0] + t[0][y][1][0] - half for y in (0, 1)],
-        [[t[x][y][0][0] - (0 if pr.parity(x, y) else half) for y in (0, 1)]
+        [[t[x][y][0][0] - (half if (0, 0) in pr.cells(x, y) else 0) for y in (0, 1)]
          for x in (0, 1)],
     )
     products = []

@@ -2,10 +2,11 @@
 
 Each round the Referee draws a member of the declared ensemble, the
 players draw inputs (x, y) from the input policy, and outcomes (a, b)
-are sampled from the member's vertex formula.  The Referee then names
-Alice's resulting constituent by the parity-relation rule
-(:func:`constituent_after_measurement`); a round is logged with it as
-both the Referee's inference and Alice's actual constituent.
+are drawn uniformly from the ones the member allows on (x, y), its
+``cells``.  The Referee then names Alice's resulting constituent by the
+parity-relation rule (:func:`constituent_after_measurement`); a round is
+logged with it as both the Referee's inference and Alice's actual
+constituent.
 
 Randomness scheme: one substream per round.  Round ``r`` of a run with
 seed ``s`` uses ``numpy.random.default_rng([s, r])``, i.e. a fresh
@@ -25,8 +26,10 @@ frequencies and test statistics.
 
 A log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
-(:class:`LogTally`).  Rounds are drawn (:func:`sample_rounds`) and
-counted one at a time, so a log can be streamed without being held.
+(:class:`LogTally`); the audit flags each round whose member does not
+allow its (a, b) on (x, y) or imply its constituents.  Rounds are drawn
+(:func:`sample_rounds`) and counted one at a time, so a log can be
+streamed without being held.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .boxes import SBox, _is_index, as_prob
 from .ensembles import (
     Member,
     NonlocalEnsemble,
-    ProductMember,
     constituent_after_measurement,
     posterior_alice_reduction,
 )
@@ -253,13 +255,10 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
 
 def _vertex_row(member: Member, x: int, y: int) -> list[Fraction]:
     """The member's vertex table p(ab|xy) on (x, y), for (a, b) in PAIRS:
-    a product vertex gives [a = f_A(x)] [b = f_B(y)], a PR vertex gives
-    1/2 [a XOR b = parity(x, y)]."""
-    if isinstance(member, ProductMember):
-        cell = (member.alice.output(x), member.bob.output(y))
-        return [Fraction(pair == cell) for pair in PAIRS]
-    parity = member.box.parity(x, y)
-    return [Fraction(a ^ b == parity, 2) for a, b in PAIRS]
+    uniform on the outcomes its ``cells`` allow."""
+    cells = member.cells(x, y)
+    p = Fraction(1, len(cells))
+    return [p if pair in cells else Fraction(0) for pair in PAIRS]
 
 
 def sample_rounds(
@@ -350,7 +349,8 @@ _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
     alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
-    member exists and implies the recorded constituent for the round's
+    member exists, x, y, a, b are bits, its ``cells`` on (x, y) allow (a,
+    b), and the inference and the constituent are the one it implies for
     (y, b)) runs once per distinct cell; the round loop makes one lookup,
     counts, and keeps the first 20 offending round ids in log order."""
 
@@ -373,11 +373,16 @@ class LogTally:
             self.mismatch_rounds.append(log.round_id)
 
     def _breaks_rule(self, cell: tuple) -> bool:
-        member_id, _, y, _, b, _, actual = cell
+        member_id, x, y, a, b, inference, actual = cell
         members = self.ensemble.members
-        if not 0 <= member_id < len(members):
+        # the fields first: a bad one is a mismatch, not an error from cells
+        sizes = (len(members), 2, 2, 2, 2)
+        if not all(_is_index(v) and 0 <= v < n for v, n in zip(cell, sizes)):
             return True
-        return constituent_after_measurement(members[member_id], y, b) != actual
+        member = members[member_id]
+        return (a, b) not in member.cells(x, y) or not (
+            inference == actual == constituent_after_measurement(member, y, b)
+        )
 
     def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
         """Rounds by the cell fields at ``group``, then at ``value``: groups

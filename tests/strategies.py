@@ -60,14 +60,17 @@ def nonlocal_ensembles(draw, max_denominator: int = 16):
     return bx.NonlocalEnsemble(products, prs)
 
 
-def vertex_ensembles():
+def catalog_ensembles() -> list[bx.NonlocalEnsemble]:
     """Single-member ensembles, one per catalog vertex: 16 products, 8 PRs."""
     one = Fraction(1)
-    ensembles = [
+    return [
         bx.NonlocalEnsemble((bx.ProductMember(one, alice, bob),), ())
         for alice, bob in bx.catalog_products()
     ] + [bx.NonlocalEnsemble((), (bx.PRMember(one, pr),)) for pr in bx.catalog_prs()]
-    return st.sampled_from(ensembles)
+
+
+def vertex_ensembles():
+    return st.sampled_from(catalog_ensembles())
 
 
 @st.composite
@@ -163,10 +166,29 @@ def random_blind_split(rng: random.Random, ensemble: bx.NonlocalEnsemble) -> bx.
 
 
 def member_box(member: bx.Member) -> bx.BipartiteBox:
-    """A member's vertex table: the product of its two S boxes, or its PR box."""
-    if isinstance(member, bx.PRMember):
-        return member.box.as_bipartite_box()
-    return bx.product_box(member.alice.as_local_box(), member.bob.as_local_box())
+    """A member's vertex table, written out rather than read off its
+    ``cells``: the product of its two S boxes' tables, or 1/2 on each
+    (a, b) with a XOR b equal to its PR box's parity."""
+    if isinstance(member, bx.ProductMember):
+        return bx.product_box(member.alice.as_local_box(), member.bob.as_local_box())
+    parity, half = member.box.parity, Fraction(1, 2)
+    return bx.BipartiteBox(tuple(
+        tuple(
+            tuple(tuple(half * (a ^ b == parity(x, y)) for b in BITS) for a in BITS)
+            for y in BITS
+        )
+        for x in BITS
+    ))
+
+
+def target_box(target: bx.TargetState) -> bx.LocalBox:
+    """Alice's table p(a|x) for the announced state (s, t)."""
+    return bx.LocalBox(((target.s, 1 - target.s), (target.t, 1 - target.t)))
+
+
+def target_from_box(box: bx.LocalBox) -> bx.TargetState:
+    """The state (s, t) = (p(0|x=0), p(0|x=1)) of a 2-input/2-output box."""
+    return bx.TargetState(box.prob(0, 0), box.prob(1, 0))
 
 
 def catalog_boxes() -> list[bx.BipartiteBox]:

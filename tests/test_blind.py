@@ -16,6 +16,8 @@ from strategies import (
     product_only_ensembles,
     random_blind_split,
     realizes,
+    target_box,
+    target_from_box,
     vertex_ensembles,
 )
 
@@ -42,7 +44,7 @@ class TestTargetState:
         assert not bx.TargetState(F(3, 4), HALF).in_canonical_region
 
     def test_box_round_trip(self):
-        assert bx.TargetState.from_box(CANONICAL.to_box()) == CANONICAL
+        assert target_from_box(target_box(CANONICAL)) == CANONICAL
 
     def test_rejects_floats(self):
         with pytest.raises(bx.ValidationError):
@@ -125,8 +127,8 @@ class TestTriangles:
 
     def test_both_realize_target(self):
         report = bx.plan_blind_steering(CANONICAL).report
-        assert realizes(report.expected_upper, CANONICAL.to_box())
-        assert realizes(report.expected_lower, CANONICAL.to_box())
+        assert realizes(report.expected_upper, target_box(CANONICAL))
+        assert realizes(report.expected_lower, target_box(CANONICAL))
 
     def test_vertex_target_collapses(self):
         target = bx.TargetState(F(0), F(0))
@@ -175,8 +177,8 @@ class TestTriangles:
         report = bx.plan_blind_steering(target).report
         assert weights_of(report.expected_upper) == positive(upper)
         assert weights_of(report.expected_lower) == positive(lower)
-        assert realizes(report.expected_upper, target.to_box())
-        assert realizes(report.expected_lower, target.to_box())
+        assert realizes(report.expected_upper, target_box(target))
+        assert realizes(report.expected_lower, target_box(target))
 
 
 def aggregates(plan):
@@ -534,8 +536,8 @@ class TestClosedFormOracles:
     def test_marginal_check(self, ensemble, target, own_marginal):
         marginal = bx.alice_marginal(bx.mix_nonlocal(ensemble))
         if own_marginal and marginal.prob(0, 0) + marginal.prob(1, 0) != 1:
-            target = bx.TargetState.from_box(marginal)
-        if marginal == target.to_box():
+            target = target_from_box(marginal)
+        if marginal == target_box(target):
             expected = bx.CheckResult("alice_marginal", True)
         else:
             expected = bx.CheckResult(

@@ -56,7 +56,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.4.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.5.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 

@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
 import boxsteer as bx
+from boxsteer import simulate
 from strategies import (
+    catalog_ensembles,
     closed_form_reduction,
     det_box,
     ensemble_weight_map,
@@ -193,6 +196,24 @@ class TestMixNonlocal:
         marginal = bx.alice_marginal(box)
         assert marginal.prob(0, 0) == F(1, 4)
         assert marginal.prob(1, 0) == HALF
+
+
+class TestVertexCells:
+    @pytest.mark.parametrize(
+        "ensemble", catalog_ensembles(), ids=lambda e: e.members[0].label
+    )
+    def test_cells_row_and_mix_match_written_table(self, ensemble):
+        # every reader of ``cells`` against the table written in the
+        # tests, on all four (x, y)
+        member = ensemble.members[0]
+        table = member_box(member).table
+        mixed = bx.mix_nonlocal(ensemble)
+        pairs = list(itertools.product(BITS, BITS))
+        for x, y in pairs:
+            row = [table[x][y][a][b] for a, b in pairs]
+            assert member.cells(x, y) == tuple(p for p, w in zip(pairs, row) if w)
+            assert simulate._vertex_row(member, x, y) == row
+            assert mixed.table[x][y] == table[x][y]
 
 
 class TestConstituentAfterMeasurement:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from strategies import local_boxes, nonlocal_ensembles, rationals
+from strategies import local_boxes, nonlocal_ensembles, rationals, target_box
 
 BITS = (0, 1)
 
@@ -69,7 +69,7 @@ class TestFractions:
 
 class TestLocalBox:
     def test_frozen_form(self):
-        box = CANONICAL.to_box()
+        box = target_box(CANONICAL)
         doc = reload(bx.local_box_to_json(box))
         assert doc == {
             "X": 2,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import boxsteer as bx
 from boxsteer import simulate
 from boxsteer.simulate import sample_rounds
-from strategies import member_box, nonlocal_ensembles, weight_vectors
+from strategies import catalog_ensembles, member_box, nonlocal_ensembles, weight_vectors
 
 BITS = (0, 1)
 
@@ -195,11 +195,6 @@ def _reference_rounds(ensemble, rounds, seed, policy):
 
 ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128]
 
-SINGLE_VERTEX = [
-    bx.NonlocalEnsemble((bx.ProductMember(F(1), alice, bob),), ())
-    for alice, bob in bx.catalog_products()
-] + [bx.NonlocalEnsemble((), (bx.PRMember(F(1), pr),)) for pr in bx.catalog_prs()]
-
 
 class TestBlockSampler:
     @settings(max_examples=40, deadline=None)
@@ -223,7 +218,9 @@ class TestBlockSampler:
         for c, t in zip(itertools.accumulate(weights), simulate._thresholds(weights)):
             assert F(t - 1, 2**53) < c <= F(t, 2**53)
 
-    @pytest.mark.parametrize("ensemble", SINGLE_VERTEX, ids=lambda e: e.members[0].label)
+    @pytest.mark.parametrize(
+        "ensemble", catalog_ensembles(), ids=lambda e: e.members[0].label
+    )
     def test_matches_reference_on_every_vertex(self, ensemble):
         # the formula thresholds against the reference's table of the
         # vertex's own box, on every input pair
@@ -295,6 +292,34 @@ class TestRefereeAudit:
         verdict = bx.referee_audit(logs, e)
         assert not verdict.passed
         assert logs[victim].round_id in verdict.mismatch_rounds
+
+    @pytest.mark.parametrize(
+        "on_pr, field, tampered",
+        [
+            (True, "x", lambda log: 2),
+            (True, "a", lambda log: 1 - log.a),
+            (False, "a", lambda log: 1 - log.a),
+            (False, "b", lambda log: 1 - log.b),
+            (True, "referee_inference", lambda log: bx.SBox(
+                log.referee_inference.alpha, 1 - log.referee_inference.beta
+            )),
+        ],
+        ids=["x_not_a_bit", "pr_a", "product_a", "product_b", "inference"],
+    )
+    def test_round_no_vertex_produces_detected(self, on_pr, field, tampered):
+        # one round that the member drawn could not have produced; the
+        # constituent its (y, b) implies is unchanged
+        e = canonical_ensemble()
+        _, logs = bx.run_protocol(e, rounds=500, seed=4)
+        victim = next(
+            i for i, log in enumerate(logs)
+            if isinstance(e.members[log.member_id], bx.PRMember) == on_pr
+        )
+        logs[victim] = dataclasses.replace(logs[victim], **{field: tampered(logs[victim])})
+        verdict = bx.referee_audit(logs, e)
+        assert not verdict.passed
+        assert verdict.mismatch_count == 1
+        assert verdict.mismatch_rounds == (victim,)
 
     def test_corrupted_constituent_detected(self):
         e = canonical_ensemble()
@@ -418,8 +443,9 @@ class TestRefereeAudit:
         assert bx.referee_audit([logs[0]] * 2, e) == tally.verdict()
 
     def test_tally_matches_per_round_oracle(self):
-        # reference: the per-round loops the tally replaced, on a log
-        # with out-of-range members, swapped constituents and reordering
+        # reference: per-round loops over the rule, on a log with
+        # out-of-range members, non-bit inputs, flipped outcomes, swapped
+        # inferences and constituents, and reordering
         e = canonical_ensemble()
         _, logs = bx.run_protocol(e, rounds=1500, seed=17)
         logs = logs[::-1]
@@ -428,14 +454,27 @@ class TestRefereeAudit:
         for i in range(5, 1500, 53):
             old = logs[i].alice_actual
             logs[i] = dataclasses.replace(logs[i], alice_actual=bx.SBox(old.alpha, old.beta ^ 1))
+        for i in range(9, 1500, 61):
+            logs[i] = dataclasses.replace(logs[i], x=2 + i % 2)
+        for i in range(13, 1500, 43):
+            logs[i] = dataclasses.replace(logs[i], a=logs[i].a ^ 1)
+        for i in range(17, 1500, 59):
+            old = logs[i].referee_inference
+            logs[i] = dataclasses.replace(logs[i], referee_inference=bx.SBox(old.alpha ^ 1, old.beta))
         members = e.members
-        offending = [
-            log.round_id
-            for log in logs
-            if not 0 <= log.member_id < len(members)
-            or bx.constituent_after_measurement(members[log.member_id], log.y, log.b)
-            != log.alice_actual
-        ]
+
+        def offends(log):
+            if not 0 <= log.member_id < len(members):
+                return True
+            if not {log.x, log.y, log.a, log.b} <= {0, 1}:
+                return True
+            member = members[log.member_id]
+            implied = bx.constituent_after_measurement(member, log.y, log.b)
+            return member_box(member).prob(log.x, log.y, log.a, log.b) == 0 or not (
+                log.referee_inference == log.alice_actual == implied
+            )
+
+        offending = [log.round_id for log in logs if offends(log)]
         verdict = bx.referee_audit(logs, e)
         assert verdict.mismatch_count == len(offending) > 20
         assert verdict.mismatch_rounds == tuple(offending[:20])
