@@ -3,7 +3,8 @@ hidden-constituent (blind) steering, exact vertex decomposition, and a
 seeded protocol simulator with a verifying Referee.
 
 All probabilities are exact rationals (`fractions.Fraction`); floats
-only ever appear in empirical frequencies and test statistics.
+only ever appear in empirical frequencies and test statistics.  The
+JSON and NDJSON formats live in :mod:`boxsteer.serialize`.
 """
 
 from .blind import (
@@ -26,10 +27,8 @@ from .boxes import (
     alice_marginal,
     as_prob,
     bob_outcome_distribution,
-    condition_on_bob,
     is_no_signalling,
     no_signalling_violations,
-    product_box,
 )
 from .ensembles import (
     AliceReduction,
@@ -40,7 +39,6 @@ from .ensembles import (
     ProductMember,
     ReductionRecord,
     constituent_after_measurement,
-    ensembles_equal,
     mix,
     mix_nonlocal,
     posterior_alice_reduction,
@@ -63,33 +61,6 @@ from .polytope import (
     is_local,
 )
 from .reports import CheckResult, VerificationReport
-from .serialize import (
-    audit_verdict_to_json,
-    bipartite_box_from_json,
-    bipartite_box_to_json,
-    blind_report_to_json,
-    dumps,
-    ensemble_from_json,
-    ensemble_to_json,
-    fraction_from_json,
-    fraction_to_json,
-    input_policy_from_json,
-    input_policy_to_json,
-    local_box_from_json,
-    local_box_to_json,
-    logs_from_ndjson,
-    logs_to_ndjson,
-    nonlocal_ensemble_from_json,
-    nonlocal_ensemble_to_json,
-    round_log_from_json,
-    round_log_to_json,
-    sbox_from_json,
-    sbox_to_json,
-    simulation_report_to_json,
-    target_from_json,
-    target_to_json,
-    verification_report_to_json,
-)
 from .simulate import (
     AuditVerdict,
     FrequencyCell,
@@ -101,16 +72,12 @@ from .simulate import (
 )
 from .steering import (
     SteeringState,
-    bob_identifies_constituent,
-    check_common_mixture,
-    check_conditioning,
-    check_no_signalling_box,
     construct_steering_state,
     steered_ensemble,
     verify_steering_state,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AliceReduction",
@@ -145,11 +112,6 @@ __all__ = [
     "ZeroProbabilityError",
     "alice_marginal",
     "as_prob",
-    "audit_verdict_to_json",
-    "bipartite_box_from_json",
-    "bipartite_box_to_json",
-    "blind_report_to_json",
-    "bob_identifies_constituent",
     "bob_outcome_distribution",
     "bob_posterior",
     "canonicalize",
@@ -157,48 +119,21 @@ __all__ = [
     "catalog_labels",
     "catalog_products",
     "catalog_prs",
-    "check_common_mixture",
-    "check_conditioning",
-    "check_no_signalling_box",
-    "condition_on_bob",
     "constituent_after_measurement",
     "construct_steering_state",
     "decompose",
-    "dumps",
-    "ensemble_from_json",
-    "ensemble_to_json",
-    "ensembles_equal",
-    "fraction_from_json",
-    "fraction_to_json",
-    "input_policy_from_json",
-    "input_policy_to_json",
     "is_local",
     "is_no_signalling",
-    "local_box_from_json",
-    "local_box_to_json",
-    "logs_from_ndjson",
-    "logs_to_ndjson",
     "lower_triangle_weights",
     "mix",
     "mix_nonlocal",
     "no_signalling_violations",
-    "nonlocal_ensemble_from_json",
-    "nonlocal_ensemble_to_json",
     "plan_blind_steering",
     "posterior_alice_reduction",
-    "product_box",
     "referee_audit",
-    "round_log_from_json",
-    "round_log_to_json",
     "run_protocol",
-    "sbox_from_json",
-    "sbox_to_json",
-    "simulation_report_to_json",
     "steered_ensemble",
-    "target_from_json",
-    "target_to_json",
     "upper_triangle_weights",
-    "verification_report_to_json",
     "verify_blind_steering",
     "verify_steering_state",
 ]

@@ -28,11 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SignallingError, ValidationError, ZeroProbabilityError
-
-Prob = Fraction
-
-_HALF = Fraction(1, 2)
+from .errors import SignallingError, ValidationError
 
 
 def as_prob(value: Fraction | int | str) -> Fraction:
@@ -234,27 +230,12 @@ class BipartiteBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[x][y][a][b]
 
-    # conditioning-heavy callers re-ask for the same box many times, so
+    # each marginal re-asks for the scan of the same box, so
     # the scan is kept on the instance (a cache keyed by the table would
     # hash every exact entry again on each lookup)
     @functools.cached_property
     def _no_signalling_problems(self) -> tuple[str, ...]:
         return _no_signalling_scan(self)
-
-
-def product_box(alice: LocalBox, bob: LocalBox) -> BipartiteBox:
-    """Uncorrelated pair: p(ab|xy) = p(a|x) * p(b|y)."""
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(alice.prob(x, a) * bob.prob(y, b) for b in range(bob.num_outputs))
-                for a in range(alice.num_outputs)
-            )
-            for y in range(bob.num_inputs)
-        )
-        for x in range(alice.num_inputs)
-    )
-    return BipartiteBox(table)
 
 
 @dataclass(frozen=True)
@@ -292,19 +273,9 @@ class PRBox:
         p = self.parity(x, y)
         return (0, p), (1, 1 ^ p)
 
-    def as_bipartite_box(self) -> BipartiteBox:
-        table = tuple(
-            tuple(
-                tuple(tuple(_HALF * ((a, b) in cells) for b in (0, 1)) for a in (0, 1))
-                for cells in (self.cells(x, 0), self.cells(x, 1))
-            )
-            for x in (0, 1)
-        )
-        return BipartiteBox(table)
-
 
 # ---------------------------------------------------------------------------
-# marginals and conditioning
+# marginals and the no-signalling scan
 # ---------------------------------------------------------------------------
 
 
@@ -373,21 +344,3 @@ def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
         sum(box.table[0][y][a][b] for a in range(A))
         for b in range(box.num_outputs_bob)
     )
-
-
-def condition_on_bob(box: BipartiteBox, y: int, b: int) -> LocalBox:
-    """Alice's conditional box p(a|x; y,b) after Bob measured y and saw b."""
-    _require_no_signalling(box, "condition_on_bob")
-    _require_index("y", y, box.num_inputs_bob)
-    _require_index("b", b, box.num_outputs_bob)
-    A = box.num_outputs_alice
-    p_b = sum(box.table[0][y][a][b] for a in range(A))
-    if p_b == 0:
-        raise ZeroProbabilityError(
-            f"p(b={b}|y={y}) = 0: conditional state undefined"
-        )
-    rows = tuple(
-        tuple(box.table[x][y][a][b] / p_b for a in range(A))
-        for x in range(box.num_inputs_alice)
-    )
-    return LocalBox(rows)

@@ -19,8 +19,7 @@ Alice's side is kept as S-box weights; the :class:`Ensemble` is built
 only on request.
 
 Duplicate members are merged and zero weights dropped on construction,
-so equality of member tuples is canonical up to ordering;
-:func:`ensembles_equal` compares regardless of order.
+so equality of member tuples is canonical up to ordering.
 """
 
 from __future__ import annotations
@@ -176,13 +175,6 @@ def mix(ensemble: Ensemble) -> LocalBox:
     """The box realized by the ensemble: each member adds its weight to
     one cell per input.  Computed once and kept on the ensemble."""
     return ensemble._mixture
-
-
-def ensembles_equal(first: Ensemble, second: Ensemble) -> bool:
-    """Order-insensitive equality of merged member weights."""
-    return first.num_outputs == second.num_outputs and dict(
-        (s, w) for w, s in first.strategies
-    ) == dict((s, w) for w, s in second.strategies)
 
 
 # ---------------------------------------------------------------------------

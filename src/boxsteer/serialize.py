@@ -4,7 +4,6 @@ Probabilities travel as exact-rational strings ("3/4", "1"); JSON
 numbers are rejected on parse so floats can never leak into exact
 values.  Bits and indices are plain integers.  Layouts:
 
-  LocalBox        {"X": 2, "A": 2, "table": [["1/2", ...], ...]}
   BipartiteBox    {"X","Y","A","B","table"}; row r = x*Y + y,
                   column c = a*B + b
   Ensemble        {"X","A","members": [{"w": "1/4", "f": [a0, a1, ...]}]}
@@ -28,7 +27,7 @@ from fractions import Fraction
 from typing import Any
 
 from .blind import BlindReport, TargetState
-from .boxes import BipartiteBox, LocalBox, PRBox, SBox, _is_index, _require_index
+from .boxes import BipartiteBox, PRBox, SBox, _is_index, _require_index
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
@@ -100,28 +99,6 @@ def _bits_from_json(obj: Any, key: str, length: int) -> list[int]:
     if not isinstance(bits, list) or len(bits) != length:
         raise ValidationError(f"{key} must be a {length}-bit list")
     return [_require_index(f"{key}[{i}]", bit, 2) for i, bit in enumerate(bits)]
-
-
-def local_box_to_json(box: LocalBox) -> dict:
-    return {
-        "X": box.num_inputs,
-        "A": box.num_outputs,
-        "table": [[fraction_to_json(p) for p in row] for row in box.table],
-    }
-
-
-def local_box_from_json(obj: Any) -> LocalBox:
-    num_inputs = _index_from_json(_field(obj, "X"), "X")
-    num_outputs = _index_from_json(_field(obj, "A"), "A")
-    table = _field(obj, "table")
-    if not isinstance(table, list) or len(table) != num_inputs:
-        raise ValidationError(f"table must have {num_inputs} rows")
-    rows = []
-    for row in table:
-        if not isinstance(row, list) or len(row) != num_outputs:
-            raise ValidationError(f"each table row must have {num_outputs} entries")
-        rows.append(tuple(fraction_from_json(p) for p in row))
-    return LocalBox(tuple(rows))
 
 
 def bipartite_box_to_json(box: BipartiteBox) -> dict:
@@ -248,19 +225,6 @@ def sbox_from_json(value: Any) -> SBox:
     raise ValidationError(f"expected an S-box label like \"S01\", got {value!r}")
 
 
-def round_log_to_json(log: RoundLog) -> dict:
-    return {
-        "round_id": log.round_id,
-        "member_id": log.member_id,
-        "x": log.x,
-        "y": log.y,
-        "a": log.a,
-        "b": log.b,
-        "referee_inference": sbox_to_json(log.referee_inference),
-        "alice_actual": sbox_to_json(log.alice_actual),
-    }
-
-
 def round_log_from_json(obj: Any) -> RoundLog:
     return RoundLog(
         round_id=_index_from_json(_field(obj, "round_id"), "round_id"),
@@ -275,8 +239,10 @@ def round_log_from_json(obj: Any) -> RoundLog:
 
 
 def ndjson_line(log: RoundLog) -> str:
-    """``json.dumps(round_log_to_json(log), sort_keys=True)`` and a newline,
-    written with the keys in that order."""
+    """One round as an NDJSON line: its eight fields as a JSON object with
+    sorted keys and S boxes by label, then a newline.  Its oracle is
+    ``json.dumps(round_log_to_json(log), sort_keys=True)`` and a newline,
+    with ``round_log_to_json`` in ``tests/strategies.py``."""
     return (
         f'{{"a": {log.a}, "alice_actual": "{log.alice_actual.label}", '
         f'"b": {log.b}, "member_id": {log.member_id}, '
@@ -344,12 +310,6 @@ def verification_report_to_json(report: VerificationReport) -> dict:
 
 def target_to_json(target: TargetState) -> dict:
     return {"s": fraction_to_json(target.s), "t": fraction_to_json(target.t)}
-
-
-def target_from_json(obj: Any) -> TargetState:
-    return TargetState(
-        fraction_from_json(_field(obj, "s")), fraction_from_json(_field(obj, "t"))
-    )
 
 
 def blind_report_to_json(report: BlindReport) -> dict:

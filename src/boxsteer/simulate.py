@@ -331,10 +331,14 @@ def referee_audit(
 ) -> AuditVerdict:
     """Audit a log against the declared ensemble, in one pass over it.
 
-    Two prongs: every round's recorded constituent must match what the
-    declared member implies for that round's (y, b); and for each Bob
-    input, the empirical constituent frequencies must pass a two-sided
-    exact binomial test against the declared reduction weights.
+    A round is a mismatch unless its member exists, its x, y, a and b
+    are bits, its member's ``cells`` on (x, y) allow its (a, b), and its
+    inference and actual constituent are both the one that member
+    implies for (y, b) (:meth:`LogTally._breaks_rule`).  For each Bob
+    input, the constituent frequencies of the rounds whose fields are
+    well-typed must also pass a two-sided exact binomial test against
+    the declared reduction weights.  The log passes if it is non-empty,
+    has no mismatch and fails no test.
     """
     tally = LogTally(ensemble, significance)
     for log in logs:
@@ -346,13 +350,23 @@ _cell = attrgetter("member_id", "x", "y", "a", "b", "referee_inference", "alice_
 _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
 
 
+def _well_typed(cell: tuple) -> bool:
+    """x, y, a and b are bits, and the inference and the actual
+    constituent are S boxes."""
+    return all(_is_index(v) and 0 <= v < 2 for v in cell[_X:_B + 1]) and all(
+        isinstance(sbox, SBox) for sbox in cell[_B + 1:]
+    )
+
+
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
     alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
     member exists, x, y, a, b are bits, its ``cells`` on (x, y) allow (a,
     b), and the inference and the constituent are the one it implies for
     (y, b)) runs once per distinct cell; the round loop makes one lookup,
-    counts, and keeps the first 20 offending round ids in log order."""
+    counts, and keeps the first 20 offending round ids in log order.  A
+    cell that is not well-typed is a mismatch and stays out of the
+    frequency tests and the report's tables."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -376,8 +390,8 @@ class LogTally:
         member_id, x, y, a, b, inference, actual = cell
         members = self.ensemble.members
         # the fields first: a bad one is a mismatch, not an error from cells
-        sizes = (len(members), 2, 2, 2, 2)
-        if not all(_is_index(v) and 0 <= v < n for v, n in zip(cell, sizes)):
+        known = _is_index(member_id) and 0 <= member_id < len(members)
+        if not (known and _well_typed(cell)):
             return True
         member = members[member_id]
         return (a, b) not in member.cells(x, y) or not (
@@ -385,11 +399,14 @@ class LogTally:
         )
 
     def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
-        """Rounds by the cell fields at ``group``, then at ``value``: groups
-        sorted, values in the order the log first shows them."""
+        """Rounds of the well-typed cells by the fields at ``group``, then at
+        ``value``: groups sorted, values in the order the log first shows
+        them."""
         by_group, by_value = itemgetter(*group), itemgetter(*value)
         out: dict = {}
         for cell, (count, _) in self.cells.items():
+            if not _well_typed(cell):
+                continue
             counts = out.setdefault(by_group(cell), {})
             counts[by_value(cell)] = counts.get(by_value(cell), 0) + count
         return dict(sorted(out.items()))

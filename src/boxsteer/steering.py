@@ -13,11 +13,11 @@ strategy.  Alice's marginal is then the common mixture whatever Bob does
 the matching constituent with the right probability.  Bob's outcome
 tells him exactly which constituent Alice holds.
 
-:func:`construct_steering_state` writes that table from the strategies;
-the three proof obligations behind it are exposed as independently
-callable checks and bundled by :func:`verify_steering_state`.  The
-conditioning check compares the box with the formula entry by entry, so
-it needs no no-signalling precondition and builds no conditional box.
+:func:`construct_steering_state` writes that table from the strategies,
+and :func:`verify_steering_state` runs the three proof obligations
+behind it, one ``check_*`` function each.  The conditioning check
+compares the box with the formula entry by entry, so it needs no
+no-signalling precondition and builds no conditional box.
 """
 
 from __future__ import annotations
@@ -28,18 +28,12 @@ from typing import Sequence
 
 from .boxes import (
     BipartiteBox,
-    LocalBox,
-    _require_index,
     bob_outcome_distribution,
     deterministic_table,
     no_signalling_violations,
 )
 from .ensembles import Ensemble, _strategy_of, mix
-from .errors import (
-    IncompatibleEnsemblesError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import IncompatibleEnsemblesError, ValidationError
 from .reports import CheckResult, VerificationReport
 
 
@@ -113,22 +107,8 @@ def steered_ensemble(state: SteeringState, y: int) -> Ensemble:
     return Ensemble.from_strategies(pairs, box.num_outputs_alice)
 
 
-def bob_identifies_constituent(
-    state: SteeringState, y: int, b: int
-) -> tuple[int, LocalBox]:
-    """The constituent Bob knows Alice holds after his input y gave outcome b."""
-    _require_index("y", y, len(state.source_ensembles))
-    _require_index("b", b, state.box.num_outputs_bob)
-    ensemble = state.source_ensembles[y]
-    if b >= ensemble.cardinality:
-        raise ZeroProbabilityError(
-            f"outcome b={b} has zero weight under ensemble y={y}"
-        )
-    return b, ensemble.members[b][1]
-
-
 # ---------------------------------------------------------------------------
-# proof obligations, independently callable
+# proof obligations
 # ---------------------------------------------------------------------------
 
 

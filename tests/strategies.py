@@ -165,20 +165,39 @@ def random_blind_split(rng: random.Random, ensemble: bx.NonlocalEnsemble) -> bx.
     return bx.NonlocalEnsemble.from_weights(products=products, prs=prs)
 
 
-def member_box(member: bx.Member) -> bx.BipartiteBox:
-    """A member's vertex table, written out rather than read off its
-    ``cells``: the product of its two S boxes' tables, or 1/2 on each
-    (a, b) with a XOR b equal to its PR box's parity."""
-    if isinstance(member, bx.ProductMember):
-        return bx.product_box(member.alice.as_local_box(), member.bob.as_local_box())
-    parity, half = member.box.parity, Fraction(1, 2)
+def product_box(alice: bx.LocalBox, bob: bx.LocalBox) -> bx.BipartiteBox:
+    """Uncorrelated pair: p(ab|xy) = p(a|x) * p(b|y)."""
     return bx.BipartiteBox(tuple(
         tuple(
-            tuple(tuple(half * (a ^ b == parity(x, y)) for b in BITS) for a in BITS)
+            tuple(
+                tuple(alice.prob(x, a) * bob.prob(y, b) for b in range(bob.num_outputs))
+                for a in range(alice.num_outputs)
+            )
+            for y in range(bob.num_inputs)
+        )
+        for x in range(alice.num_inputs)
+    ))
+
+
+def pr_bipartite_box(pr: bx.PRBox) -> bx.BipartiteBox:
+    """The PR box's table, written out rather than read off its ``cells``:
+    1/2 on each (a, b) with a XOR b equal to its parity on (x, y)."""
+    half = Fraction(1, 2)
+    return bx.BipartiteBox(tuple(
+        tuple(
+            tuple(tuple(half * (a ^ b == pr.parity(x, y)) for b in BITS) for a in BITS)
             for y in BITS
         )
         for x in BITS
     ))
+
+
+def member_box(member: bx.Member) -> bx.BipartiteBox:
+    """A member's vertex table: the product of its two S boxes' tables,
+    or its PR box's."""
+    if isinstance(member, bx.ProductMember):
+        return product_box(member.alice.as_local_box(), member.bob.as_local_box())
+    return pr_bipartite_box(member.box)
 
 
 def target_box(target: bx.TargetState) -> bx.LocalBox:
@@ -194,9 +213,9 @@ def target_from_box(box: bx.LocalBox) -> bx.TargetState:
 def catalog_boxes() -> list[bx.BipartiteBox]:
     """The 24 vertex tables in catalog order: 16 products, then 8 PR boxes."""
     return [
-        bx.product_box(alice.as_local_box(), bob.as_local_box())
+        product_box(alice.as_local_box(), bob.as_local_box())
         for alice, bob in bx.catalog_products()
-    ] + [pr.as_bipartite_box() for pr in bx.catalog_prs()]
+    ] + [pr_bipartite_box(pr) for pr in bx.catalog_prs()]
 
 
 def strategy_of(box: bx.LocalBox) -> tuple[int, ...]:
@@ -229,7 +248,7 @@ def realizes(ensemble: bx.Ensemble, target: bx.LocalBox) -> bool:
 def round_trips(state: bx.SteeringState) -> bool:
     """True iff conditioning recovers every source ensemble exactly."""
     return all(
-        bx.ensembles_equal(bx.steered_ensemble(state, y), ensemble)
+        ensembles_equal(bx.steered_ensemble(state, y), ensemble)
         for y, ensemble in enumerate(state.source_ensembles)
     )
 
@@ -309,6 +328,45 @@ def random_same_mixture_case(
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def condition_on_bob(box: bx.BipartiteBox, y: int, b: int) -> bx.LocalBox:
+    """Alice's conditional box p(a|x; y,b) after Bob measured y and saw b."""
+    bx.boxes._require_no_signalling(box, "condition_on_bob")
+    bx.boxes._require_index("y", y, box.num_inputs_bob)
+    bx.boxes._require_index("b", b, box.num_outputs_bob)
+    A = box.num_outputs_alice
+    p_b = sum(box.table[0][y][a][b] for a in range(A))
+    if p_b == 0:
+        raise bx.ZeroProbabilityError(
+            f"p(b={b}|y={y}) = 0: conditional state undefined"
+        )
+    return bx.LocalBox(tuple(
+        tuple(box.table[x][y][a][b] / p_b for a in range(A))
+        for x in range(box.num_inputs_alice)
+    ))
+
+
+def ensembles_equal(first: bx.Ensemble, second: bx.Ensemble) -> bool:
+    """Order-insensitive equality of merged member weights."""
+    return first.num_outputs == second.num_outputs and dict(
+        (s, w) for w, s in first.strategies
+    ) == dict((s, w) for w, s in second.strategies)
+
+
+def round_log_to_json(log: bx.RoundLog) -> dict:
+    """A round's fields as a JSON object, S boxes by label: the oracle that
+    ``serialize.ndjson_line`` matches after ``json.dumps(..., sort_keys=True)``."""
+    return {
+        "round_id": log.round_id,
+        "member_id": log.member_id,
+        "x": log.x,
+        "y": log.y,
+        "a": log.a,
+        "b": log.b,
+        "referee_inference": log.referee_inference.label,
+        "alice_actual": log.alice_actual.label,
+    }
 
 
 def closed_form_reduction(

@@ -10,8 +10,11 @@ import time
 from fractions import Fraction as F
 
 import boxsteer as bx
+from boxsteer import serialize
 from strategies import (
     chsh_values,
+    ensembles_equal,
+    pr_bipartite_box,
     random_blind_split,
     random_nonlocal_ensemble,
     random_same_mixture_case,
@@ -49,7 +52,7 @@ def test_criterion_1_remote_preparation_suite():
             "conditioning",
         }
         for y, source in enumerate(ensembles):
-            assert bx.ensembles_equal(bx.steered_ensemble(state, y), source)
+            assert ensembles_equal(bx.steered_ensemble(state, y), source)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"200 cases took {elapsed:.2f}s, bound is 10s"
     stamp(1, "200 randomized remote preparations, exact obligations", elapsed)
@@ -71,7 +74,7 @@ def test_criterion_2_pr_box_emergence():
     for x, y, a, b in itertools.product(BITS, BITS, BITS, BITS):
         expected = F(1, 2) if (a ^ b) == (x & y) else F(0)
         assert state.box.prob(x, y, a, b) == expected
-    assert state.box == bx.PRBox(0, 0, 0).as_bipartite_box()
+    assert state.box == pr_bipartite_box(bx.PRBox(0, 0, 0))
     stamp(2, "uniform S-box pairs assemble the PR table entry by entry",
           time.perf_counter() - started)
 
@@ -106,7 +109,7 @@ def test_criterion_4_family_invariance():
             plan = bx.plan_blind_steering(target, split)
             assert plan.report.passed
             for y in BITS:
-                assert bx.ensembles_equal(
+                assert ensembles_equal(
                     bx.posterior_alice_reduction(plan.ensemble, y).ensemble,
                     expected[y],
                 )
@@ -123,7 +126,7 @@ def test_criterion_5_decomposition_round_trip_and_transition():
         assert bx.mix_nonlocal(bx.decompose(box)) == box
 
     # locality transition at the facet-oracle value, never assumed
-    pr = bx.PRBox(0, 0, 0).as_bipartite_box()
+    pr = pr_bipartite_box(bx.PRBox(0, 0, 0))
     flat = F(1, 4)
     vstar = F(2) / max(chsh_values(pr))
     assert vstar == F(1, 2)
@@ -173,7 +176,7 @@ def test_criterion_6_simulation_statistics():
 
     # same seed, same bytes
     _, again = bx.run_protocol(plan.ensemble, rounds=rounds, seed=SEED)
-    assert bx.logs_to_ndjson(again) == bx.logs_to_ndjson(logs)
+    assert serialize.logs_to_ndjson(again) == serialize.logs_to_ndjson(logs)
 
     # a single flipped outcome bit on a PR round must be caught
     pr_ids = {

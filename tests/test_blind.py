@@ -11,6 +11,8 @@ import boxsteer as bx
 from simplex_oracle import solve_nonneg_exact
 from strategies import (
     catalog_boxes,
+    condition_on_bob,
+    ensembles_equal,
     interior_targets,
     nonlocal_ensembles,
     product_only_ensembles,
@@ -246,7 +248,7 @@ def vertex_reduction_columns():
         for y in BITS:
             for b, p in enumerate(bx.bob_outcome_distribution(box, y)):
                 if p != 0:
-                    sbox = bx.SBox.from_local_box(bx.condition_on_bob(box, y, b))
+                    sbox = bx.SBox.from_local_box(condition_on_bob(box, y, b))
                     column[y, sbox.alpha, sbox.beta] += p
         columns.append(tuple(column.values()))
     return columns
@@ -326,7 +328,7 @@ class TestBuildEnsemble:
         assert plan.report.passed
         canonical = bx.plan_blind_steering(CANONICAL).ensemble
         for y in BITS:
-            assert bx.ensembles_equal(
+            assert ensembles_equal(
                 bx.posterior_alice_reduction(split, y).ensemble,
                 bx.posterior_alice_reduction(canonical, y).ensemble,
             )
@@ -462,7 +464,7 @@ def test_family_invariance(target, rng):
     plan = bx.plan_blind_steering(target, random_blind_split(rng, canonical))
     assert plan.report.passed
     for y in BITS:
-        assert bx.ensembles_equal(
+        assert ensembles_equal(
             bx.posterior_alice_reduction(plan.ensemble, y).ensemble,
             bx.posterior_alice_reduction(canonical, y).ensemble,
         )

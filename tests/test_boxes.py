@@ -7,9 +7,12 @@ from hypothesis import given, settings
 import boxsteer as bx
 from strategies import (
     all_strategies,
+    condition_on_bob,
     det_box,
     local_boxes,
     nonlocal_ensembles,
+    pr_bipartite_box,
+    product_box,
     weight_vectors,
 )
 
@@ -176,7 +179,7 @@ class TestBipartiteBox:
         assert bx.no_signalling_violations(box)
 
     def test_shape(self):
-        box = bx.PRBox(0, 0, 0).as_bipartite_box()
+        box = pr_bipartite_box(bx.PRBox(0, 0, 0))
         assert box.shape == (2, 2, 2, 2)
 
 
@@ -190,16 +193,24 @@ PR000_TABLE = {
 }
 
 
+def mixed_pr_box(alpha: int, beta: int, delta: int) -> bx.BipartiteBox:
+    """The PR box as the library writes it: a one-member ensemble's mix,
+    read off the box's ``cells``."""
+    ensemble = bx.NonlocalEnsemble.from_weights(prs={(alpha, beta, delta): 1})
+    return bx.mix_nonlocal(ensemble)
+
+
 class TestPRBox:
     def test_pr000_table_oracle(self):
-        box = bx.PRBox(0, 0, 0).as_bipartite_box()
+        box = mixed_pr_box(0, 0, 0)
+        assert box == pr_bipartite_box(bx.PRBox(0, 0, 0))
         for key, expected in PR000_TABLE.items():
             assert box.prob(*key) == expected
 
     def test_all_eight_no_signalling_and_distinct(self):
         tables = set()
         for alpha, beta, delta in itertools.product(BITS, BITS, BITS):
-            box = bx.PRBox(alpha, beta, delta).as_bipartite_box()
+            box = pr_bipartite_box(bx.PRBox(alpha, beta, delta))
             assert bx.is_no_signalling(box)
             tables.add(box.table)
         assert len(tables) == 8
@@ -207,14 +218,14 @@ class TestPRBox:
     def test_marginals_uniform(self):
         uniform = bx.LocalBox(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
         for alpha, beta, delta in itertools.product(BITS, BITS, BITS):
-            box = bx.PRBox(alpha, beta, delta).as_bipartite_box()
+            box = pr_bipartite_box(bx.PRBox(alpha, beta, delta))
             assert bx.alice_marginal(box) == uniform
             for y in BITS:
                 assert bx.bob_outcome_distribution(box, y) == (F(1, 2), F(1, 2))
 
     def test_parity_relation(self):
         pr = bx.PRBox(1, 0, 1)
-        box = pr.as_bipartite_box()
+        box = mixed_pr_box(1, 0, 1)
         for x, y, a, b in itertools.product(BITS, BITS, BITS, BITS):
             supported = (a ^ b) == pr.parity(x, y)
             assert (box.prob(x, y, a, b) > 0) == supported
@@ -246,18 +257,18 @@ class TestPRBox:
 class TestProductBox:
     def test_products_cannot_signal(self):
         for alice, bob in itertools.product(all_strategies(2, 2), repeat=2):
-            box = bx.product_box(det_box(alice, 2), det_box(bob, 2))
+            box = product_box(det_box(alice, 2), det_box(bob, 2))
             assert bx.is_no_signalling(box)
 
     def test_alice_marginal_of_product(self):
-        box = bx.product_box(
+        box = product_box(
             bx.SBox(0, 1).as_local_box(), bx.SBox(1, 0).as_local_box()
         )
         assert bx.alice_marginal(box) == bx.SBox(0, 1).as_local_box()
 
     def test_bob_distribution_point_mass(self):
         for k, l in itertools.product(BITS, BITS):
-            box = bx.product_box(
+            box = product_box(
                 bx.SBox(0, 0).as_local_box(), bx.SBox(k, l).as_local_box()
             )
             for y in BITS:
@@ -268,29 +279,29 @@ class TestProductBox:
 
     def test_conditioning_ignores_bob(self):
         alice = bx.SBox(1, 1).as_local_box()
-        box = bx.product_box(alice, bx.LocalBox(((F(1, 3), F(2, 3)), (F(1), F(0)))))
-        assert bx.condition_on_bob(box, 0, 0) == alice
-        assert bx.condition_on_bob(box, 0, 1) == alice
+        box = product_box(alice, bx.LocalBox(((F(1, 3), F(2, 3)), (F(1), F(0)))))
+        assert condition_on_bob(box, 0, 0) == alice
+        assert condition_on_bob(box, 0, 1) == alice
 
 
 class TestMarginalsAndConditioning:
     def test_pr000_conditional_is_input_echo(self):
-        box = bx.PRBox(0, 0, 0).as_bipartite_box()
-        assert bx.condition_on_bob(box, 1, 0) == bx.SBox(1, 0).as_local_box()
+        box = pr_bipartite_box(bx.PRBox(0, 0, 0))
+        assert condition_on_bob(box, 1, 0) == bx.SBox(1, 0).as_local_box()
 
     def test_zero_probability_outcome_rejected(self):
-        box = bx.product_box(
+        box = product_box(
             bx.SBox(0, 0).as_local_box(), bx.SBox(0, 0).as_local_box()
         )
         with pytest.raises(bx.ZeroProbabilityError):
-            bx.condition_on_bob(box, 0, 1)
+            condition_on_bob(box, 0, 1)
 
     def test_signalling_input_rejected(self):
         box = signalling_box()
         with pytest.raises(bx.SignallingError):
             bx.alice_marginal(box)
         with pytest.raises(bx.SignallingError):
-            bx.condition_on_bob(box, 0, 0)
+            condition_on_bob(box, 0, 0)
 
     @pytest.mark.parametrize(
         "y,b,message",
@@ -307,9 +318,9 @@ class TestMarginalsAndConditioning:
     )
     def test_bad_indices_rejected(self, y, b, message):
         # an index is an int, never a bool, inside the box's range
-        box = bx.PRBox(0, 0, 0).as_bipartite_box()
+        box = pr_bipartite_box(bx.PRBox(0, 0, 0))
         with pytest.raises(bx.ValidationError) as raised:
-            bx.condition_on_bob(box, y, b)
+            condition_on_bob(box, y, b)
         assert str(raised.value) == f"{message} outside range(0, 2)"
         if message.startswith("y"):
             with pytest.raises(bx.ValidationError) as raised:
@@ -326,7 +337,7 @@ class TestMarginalsAndConditioning:
             for x in BITS:
                 for a in BITS:
                     total = sum(
-                        dist[b] * bx.condition_on_bob(box, y, b).prob(x, a)
+                        dist[b] * condition_on_bob(box, y, b).prob(x, a)
                         for b in BITS
                         if dist[b] > 0
                     )
@@ -335,7 +346,7 @@ class TestMarginalsAndConditioning:
     @settings(max_examples=40, deadline=None)
     @given(local_boxes(2, 2), local_boxes(2, 3))
     def test_product_boxes_always_ns(self, alice, bob):
-        assert bx.is_no_signalling(bx.product_box(alice, bob))
+        assert bx.is_no_signalling(product_box(alice, bob))
 
     @settings(max_examples=30, deadline=None)
     @given(weight_vectors(4))

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 import boxsteer as bx
+from boxsteer import serialize
+from strategies import pr_bipartite_box, product_box
 
 CANONICAL_ENSEMBLE_DOC = {
     "products": [
@@ -42,12 +44,12 @@ def run_cli(*argv):
 
 
 def write(path, doc):
-    path.write_text(bx.dumps(doc))
+    path.write_text(serialize.dumps(doc))
     return str(path)
 
 
 def pr_box_path(tmp_path, alpha=0, beta=0, delta=0):
-    doc = bx.bipartite_box_to_json(bx.PRBox(alpha, beta, delta).as_bipartite_box())
+    doc = serialize.bipartite_box_to_json(pr_bipartite_box(bx.PRBox(alpha, beta, delta)))
     return write(tmp_path / f"pr{alpha}{beta}{delta}.json", doc)
 
 
@@ -56,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.5.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.6.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -152,7 +154,7 @@ class TestSteer:
         result = run_cli("steer", path, "--out", str(out))
         assert result.returncode == 0
         box_doc = json.loads((out / "box.json").read_text())
-        expected = bx.bipartite_box_to_json(bx.PRBox(0, 0, 0).as_bipartite_box())
+        expected = serialize.bipartite_box_to_json(pr_bipartite_box(bx.PRBox(0, 0, 0)))
         assert box_doc == json.loads(json.dumps(expected))
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
@@ -264,11 +266,11 @@ class TestDecompose:
             (),
         )
         box = bx.mix_nonlocal(ensemble)
-        doc = bx.bipartite_box_to_json(box)
+        doc = serialize.bipartite_box_to_json(box)
         result = run_cli("decompose", write(tmp_path / "box.json", doc))
         assert (result.returncode, result.stderr) == (0, "")
         doc = json.loads(result.stdout)["ensemble"]
-        written = bx.nonlocal_ensemble_from_json(doc)
+        written = serialize.nonlocal_ensemble_from_json(doc)
         assert bx.mix_nonlocal(written) == box
         assert all((4 * den) % m.weight.denominator == 0 for m in written.members)
 
@@ -288,10 +290,10 @@ class TestCheck:
         assert json.loads(result.stdout) == {"ns": True, "local": False}
 
     def test_product_box(self, tmp_path):
-        box = bx.product_box(
+        box = product_box(
             bx.SBox(0, 0).as_local_box(), bx.SBox(1, 1).as_local_box()
         )
-        path = write(tmp_path / "prod.json", bx.bipartite_box_to_json(box))
+        path = write(tmp_path / "prod.json", serialize.bipartite_box_to_json(box))
         result = run_cli("check", path)
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"ns": True, "local": True}
@@ -402,14 +404,15 @@ class TestSimulate:
         assert result.stdout == (
             f"wrote {out / 'report.json'}\nwrote {out / 'logs.ndjson'}\n"
         )
-        ensemble = bx.nonlocal_ensemble_from_json(CANONICAL_ENSEMBLE_DOC)
+        ensemble = serialize.nonlocal_ensemble_from_json(CANONICAL_ENSEMBLE_DOC)
         report, logs = bx.run_protocol(ensemble, rounds=300, seed=3)
-        assert (out / "logs.ndjson").read_text() == bx.logs_to_ndjson(logs)
-        assert (out / "report.json").read_text() == bx.dumps(
-            bx.simulation_report_to_json(report)
+        assert (out / "logs.ndjson").read_text() == serialize.logs_to_ndjson(logs)
+        assert (out / "report.json").read_text() == serialize.dumps(
+            serialize.simulation_report_to_json(report)
         )
         plain = run_cli("simulate", path, "--rounds", "300", "--seed", "3")
-        assert plain.stdout == bx.dumps({"report": bx.simulation_report_to_json(report)})
+        report_doc = serialize.simulation_report_to_json(report)
+        assert plain.stdout == serialize.dumps({"report": report_doc})
 
     def test_out_on_existing_file(self, tmp_path):
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)

@@ -9,11 +9,14 @@ from boxsteer import simulate
 from strategies import (
     catalog_ensembles,
     closed_form_reduction,
+    condition_on_bob,
     det_box,
     ensemble_weight_map,
+    ensembles_equal,
     local_boxes,
     member_box,
     nonlocal_ensembles,
+    pr_bipartite_box,
     product_decomposition,
     realizes,
 )
@@ -124,12 +127,12 @@ class TestEnsemblesEqual:
     def test_merge_insensitive(self):
         a = sbox_ensemble((F(1), (0, 0)))
         b = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 0)))
-        assert bx.ensembles_equal(a, b)
+        assert ensembles_equal(a, b)
 
     def test_permutation_insensitive(self):
         a = sbox_ensemble((F(1, 4), (0, 0)), (F(3, 4), (1, 1)))
         b = sbox_ensemble((F(3, 4), (1, 1)), (F(1, 4), (0, 0)))
-        assert bx.ensembles_equal(a, b)
+        assert ensembles_equal(a, b)
 
     def test_triangle_pair_differs(self):
         upper = bx.upper_triangle_weights(bx.TargetState(F(1, 4), F(1, 2)))
@@ -137,7 +140,7 @@ class TestEnsemblesEqual:
         to_ensemble = lambda ws: bx.Ensemble(
             tuple((w, s.as_local_box()) for s, w in ws.items() if w != 0)
         )
-        assert not bx.ensembles_equal(to_ensemble(upper), to_ensemble(lower))
+        assert not ensembles_equal(to_ensemble(upper), to_ensemble(lower))
 
 
 class TestNonlocalEnsemble:
@@ -171,7 +174,7 @@ class TestNonlocalEnsemble:
 class TestMixNonlocal:
     def test_singleton_pr(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
-        assert bx.mix_nonlocal(e) == bx.PRBox(0, 0, 0).as_bipartite_box()
+        assert bx.mix_nonlocal(e) == pr_bipartite_box(bx.PRBox(0, 0, 0))
 
     def test_equal_pr_mixture_is_maximally_mixed(self):
         e = bx.NonlocalEnsemble.from_weights(
@@ -270,7 +273,7 @@ class TestConstituentAfterMeasurement:
                 for outcome in BITS:
                     if bx.bob_outcome_distribution(box, y)[outcome] == 0:
                         continue
-                    conditioned = bx.condition_on_bob(box, y, outcome)
+                    conditioned = condition_on_bob(box, y, outcome)
                     assert (
                         bx.constituent_after_measurement(m, y, outcome)
                         == bx.SBox.from_local_box(conditioned)
@@ -282,11 +285,11 @@ class TestConstituentAfterMeasurement:
 class TestPosteriorAliceEnsemble:
     def test_pr000_reductions(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
-        assert bx.ensembles_equal(
+        assert ensembles_equal(
             bx.posterior_alice_reduction(e, 0).ensemble,
             sbox_ensemble((HALF, (0, 0)), (HALF, (0, 1))),
         )
-        assert bx.ensembles_equal(
+        assert ensembles_equal(
             bx.posterior_alice_reduction(e, 1).ensemble,
             sbox_ensemble((HALF, (1, 0)), (HALF, (1, 1))),
         )
@@ -294,7 +297,7 @@ class TestPosteriorAliceEnsemble:
     def test_product_member_reduction(self):
         e = bx.NonlocalEnsemble.from_weights(products={((0, 1), (0, 0)): F(1)})
         for y in BITS:
-            assert bx.ensembles_equal(
+            assert ensembles_equal(
                 bx.posterior_alice_reduction(e, y).ensemble, sbox_ensemble((F(1), (0, 1)))
             )
 

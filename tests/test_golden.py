@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 import boxsteer as bx
-from boxsteer import cli
+from boxsteer import cli, serialize
+from strategies import pr_bipartite_box
 from test_polytope import noisy_pr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,7 +62,8 @@ def test_blind_documents(capsys, s, t, stem, stderr):
 def blind_run(tmp_path, s, t, split):
     """(exit code, stdout, stderr) of ``boxsteer blind S T --split FILE``."""
     path = tmp_path / "split.json"
-    path.write_text(bx.dumps(bx.nonlocal_ensemble_to_json(split)), encoding="utf-8")
+    doc = serialize.nonlocal_ensemble_to_json(split)
+    path.write_text(serialize.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["blind", s, t, "--split", str(path)])
@@ -113,7 +115,7 @@ def test_blind_split_documents(tmp_path, name):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # the split comes back member for member, in the target's coordinates
-    assert json.loads(out)["ensemble"] == bx.nonlocal_ensemble_to_json(split)
+    assert json.loads(out)["ensemble"] == serialize.nonlocal_ensemble_to_json(split)
 
 
 # (1/2, 1/4) flips the canonical target's inputs: its product members
@@ -295,9 +297,9 @@ def simulate_digests(case):
         policy=bx.InputPolicy(POLICIES[policy]),
     )
     return {
-        "logs": hashlib.sha256(bx.logs_to_ndjson(logs).encode()).hexdigest(),
+        "logs": hashlib.sha256(serialize.logs_to_ndjson(logs).encode()).hexdigest(),
         "report": hashlib.sha256(
-            bx.dumps(bx.simulation_report_to_json(report)).encode()
+            serialize.dumps(serialize.simulation_report_to_json(report)).encode()
         ).hexdigest(),
     }
 
@@ -314,7 +316,8 @@ def tampered_verdict():
             old = log.alice_actual
             log = dataclasses.replace(log, alice_actual=bx.SBox(old.alpha ^ 1, old.beta))
         tampered.append(log)
-    return bx.dumps(bx.audit_verdict_to_json(bx.referee_audit(tampered, ensemble)))
+    verdict = bx.referee_audit(tampered, ensemble)
+    return serialize.dumps(serialize.audit_verdict_to_json(verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +336,10 @@ def ensemble_doc(num_inputs, num_outputs, *members):
 
 
 def box_doc(table):
-    return bx.bipartite_box_to_json(bx.BipartiteBox(table))
+    return serialize.bipartite_box_to_json(bx.BipartiteBox(table))
 
 
-PR_TABLE = bx.PRBox(0, 0, 0).as_bipartite_box().table
+PR_TABLE = pr_bipartite_box(bx.PRBox(0, 0, 0)).table
 # the README pair: mixing either gives the uniform state
 PR_PAIR = [
     ensemble_doc(2, 2, ("1/2", (0, 0)), ("1/2", (1, 1))),
@@ -380,10 +383,10 @@ def remote_run(stem, directory):
     argv = [command]
     if table is not None:
         box_path = directory / f"{stem}_box.json"
-        box_path.write_text(bx.dumps(box_doc(table)), encoding="utf-8")
+        box_path.write_text(serialize.dumps(box_doc(table)), encoding="utf-8")
         argv.append(str(box_path))
     ensembles_path = directory / f"{stem}_ensembles.json"
-    ensembles_path.write_text(bx.dumps(ensembles), encoding="utf-8")
+    ensembles_path.write_text(serialize.dumps(ensembles), encoding="utf-8")
     argv.append(str(ensembles_path))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -419,8 +422,8 @@ DECOMPOSE_NOISY_PR = GOLDEN / "decompose_noisy_pr.stdout"
 def decompose_stdout(directory):
     """stdout of ``boxsteer decompose`` on PR000 at visibility 1/4."""
     path = directory / "noisy_pr.json"
-    doc = bx.bipartite_box_to_json(noisy_pr(F(1, 4)))
-    path.write_text(bx.dumps(doc), encoding="utf-8")
+    doc = serialize.bipartite_box_to_json(noisy_pr(F(1, 4)))
+    path.write_text(serialize.dumps(doc), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["decompose", str(path)]) == 0

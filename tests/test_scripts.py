@@ -29,5 +29,6 @@ def test_readme_examples(capsys):
     capsys.readouterr()
     bx, state = namespace["bx"], namespace["state"]
     # the remote-preparation claims written next to the example
-    assert state.box == bx.PRBox(0, 0, 0).as_bipartite_box()
+    pr = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): 1})
+    assert state.box == bx.mix_nonlocal(pr)
     assert bx.verify_steering_state(state).passed

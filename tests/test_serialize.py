@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from strategies import local_boxes, nonlocal_ensembles, rationals, target_box
+from boxsteer import serialize
+from strategies import (
+    ensembles_equal,
+    nonlocal_ensembles,
+    pr_bipartite_box,
+    product_box,
+    rationals,
+    round_log_to_json,
+)
 
 BITS = (0, 1)
 
@@ -25,83 +33,56 @@ class TestFractions:
         "value,text", [(F(3, 4), "3/4"), (F(1), "1"), (F(0), "0"), (F(7, 100), "7/100")]
     )
     def test_frozen_forms(self, value, text):
-        assert bx.fraction_to_json(value) == text
-        assert bx.fraction_from_json(text) == value
+        assert serialize.fraction_to_json(value) == text
+        assert serialize.fraction_from_json(text) == value
 
     @settings(max_examples=100, deadline=None)
     @given(rationals(max_denominator=1000))
     def test_round_trip(self, q):
-        assert bx.fraction_from_json(bx.fraction_to_json(q)) == q
+        assert serialize.fraction_from_json(serialize.fraction_to_json(q)) == q
 
     @pytest.mark.parametrize("bad", [1, 0.5, True, None, [], {}])
     def test_numbers_rejected(self, bad):
         with pytest.raises(bx.ValidationError) as err:
-            bx.fraction_from_json(bad)
+            serialize.fraction_from_json(bad)
         if isinstance(bad, (int, float)):
             assert "JSON numbers are not accepted" in str(err.value)
 
     @pytest.mark.parametrize("bad", ["1/0", "abc", "", "3|4"])
     def test_bad_strings_rejected(self, bad):
         with pytest.raises(bx.ValidationError):
-            bx.fraction_from_json(bad)
+            serialize.fraction_from_json(bad)
 
     @pytest.mark.parametrize("literal", ["1e5000", "1e-5000", "1e4300", "-1e-4300"])
     def test_exponent_past_int_string_limit(self, literal):
         # 10**4300 has one digit more than the default limit allows
         with pytest.raises(bx.ValidationError, match="more than 4300 digits"):
-            bx.fraction_from_json(literal)
+            serialize.fraction_from_json(literal)
 
     @pytest.mark.parametrize("literal", ["1e4299", "-1e-4299"])
     def test_exponent_at_int_string_limit(self, literal):
-        value = bx.fraction_from_json(literal)
-        assert bx.fraction_from_json(bx.fraction_to_json(value)) == value
+        value = serialize.fraction_from_json(literal)
+        assert serialize.fraction_from_json(serialize.fraction_to_json(value)) == value
 
     def test_long_literal_clipped_in_message(self):
         literal = "1/" + "7" * 5000
         with pytest.raises(bx.ValidationError) as err:
-            bx.fraction_from_json(literal)
+            serialize.fraction_from_json(literal)
         assert "'1/777777777777777777...7777777777'" in str(err.value)
 
     def test_unprintable_value_rejected(self):
         with pytest.raises(bx.ValidationError, match="cannot write a rational"):
-            bx.fraction_to_json(F(1, 10**5000))
-
-
-class TestLocalBox:
-    def test_frozen_form(self):
-        box = target_box(CANONICAL)
-        doc = reload(bx.local_box_to_json(box))
-        assert doc == {
-            "X": 2,
-            "A": 2,
-            "table": [["1/4", "3/4"], ["1/2", "1/2"]],
-        }
-        assert bx.local_box_from_json(doc) == box
-
-    @settings(max_examples=60, deadline=None)
-    @given(local_boxes())
-    def test_round_trip(self, box):
-        assert bx.local_box_from_json(reload(bx.local_box_to_json(box))) == box
-
-    def test_row_count_checked(self):
-        with pytest.raises(bx.ValidationError):
-            bx.local_box_from_json({"X": 2, "A": 2, "table": [["1/2", "1/2"]]})
-
-    def test_number_entries_rejected(self):
-        with pytest.raises(bx.ValidationError):
-            bx.local_box_from_json(
-                {"X": 1, "A": 2, "table": [[0.5, 0.5]]}
-            )
+            serialize.fraction_to_json(F(1, 10**5000))
 
 
 class TestBipartiteBox:
     def test_flat_layout(self):
         # S01 x S10: a = 1 always, b = y; weight lands in row x*2+y at
         # column a*2+b = 2+y
-        box = bx.product_box(
+        box = product_box(
             bx.SBox(0, 1).as_local_box(), bx.SBox(1, 0).as_local_box()
         )
-        doc = reload(bx.bipartite_box_to_json(box))
+        doc = reload(serialize.bipartite_box_to_json(box))
         assert (doc["X"], doc["Y"], doc["A"], doc["B"]) == (2, 2, 2, 2)
         for x in BITS:
             for y in BITS:
@@ -110,31 +91,33 @@ class TestBipartiteBox:
                 assert sum(1 for v in row if v != "0") == 1
 
     def test_pr_round_trip(self):
-        box = bx.PRBox(1, 0, 1).as_bipartite_box()
-        assert bx.bipartite_box_from_json(reload(bx.bipartite_box_to_json(box))) == box
+        box = pr_bipartite_box(bx.PRBox(1, 0, 1))
+        doc = reload(serialize.bipartite_box_to_json(box))
+        assert serialize.bipartite_box_from_json(doc) == box
 
     @settings(max_examples=60, deadline=None)
     @given(nonlocal_ensembles())
     def test_mixture_round_trip(self, ensemble):
         box = bx.mix_nonlocal(ensemble)
-        assert bx.bipartite_box_from_json(reload(bx.bipartite_box_to_json(box))) == box
+        doc = reload(serialize.bipartite_box_to_json(box))
+        assert serialize.bipartite_box_from_json(doc) == box
 
     def test_row_length_checked(self):
-        doc = bx.bipartite_box_to_json(bx.PRBox(0, 0, 0).as_bipartite_box())
+        doc = serialize.bipartite_box_to_json(pr_bipartite_box(bx.PRBox(0, 0, 0)))
         doc["table"][0] = doc["table"][0][:3]
         with pytest.raises(bx.ValidationError):
-            bx.bipartite_box_from_json(doc)
+            serialize.bipartite_box_from_json(doc)
 
     def test_missing_field(self):
         with pytest.raises(bx.ValidationError) as err:
-            bx.bipartite_box_from_json({"X": 2, "Y": 2, "A": 2, "table": []})
+            serialize.bipartite_box_from_json({"X": 2, "Y": 2, "A": 2, "table": []})
         assert "'B'" in str(err.value)
 
 
 class TestEnsemble:
     def test_frozen_form(self):
         report = bx.plan_blind_steering(CANONICAL).report
-        doc = reload(bx.ensemble_to_json(report.expected_upper))
+        doc = reload(serialize.ensemble_to_json(report.expected_upper))
         assert doc["X"] == 2 and doc["A"] == 2
         members = {tuple(m["f"]): m["w"] for m in doc["members"]}
         assert members == {(0, 0): "1/4", (1, 1): "1/2", (1, 0): "1/4"}
@@ -143,31 +126,31 @@ class TestEnsemble:
         for target in (CANONICAL, bx.TargetState(F(1, 8), F(5, 8))):
             report = bx.plan_blind_steering(target).report
             for e in (report.expected_upper, report.expected_lower):
-                assert bx.ensembles_equal(
-                    bx.ensemble_from_json(reload(bx.ensemble_to_json(e))), e
+                assert ensembles_equal(
+                    serialize.ensemble_from_json(reload(serialize.ensemble_to_json(e))), e
                 )
 
     def test_strategy_length_checked(self):
         with pytest.raises(bx.ValidationError):
-            bx.ensemble_from_json(
+            serialize.ensemble_from_json(
                 {"X": 2, "A": 2, "members": [{"w": "1", "f": [0]}]}
             )
 
     def test_output_range_checked(self):
         with pytest.raises(bx.ValidationError):
-            bx.ensemble_from_json(
+            serialize.ensemble_from_json(
                 {"X": 2, "A": 2, "members": [{"w": "1", "f": [0, 2]}]}
             )
 
     def test_empty_members_rejected(self):
         with pytest.raises(bx.ValidationError):
-            bx.ensemble_from_json({"X": 2, "A": 2, "members": []})
+            serialize.ensemble_from_json({"X": 2, "A": 2, "members": []})
 
 
 class TestNonlocalEnsemble:
     def test_frozen_form(self):
         plan = bx.plan_blind_steering(CANONICAL)
-        doc = reload(bx.nonlocal_ensemble_to_json(plan.ensemble))
+        doc = reload(serialize.nonlocal_ensemble_to_json(plan.ensemble))
         assert doc == {
             "products": [
                 {"w": "1/4", "ij": [0, 1], "kl": [0, 0]},
@@ -175,43 +158,43 @@ class TestNonlocalEnsemble:
             ],
             "prs": [{"w": "1/2", "abd": [0, 0, 0]}],
         }
-        assert bx.nonlocal_ensemble_from_json(doc) == plan.ensemble
+        assert serialize.nonlocal_ensemble_from_json(doc) == plan.ensemble
 
     @settings(max_examples=60, deadline=None)
     @given(nonlocal_ensembles())
     def test_round_trip(self, ensemble):
-        doc = reload(bx.nonlocal_ensemble_to_json(ensemble))
-        assert bx.nonlocal_ensemble_from_json(doc) == ensemble
+        doc = reload(serialize.nonlocal_ensemble_to_json(ensemble))
+        assert serialize.nonlocal_ensemble_from_json(doc) == ensemble
 
     def test_weight_number_rejected(self):
         with pytest.raises(bx.ValidationError):
-            bx.nonlocal_ensemble_from_json(
+            serialize.nonlocal_ensemble_from_json(
                 {"products": [], "prs": [{"w": 1, "abd": [0, 0, 0]}]}
             )
 
     def test_abd_length_checked(self):
         with pytest.raises(bx.ValidationError):
-            bx.nonlocal_ensemble_from_json(
+            serialize.nonlocal_ensemble_from_json(
                 {"products": [], "prs": [{"w": "1", "abd": [0, 0]}]}
             )
 
     def test_missing_section(self):
         with pytest.raises(bx.ValidationError):
-            bx.nonlocal_ensemble_from_json({"products": []})
+            serialize.nonlocal_ensemble_from_json({"products": []})
 
 
 class TestSBox:
     @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_round_trip(self, alpha, beta):
         sbox = bx.SBox(alpha, beta)
-        text = bx.sbox_to_json(sbox)
+        text = serialize.sbox_to_json(sbox)
         assert text == f"S{alpha}{beta}"
-        assert bx.sbox_from_json(text) == sbox
+        assert serialize.sbox_from_json(text) == sbox
 
     @pytest.mark.parametrize("bad", ["S2x", "X00", "S0", "s01", 3, None])
     def test_bad_labels_rejected(self, bad):
         with pytest.raises(bx.ValidationError):
-            bx.sbox_from_json(bad)
+            serialize.sbox_from_json(bad)
 
 
 class TestRoundLogs:
@@ -222,7 +205,7 @@ class TestRoundLogs:
 
     def test_single_round_trip(self):
         log = self.logs(1)[0]
-        doc = reload(bx.round_log_to_json(log))
+        doc = reload(round_log_to_json(log))
         assert set(doc) == {
             "round_id",
             "member_id",
@@ -233,40 +216,40 @@ class TestRoundLogs:
             "referee_inference",
             "alice_actual",
         }
-        assert bx.round_log_from_json(doc) == log
+        assert serialize.round_log_from_json(doc) == log
 
     def test_ndjson_round_trip(self):
         logs = self.logs()
-        text = bx.logs_to_ndjson(logs)
+        text = serialize.logs_to_ndjson(logs)
         assert text.count("\n") == len(logs)
-        assert bx.logs_from_ndjson(text) == logs
+        assert serialize.logs_from_ndjson(text) == logs
 
     def test_ndjson_lines_sorted_and_parseable(self):
-        text = bx.logs_to_ndjson(self.logs(3))
+        text = serialize.logs_to_ndjson(self.logs(3))
         for line in text.splitlines():
             doc = json.loads(line)
             assert list(doc) == sorted(doc)
 
     def test_blank_lines_skipped(self):
         logs = self.logs(4)
-        text = "\n" + bx.logs_to_ndjson(logs).replace("\n", "\n\n")
-        assert bx.logs_from_ndjson(text) == logs
+        text = "\n" + serialize.logs_to_ndjson(logs).replace("\n", "\n\n")
+        assert serialize.logs_from_ndjson(text) == logs
 
     def test_bad_line_reported_with_number(self):
-        text = bx.logs_to_ndjson(self.logs(3))
+        text = serialize.logs_to_ndjson(self.logs(3))
         mangled = "\n".join(
             line if i != 1 else line[:-5]
             for i, line in enumerate(text.splitlines())
         )
         with pytest.raises(bx.ValidationError) as err:
-            bx.logs_from_ndjson(mangled)
+            serialize.logs_from_ndjson(mangled)
         assert "line 2" in str(err.value)
 
     def test_field_validation(self):
-        doc = bx.round_log_to_json(self.logs(1)[0])
+        doc = round_log_to_json(self.logs(1)[0])
         doc["a"] = 2
         with pytest.raises(bx.ValidationError):
-            bx.round_log_from_json(doc)
+            serialize.round_log_from_json(doc)
 
 
 def _reference_logs(text):
@@ -280,7 +263,7 @@ def _reference_logs(text):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise bx.ValidationError(f"bad JSON on log line {lineno}: {exc}") from exc
-        out.append(bx.round_log_from_json(obj))
+        out.append(serialize.round_log_from_json(obj))
     return out
 
 
@@ -303,18 +286,18 @@ class TestNdjsonCodec:
     @settings(max_examples=200, deadline=None)
     @given(round_logs)
     def test_line_is_sorted_json_dumps(self, log):
-        expected = json.dumps(bx.round_log_to_json(log), sort_keys=True) + "\n"
-        assert bx.serialize.ndjson_line(log) == expected
+        expected = json.dumps(round_log_to_json(log), sort_keys=True) + "\n"
+        assert serialize.ndjson_line(log) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(round_logs)
     def test_canonical_line_parses_as_json(self, log):
-        line = bx.serialize.ndjson_line(log)
-        assert bx.serialize._CANONICAL_LINE.fullmatch(line.rstrip("\n"))
-        assert bx.logs_from_ndjson(line) == _reference_logs(line) == [log]
+        line = serialize.ndjson_line(log)
+        assert serialize._CANONICAL_LINE.fullmatch(line.rstrip("\n"))
+        assert serialize.logs_from_ndjson(line) == _reference_logs(line) == [log]
 
     def test_other_lines_read_as_before(self):
-        line = bx.serialize.ndjson_line(
+        line = serialize.ndjson_line(
             bx.RoundLog(7, 2, 1, 0, 1, 1, bx.SBox(1, 0), bx.SBox(0, 1))
         ).rstrip("\n")
         doc = json.loads(line)
@@ -336,10 +319,10 @@ class TestNdjsonCodec:
             line[:-1],
         ]
         for text in read + refused:
-            outcome = _outcome(bx.logs_from_ndjson, text)
+            outcome = _outcome(serialize.logs_from_ndjson, text)
             assert outcome == _outcome(_reference_logs, text)
             if text in read:
-                assert outcome == [bx.round_log_from_json(doc)]
+                assert outcome == [serialize.round_log_from_json(doc)]
             else:
                 assert outcome.startswith("ValidationError: ")
 
@@ -347,29 +330,30 @@ class TestNdjsonCodec:
     @pytest.mark.parametrize("spacing", [": ", ":  "])  # canonical line, json.loads
     def test_integer_past_int_string_limit_names_the_line(self, field, spacing):
         # Python refuses to read an int of more than 4,300 digits
-        first = bx.serialize.ndjson_line(
+        first = serialize.ndjson_line(
             bx.RoundLog(0, 0, 0, 0, 0, 0, bx.SBox(0, 0), bx.SBox(0, 0))
         )
         line = first.replace(f'"{field}": 0', f'"{field}": {"1" * 5000}')
         line = line.replace(": ", spacing)
-        assert bool(bx.serialize._CANONICAL_LINE.fullmatch(line.rstrip())) == (
+        assert bool(serialize._CANONICAL_LINE.fullmatch(line.rstrip())) == (
             spacing == ": "
         )
         with pytest.raises(bx.ValidationError, match="^log line 2: Exceeds the limit"):
-            bx.logs_from_ndjson(first + line)
+            serialize.logs_from_ndjson(first + line)
 
 
 class TestTargets:
     def test_round_trip(self):
-        doc = reload(bx.target_to_json(CANONICAL))
+        doc = reload(serialize.target_to_json(CANONICAL))
         assert doc == {"s": "1/4", "t": "1/2"}
-        assert bx.target_from_json(doc) == CANONICAL
+        s, t = (serialize.fraction_from_json(doc[key]) for key in "st")
+        assert bx.TargetState(s, t) == CANONICAL
 
 
 class TestReports:
     def test_blind_report_document(self):
         plan = bx.plan_blind_steering(CANONICAL)
-        doc = reload(bx.blind_report_to_json(plan.report))
+        doc = reload(serialize.blind_report_to_json(plan.report))
         assert doc["passed"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "reduction_y0",
@@ -385,7 +369,7 @@ class TestReports:
     def test_failed_report_carries_witness(self):
         bad = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 1): F(1)})
         report = bx.verify_blind_steering(bad, CANONICAL)
-        doc = reload(bx.verification_report_to_json(report))
+        doc = reload(serialize.verification_report_to_json(report))
         assert doc["passed"] is False
         failing = [c for c in doc["checks"] if not c["passed"]]
         assert failing and all(c["witness"] for c in failing)
@@ -393,7 +377,7 @@ class TestReports:
     def test_simulation_report_is_json_safe(self):
         e = bx.plan_blind_steering(CANONICAL).ensemble
         report, logs = bx.run_protocol(e, rounds=300, seed=21)
-        doc = reload(bx.simulation_report_to_json(report))
+        doc = reload(serialize.simulation_report_to_json(report))
         assert doc["rounds"] == 300
         assert doc["rng_seed"] == 21
         assert doc["verdict"]["passed"] is True
@@ -407,7 +391,7 @@ class TestReports:
         policy = bx.InputPolicy(((F(1, 2), F(1, 4)), (F(1, 4), F(0))))
         e = bx.plan_blind_steering(CANONICAL).ensemble
         report, _ = bx.run_protocol(e, rounds=40, seed=5, policy=policy)
-        text = bx.dumps(bx.simulation_report_to_json(report))
+        text = serialize.dumps(serialize.simulation_report_to_json(report))
         joint = json.loads(text)["empirical_joint"]
         assert "[\n          NaN,\n          NaN\n        ]" in text
         assert text.count("NaN") == 4
@@ -421,7 +405,7 @@ class TestReports:
     def test_audit_verdict_document(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         _, logs = bx.run_protocol(e, rounds=200, seed=3)
-        doc = reload(bx.audit_verdict_to_json(bx.referee_audit(logs, e)))
+        doc = reload(serialize.audit_verdict_to_json(bx.referee_audit(logs, e)))
         assert doc["passed"] is True
         assert doc["mismatch_count"] == 0
         assert doc["significance"] == 0.001
@@ -430,18 +414,18 @@ class TestReports:
 class TestInputPolicyJson:
     def test_round_trip(self):
         policy = bx.InputPolicy(((F(1, 2), F(0)), (F(1, 4), F(1, 4))))
-        doc = reload(bx.input_policy_to_json(policy))
+        doc = reload(serialize.input_policy_to_json(policy))
         assert doc == {"table": [["1/2", "0"], ["1/4", "1/4"]]}
-        assert bx.input_policy_from_json(doc) == policy
+        assert serialize.input_policy_from_json(doc) == policy
 
     def test_shape_checked(self):
         with pytest.raises(bx.ValidationError):
-            bx.input_policy_from_json({"table": [["1/2", "1/2"]]})
+            serialize.input_policy_from_json({"table": [["1/2", "1/2"]]})
 
 
 class TestDumps:
     def test_formatting(self):
-        text = bx.dumps({"b": "2", "a": "1"})
+        text = serialize.dumps({"b": "2", "a": "1"})
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
         assert "  " in text

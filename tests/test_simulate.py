@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import boxsteer as bx
 from boxsteer import simulate
 from boxsteer.simulate import sample_rounds
-from strategies import catalog_ensembles, member_box, nonlocal_ensembles, weight_vectors
+from strategies import (
+    catalog_ensembles,
+    member_box,
+    nonlocal_ensembles,
+    pr_bipartite_box,
+    weight_vectors,
+)
 
 BITS = (0, 1)
 
@@ -122,7 +128,7 @@ class TestEmpiricalJoint:
     def test_pr_statistics(self):
         report, _ = bx.run_protocol(pr_singleton(), rounds=20000, seed=2)
         table = report.empirical_joint
-        pr = bx.PRBox(0, 0, 0).as_bipartite_box()
+        pr = pr_bipartite_box(bx.PRBox(0, 0, 0))
         for x in BITS:
             for y in BITS:
                 for a in BITS:
@@ -321,6 +327,27 @@ class TestRefereeAudit:
         assert verdict.mismatch_count == 1
         assert verdict.mismatch_rounds == (victim,)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("y", 2), ("y", "0"), ("alice_actual", None), ("alice_actual", "S01"), ("x", None)],
+    )
+    def test_ill_typed_round_is_one_mismatch(self, field, value):
+        # an in-process log skips the JSON reader's checks: a round with a
+        # field of the wrong type is a mismatch, left out of every table
+        e = canonical_ensemble()
+        _, logs = bx.run_protocol(e, rounds=2000, seed=0)
+        logs[5] = dataclasses.replace(logs[5], **{field: value})
+        verdict = bx.referee_audit(logs, e)
+        assert not verdict.passed
+        assert (verdict.mismatch_count, verdict.mismatch_rounds) == (1, (5,))
+        totals = {cell.input_choice: cell.total for cell in verdict.frequency_cells}
+        assert sum(totals.values()) == 1999
+        tally = simulate.LogTally(e)
+        for log in logs:
+            tally.add(log)
+        report = tally.report(0, bx.InputPolicy.uniform())
+        assert report.rounds == 2000 and report.verdict == verdict
+
     def test_corrupted_constituent_detected(self):
         e = canonical_ensemble()
         _, logs = bx.run_protocol(e, rounds=500, seed=4)
@@ -479,7 +506,10 @@ class TestRefereeAudit:
         assert verdict.mismatch_count == len(offending) > 20
         assert verdict.mismatch_rounds == tuple(offending[:20])
         for cell in verdict.frequency_cells:
-            at_y = [log for log in logs if log.y == cell.input_choice]
+            at_y = [
+                log for log in logs
+                if log.y == cell.input_choice and {log.x, log.a, log.b} <= {0, 1}
+            ]
             assert cell.total == len(at_y)
             assert cell.observed == sum(log.alice_actual == cell.constituent for log in at_y)
 
