@@ -13,10 +13,10 @@ A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
 extremal PR correlations.  When Bob measures ``y``, each member leaves
 Alice in a definite S box; :func:`posterior_alice_reduction` records
-one provenance entry per (member, Bob outcome) pair, which downstream
-code uses for referee bookkeeping and for Bob's-knowledge arguments.
-Alice's side is kept as S-box weights; the :class:`Ensemble` is built
-only on request.
+one entry per (member, Bob outcome) pair.  The audit and blind
+verification read their merged constituent weights, and Bob's posterior
+their outcomes; no code reads a record's ``member_id``.  Alice's side is
+kept as S-box weights; the :class:`Ensemble` is built only on request.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering.

@@ -19,17 +19,16 @@ The scheme is evaluated for a block of rounds at once
 and output, written out over arrays of round ids, give the integers k
 with ``u = k * 2**-53`` that ``random()`` returns.
 
-All sampling thresholds are exact: a cumulative weight c = num/den
-picks iff u < c, i.e. iff k * den < num * 2**53, so each is compared as
-the integer ceil(num * 2**53 / den); floats appear only in empirical
-frequencies and test statistics.
+Draws are exact: a cumulative weight c = num/den picks iff u < c, iff
+k < ceil(num * 2**53 / den); the outcome, one of n equally likely rounds,
+is entry k * n >> 53 (u < i/n iff k < i * 2**53 / n, an integer as n
+divides 2**53).  Floats appear only in frequencies and test statistics.
 
 A log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
-(:class:`LogTally`); the audit flags each round whose member does not
-allow its (a, b) on (x, y) or imply its constituents.  Rounds are drawn
-(:func:`sample_rounds`) and counted one at a time, so a log can be
-streamed without being held.
+(:class:`LogTally`); the audit flags each round that is not one of its
+member's rounds in the same table.  Rounds are drawn (:func:`sample_rounds`)
+and counted one at a time, so a log can be streamed without being held.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import numpy as np
 
 from .boxes import SBox, _is_index, as_prob
 from .ensembles import (
-    Member,
     NonlocalEnsemble,
     constituent_after_measurement,
     posterior_alice_reduction,
@@ -253,20 +251,27 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
     return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
 
 
-def _vertex_row(member: Member, x: int, y: int) -> list[Fraction]:
-    """The member's vertex table p(ab|xy) on (x, y), for (a, b) in PAIRS:
-    uniform on the outcomes its ``cells`` allow."""
-    cells = member.cells(x, y)
-    p = Fraction(1, len(cells))
-    return [p if pair in cells else Fraction(0) for pair in PAIRS]
+def _round_table(ensemble: NonlocalEnsemble) -> tuple[tuple[tuple[tuple, ...], ...], ...]:
+    """``[member][index of (x, y)]``: the member's rounds on (x, y), as
+    (x, y, a, b, constituent), one per outcome of its ``cells``, in that
+    order, equally likely.  The sampler and the audit read the same rounds."""
+    after = constituent_after_measurement
+    return tuple(
+        tuple(
+            tuple((x, y, a, b, after(m, y, b)) for a, b in m.cells(x, y))
+            for x, y in PAIRS
+        )
+        for m in ensemble.members
+    )
 
 
 def sample_rounds(
     ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
 ) -> Iterator[RoundLog]:
     """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time.  The arguments are checked on the call, and the
-    sampling tables are read off the members' vertex formulas."""
+    one at a time, after the arguments are checked.  The outcome is entry
+    k * n >> 53 of the member's n rounds on (x, y) in :func:`_round_table`:
+    u < i/n iff k < i * 2**53 / n, exact as n, 1 or 2, divides 2**53."""
     if not _is_index(rounds):
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
@@ -274,19 +279,9 @@ def sample_rounds(
     if not _is_index(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    members = ensemble.members
-    member_thresholds = np.array(_thresholds(m.weight for m in members), _U64)
+    member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
     pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
-    # [member][index of (x, y)][index of (a, b)]
-    outcome_thresholds = np.array(
-        [[_thresholds(_vertex_row(m, x, y)) for x, y in PAIRS] for m in members], _U64
-    )
-    # keys with p(b|y) = 0 are built too; no draw looks them up
-    constituents = {
-        (i, y, b): constituent_after_measurement(m, y, b)
-        for i, m in enumerate(members)
-        for y, b in PAIRS
-    }
+    table = _round_table(ensemble)
 
     def draw() -> Iterator[RoundLog]:
         for start in range(0, rounds, _BLOCK):
@@ -294,12 +289,10 @@ def sample_rounds(
             k = _round_ints(seed, start, stop)
             member_ids = np.searchsorted(member_thresholds, k[:, 0], side="right")
             pairs = np.searchsorted(pair_thresholds, k[:, 1], side="right")
-            rows = outcome_thresholds[member_ids, pairs]
-            outcomes = (rows <= k[:, 2:]).sum(axis=1)
-            drawn = member_ids.tolist(), pairs.tolist(), outcomes.tolist()
-            for round_id, member_id, pair, outcome in zip(range(start, stop), *drawn):
-                (x, y), (a, b) = PAIRS[pair], PAIRS[outcome]
-                sbox = constituents[member_id, y, b]
+            drawn = member_ids.tolist(), pairs.tolist(), k[:, 2].tolist()
+            for round_id, member_id, pair, k_outcome in zip(range(start, stop), *drawn):
+                outcomes = table[member_id][pair]
+                x, y, a, b, sbox = outcomes[k_outcome * len(outcomes) >> 53]
                 yield RoundLog(round_id, member_id, x, y, a, b, sbox, sbox)
 
     return draw()
@@ -332,13 +325,12 @@ def referee_audit(
     """Audit a log against the declared ensemble, in one pass over it.
 
     A round is a mismatch unless its member exists, its x, y, a and b
-    are bits, its member's ``cells`` on (x, y) allow its (a, b), and its
-    inference and actual constituent are both the one that member
-    implies for (y, b) (:meth:`LogTally._breaks_rule`).  For each Bob
-    input, the constituent frequencies of the rounds whose fields are
-    well-typed must also pass a two-sided exact binomial test against
-    the declared reduction weights.  The log passes if it is non-empty,
-    has no mismatch and fails no test.
+    are bits, and it is one of the member's rounds, its inference and
+    actual constituent included (:meth:`LogTally._breaks_rule`).  For
+    each Bob input, the constituent frequencies of the well-typed rounds
+    must also pass a two-sided exact binomial test against the declared
+    reduction weights.  The log passes if it is non-empty, has no
+    mismatch and fails no test.
     """
     tally = LogTally(ensemble, significance)
     for log in logs:
@@ -348,6 +340,7 @@ def referee_audit(
 
 _cell = attrgetter("member_id", "x", "y", "a", "b", "referee_inference", "alice_actual")
 _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
+_UNHASHABLE = (None,) * 7  # the ill-typed cell of every round with an unhashable field
 
 
 def _well_typed(cell: tuple) -> bool:
@@ -361,12 +354,12 @@ def _well_typed(cell: tuple) -> bool:
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
     alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
-    member exists, x, y, a, b are bits, its ``cells`` on (x, y) allow (a,
-    b), and the inference and the constituent are the one it implies for
-    (y, b)) runs once per distinct cell; the round loop makes one lookup,
-    counts, and keeps the first 20 offending round ids in log order.  A
-    cell that is not well-typed is a mismatch and stays out of the
-    frequency tests and the report's tables."""
+    member exists, x, y, a, b are bits, (x, y, a, b) is one of its rounds
+    in :func:`_round_table`, and the inference and the constituent are the
+    one that round implies) runs once per distinct cell; the round loop
+    makes one lookup, counts, and keeps the first 20 offending round ids in
+    log order.  A cell that is not well-typed is a mismatch and stays out
+    of the frequency tests and the report's tables."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -375,12 +368,20 @@ class LogTally:
             raise ValidationError(f"significance must be in (0, 1), got {significance}")
         self.ensemble = ensemble
         self.significance = significance
+        self._implied = [  # per member, {(x, y, a, b): implied constituent}
+            {entry[:4]: entry[4] for outcomes in rows for entry in outcomes}
+            for rows in _round_table(ensemble)
+        ]
         self.cells: dict[tuple, list] = {}
         self.mismatch_rounds: list[int] = []
 
     def add(self, log: RoundLog) -> None:
         cell = _cell(log)
-        if (entry := self.cells.get(cell)) is None:
+        try:
+            entry = self.cells.get(cell)
+        except TypeError:  # an unhashable field
+            entry = self.cells.get(cell := _UNHASHABLE)
+        if entry is None:
             entry = self.cells[cell] = [0, self._breaks_rule(cell)]
         entry[0] += 1
         if entry[1] and len(self.mismatch_rounds) < 20:
@@ -388,15 +389,13 @@ class LogTally:
 
     def _breaks_rule(self, cell: tuple) -> bool:
         member_id, x, y, a, b, inference, actual = cell
-        members = self.ensemble.members
-        # the fields first: a bad one is a mismatch, not an error from cells
-        known = _is_index(member_id) and 0 <= member_id < len(members)
+        # the fields first: a bad one is a mismatch, not a lookup error
+        known = _is_index(member_id) and 0 <= member_id < len(self._implied)
         if not (known and _well_typed(cell)):
             return True
-        member = members[member_id]
-        return (a, b) not in member.cells(x, y) or not (
-            inference == actual == constituent_after_measurement(member, y, b)
-        )
+        implied = self._implied[member_id].get((x, y, a, b))
+        # not a round the member logs, or not the constituent it implies
+        return implied is None or not inference == actual == implied
 
     def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
         """Rounds of the well-typed cells by the fields at ``group``, then at

@@ -207,15 +207,21 @@ class TestVertexCells:
     )
     def test_cells_row_and_mix_match_written_table(self, ensemble):
         # every reader of ``cells`` against the table written in the
-        # tests, on all four (x, y)
+        # tests, on all four (x, y): the round table's row on (x, y)
+        # holds the outcomes the table allows, each with Alice's
+        # conditional box as its constituent
         member = ensemble.members[0]
-        table = member_box(member).table
+        box = member_box(member)
+        table = box.table
         mixed = bx.mix_nonlocal(ensemble)
         pairs = list(itertools.product(BITS, BITS))
-        for x, y in pairs:
-            row = [table[x][y][a][b] for a, b in pairs]
-            assert member.cells(x, y) == tuple(p for p, w in zip(pairs, row) if w)
-            assert simulate._vertex_row(member, x, y) == row
+        (rows,) = simulate._round_table(ensemble)
+        for (x, y), row in zip(pairs, rows):
+            allowed = tuple((a, b) for a, b in pairs if table[x][y][a][b])
+            assert member.cells(x, y) == allowed
+            assert [entry[:4] for entry in row] == [(x, y, a, b) for a, b in allowed]
+            for _, _, _, b, constituent in row:
+                assert constituent.as_local_box() == condition_on_bob(box, y, b)
             assert mixed.table[x][y] == table[x][y]
 
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,6 +236,26 @@ class TestBlockSampler:
         assert logs == _reference_rounds(ensemble, 100, 3, policy)
         assert {(log.x, log.y) for log in logs} == set(itertools.product(BITS, BITS))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2**53 - 1), max_size=6))
+    def test_outcome_rule_at_its_boundaries(self, drawn):
+        # sample_rounds' own code on chosen k, on every vertex and input
+        # pair, against the thresholds of the table member_box writes;
+        # under the uniform policy, k = p * 2**51 draws input pair p
+        pairs = list(itertools.product(BITS, BITS))
+        ks = [0, 2**52 - 1, 2**52, 2**53 - 1, *drawn]
+        ints = np.array([(0, p << 51, k) for p in range(4) for k in ks], np.uint64)
+        policy = bx.InputPolicy.uniform()
+        with mock.patch.object(simulate, "_round_ints", lambda _, i, j: ints[i:j]):
+            for ensemble in catalog_ensembles():
+                table = member_box(ensemble.members[0]).table
+                logs = sample_rounds(ensemble, len(ints), 0, policy)
+                for log, (_, k_pair, k) in zip(logs, ints.tolist(), strict=True):
+                    x, y = pairs[k_pair >> 51]
+                    row = [table[x][y][a][b] for a, b in pairs]
+                    outcome = np.searchsorted(simulate._thresholds(row), k, "right")
+                    assert (log.x, log.y, (log.a, log.b)) == (x, y, pairs[outcome])
+
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_matches_reference_across_a_block_edge(self, seed):
         # zero cells in the policy and in the members' tables
@@ -329,7 +350,10 @@ class TestRefereeAudit:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("y", 2), ("y", "0"), ("alice_actual", None), ("alice_actual", "S01"), ("x", None)],
+        [
+            ("y", 2), ("y", "0"), ("alice_actual", None), ("alice_actual", "S01"),
+            ("x", None), ("alice_actual", [1]), ("x", [0]),
+        ],
     )
     def test_ill_typed_round_is_one_mismatch(self, field, value):
         # an in-process log skips the JSON reader's checks: a round with a
@@ -435,13 +459,13 @@ class TestRefereeAudit:
         e = canonical_ensemble()
         _, logs = bx.run_protocol(e, rounds=4000, seed=4)
         calls = []
-        rule = simulate.constituent_after_measurement
+        rule = simulate.LogTally._breaks_rule
 
-        def counted(member, y, b):
-            calls.append((member, y, b))
-            return rule(member, y, b)
+        def counted(tally, cell):
+            calls.append(cell)
+            return rule(tally, cell)
 
-        monkeypatch.setattr(simulate, "constituent_after_measurement", counted)
+        monkeypatch.setattr(simulate.LogTally, "_breaks_rule", counted)
         verdict = bx.referee_audit(logs, e)
         assert verdict.passed
         cells = {
