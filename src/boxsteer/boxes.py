@@ -8,7 +8,11 @@ a :class:`BipartiteBox` holds ``p(ab|xy)`` for two parties (Alice gets
 Every probability in a table is an exact :class:`fractions.Fraction`.
 Construction validates nonnegativity and normalization exactly, and all
 comparisons in this module are exact equalities; floats are rejected at
-the door so that no rounding can leak into a derivation.
+the door so that no rounding can leak into a derivation.  The sums run
+on integers: a row sums to one iff its numerators over the lcm of its
+denominators sum to that lcm, and the no-signalling scan and the
+marginals add a :class:`BipartiteBox`'s numerators over one common
+denominator D; they build a ``Fraction`` only to return or print one.
 
 Special families used throughout the package:
 
@@ -25,6 +29,7 @@ Special families used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +40,8 @@ def as_prob(value: Fraction | int | str) -> Fraction:
     """Coerce ``value`` to an exact probability in [0, 1].
 
     Accepts Fractions, ints and strings such as ``"3/8"``; floats are
-    rejected because they would contaminate exact arithmetic.
+    rejected because they would contaminate exact arithmetic, and bools
+    because they are not numbers (the rule of :func:`_is_index`).
     """
     if isinstance(value, float):
         raise ValidationError(
@@ -43,14 +49,14 @@ def as_prob(value: Fraction | int | str) -> Fraction:
         )
     if isinstance(value, Fraction):
         frac = value
-    elif isinstance(value, (int, str)):
+    elif isinstance(value, str) or _is_index(value):
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational literal: {value!r}") from exc
     else:
         raise ValidationError(f"cannot interpret {value!r} as a probability")
-    if not 0 <= frac <= 1:
+    if not 0 <= frac.numerator <= frac.denominator:
         # str() raises on a numerator or denominator past the int-string
         # limit, so a long value is named by its side of the interval
         if max(abs(frac.numerator), frac.denominator).bit_length() > 128:
@@ -58,6 +64,24 @@ def as_prob(value: Fraction | int | str) -> Fraction:
             raise ValidationError(f"probability {side}, outside [0, 1]")
         raise ValidationError(f"probability {frac} outside [0, 1]")
     return frac
+
+
+def _shown(value: Fraction, reference: Fraction, name: str) -> str:
+    """``value`` for a message; past the int-string limit, its side of
+    ``reference``, which the message calls ``name``."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'below' if value < reference else 'above'} {name}"
+
+
+def _sums_to_one(probs: tuple[Fraction, ...] | list[Fraction], what: str) -> None:
+    """Exact normalization on integers: the numerators over the lcm of the
+    denominators must sum to that lcm; if not, ``what`` names the total."""
+    den = math.lcm(*(p.denominator for p in probs))
+    if sum(p.numerator * (den // p.denominator) for p in probs) != den:
+        total = _shown(sum(probs, Fraction(0)), Fraction(1), "1")
+        raise ValidationError(f"{what} {total}, expected 1")
 
 
 def _is_index(value: object) -> bool:
@@ -89,9 +113,7 @@ class LocalBox:
         if any(len(row) != width for row in rows):
             raise ValidationError("every input row must list the same outcomes")
         for x, row in enumerate(rows):
-            total = sum(row)
-            if total != 1:
-                raise ValidationError(f"row x={x} sums to {total}, expected 1")
+            _sums_to_one(row, f"row x={x} sums to")
         object.__setattr__(self, "table", rows)
 
     @property
@@ -195,11 +217,8 @@ class BipartiteBox:
             for y, block_a in enumerate(block_y):
                 if len(block_a) != a_dim or any(len(r) != b_dim for r in block_a):
                     raise ValidationError("ragged table: outcome dimensions vary")
-                total = sum(p for row in block_a for p in row)
-                if total != 1:
-                    raise ValidationError(
-                        f"entries for (x={x}, y={y}) sum to {total}, expected 1"
-                    )
+                entries = [p for row in block_a for p in row]
+                _sums_to_one(entries, f"entries for (x={x}, y={y}) sum to")
         object.__setattr__(self, "table", cells)
 
     @property
@@ -230,9 +249,20 @@ class BipartiteBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[x][y][a][b]
 
-    # each marginal re-asks for the scan of the same box, so
-    # the scan is kept on the instance (a cache keyed by the table would
-    # hash every exact entry again on each lookup)
+    # each marginal re-asks for the scan of the same box, so the scan and
+    # its integers are kept on the instance (a cache keyed by the table
+    # would hash every exact entry again on each lookup)
+    @functools.cached_property
+    def _lattice(self) -> tuple[int, tuple]:
+        """(D, numerators): D the lcm of the entries' denominators, and
+        each entry's numerator over D, nested like ``table``."""
+        t = self.table
+        den = math.lcm(*(p.denominator for by in t for ba in by for r in ba for p in r))
+
+        def over(row: tuple[Fraction, ...]) -> tuple[int, ...]:
+            return tuple(p.numerator * (den // p.denominator) for p in row)
+        return den, tuple(tuple(tuple(over(r) for r in ba) for ba in by) for by in t)
+
     @functools.cached_property
     def _no_signalling_problems(self) -> tuple[str, ...]:
         return _no_signalling_scan(self)
@@ -279,26 +309,34 @@ class PRBox:
 # ---------------------------------------------------------------------------
 
 
+def _marginals(name: str, sums: list[int], den: int) -> str:
+    """``name=k: p`` per input k, for marginals ``sums`` over ``den``; one
+    too long to print is named by its side of the first that differs."""
+    def shown(s: int) -> str:
+        j = next(j for j, other in enumerate(sums) if other != s)
+        return _shown(Fraction(s, den), Fraction(sums[j], den), f"{name}={j}'s")
+    return ", ".join(f"{name}={k}: {shown(s)}" for k, s in enumerate(sums))
+
+
 def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:
     problems: list[str] = []
     X, Y, A, B = box.shape
+    den, t = box._lattice
     for x in range(X):
         for a in range(A):
-            sums = [sum(box.table[x][y][a]) for y in range(Y)]
+            sums = [sum(t[x][y][a]) for y in range(Y)]
             if any(s != sums[0] for s in sums):
                 problems.append(
                     f"Alice marginal p(a={a}|x={x}) depends on Bob's input: "
-                    + ", ".join(f"y={y}: {s}" for y, s in enumerate(sums))
+                    + _marginals("y", sums, den)
                 )
     for y in range(Y):
         for b in range(B):
-            sums = [
-                sum(box.table[x][y][a][b] for a in range(A)) for x in range(X)
-            ]
+            sums = [sum(t[x][y][a][b] for a in range(A)) for x in range(X)]
             if any(s != sums[0] for s in sums):
                 problems.append(
                     f"Bob marginal p(b={b}|y={y}) depends on Alice's input: "
-                    + ", ".join(f"x={x}: {s}" for x, s in enumerate(sums))
+                    + _marginals("x", sums, den)
                 )
     return tuple(problems)
 
@@ -327,11 +365,8 @@ def alice_marginal(box: BipartiteBox) -> LocalBox:
     y; we read it off at y=0.
     """
     _require_no_signalling(box, "alice_marginal")
-    rows = tuple(
-        tuple(sum(box.table[x][0][a]) for a in range(box.num_outputs_alice))
-        for x in range(box.num_inputs_alice)
-    )
-    return LocalBox(rows)
+    den, t = box._lattice
+    return LocalBox([[Fraction(sum(row), den) for row in block[0]] for block in t])
 
 
 def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
@@ -339,8 +374,5 @@ def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
     (read off at x=0)."""
     _require_no_signalling(box, "bob_outcome_distribution")
     _require_index("y", y, box.num_inputs_bob)
-    A = box.num_outputs_alice
-    return tuple(
-        sum(box.table[0][y][a][b] for a in range(A))
-        for b in range(box.num_outputs_bob)
-    )
+    den, t = box._lattice
+    return tuple(Fraction(sum(column), den) for column in zip(*t[0][y]))

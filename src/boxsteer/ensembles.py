@@ -25,6 +25,7 @@ so equality of member tuples is canonical up to ordering.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
@@ -36,6 +37,7 @@ from .boxes import (
     SBox,
     _is_index,
     _require_index,
+    _sums_to_one,
     as_prob,
     deterministic_table,
 )
@@ -141,9 +143,7 @@ class Ensemble:
         if not pairs:
             raise ValidationError("ensemble needs at least one member")
         merged = _merge_weighted(pairs)
-        total = sum(w for w, _ in merged)
-        if total != 1:
-            raise ValidationError(f"ensemble weights sum to {total}, expected 1")
+        _sums_to_one([w for w, _ in merged], "ensemble weights sum to")
         object.__setattr__(self, "strategies", tuple(merged))
 
     @functools.cached_property
@@ -249,9 +249,8 @@ class NonlocalEnsemble:
             (m.weight, (m.alice, m.bob)) for m in products
         )
         merged_prs = _merge_weighted((m.weight, m.box) for m in prs)
-        total = sum(w for w, _ in merged_products) + sum(w for w, _ in merged_prs)
-        if total != 1:
-            raise ValidationError(f"member weights sum to {total}, expected 1")
+        weights = [w for w, _ in merged_products + merged_prs]
+        _sums_to_one(weights, "member weights sum to")
         object.__setattr__(
             self,
             "products",
@@ -310,16 +309,20 @@ def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     member spreads its weight evenly over the outcomes its ``cells``
     allow, one for a product and two for a PR member.
     """
-    acc = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for m in ensemble.members:
+    members = ensemble.members
+    # numerators over twice the weights' lcm, so a PR member's half is one
+    den = 2 * math.lcm(*(m.weight.denominator for m in members))
+    acc = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    for m in members:
+        weight = m.weight.numerator * (den // m.weight.denominator)
         for x in range(2):
             for y in range(2):
                 cells = m.cells(x, y)
-                # a product's weight is kept: Fraction / 1 still normalizes
-                share = m.weight if len(cells) == 1 else m.weight / len(cells)
+                share = weight // len(cells)
                 for a, b in cells:
                     acc[x][y][a][b] += share
-    return BipartiteBox(acc)
+    return BipartiteBox([[[[Fraction(n, den) for n in row] for row in block]
+                          for block in block_y] for block_y in acc])
 
 
 def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:

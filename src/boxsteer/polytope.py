@@ -39,6 +39,10 @@ result lists at most 9 products, deterministically, in catalog order.
 Decompositions are not unique in general; callers verify results by
 remixing, not by comparing witnesses.  The tests check both closed
 forms against an exact simplex.
+
+Both run on the box's integer numerators over one denominator D (local
+iff ``|C| <= 2D``); the peel and the triangles are numerators over 4D,
+and the only ``Fraction``s built are the weights, ``Fraction(w, 4D)``.
 """
 
 from __future__ import annotations
@@ -103,11 +107,12 @@ def _require_scenario(box: BipartiteBox, op: str) -> None:
     _require_no_signalling(box, op)
 
 
-def _strongest_chsh(box: BipartiteBox) -> tuple[Fraction, int, int]:
+def _strongest_chsh(box: BipartiteBox) -> tuple[int, int, int]:
     """(C_pq, p, q) for the CHSH form of largest |C_pq| (first in (p, q)
-    order on ties)."""
+    order on ties), C_pq as a numerator over the box's denominator D."""
     (e00, e01), (e10, e11) = (
-        [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block] for block in box.table
+        [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block]
+        for block in box._lattice[1]
     )
     # the sign flips only at (x, y) = (1-p, 1-q)
     forms = [
@@ -118,19 +123,19 @@ def _strongest_chsh(box: BipartiteBox) -> tuple[Fraction, int, int]:
 
 
 def _glued_triangles(
-    mass: Fraction, alice: list, bob: list, joint: list
-) -> list[dict[tuple[int, int, int], Fraction]]:
+    mass: int, alice: list[int], bob: list[int], joint: list[list[int]]
+) -> list[dict[tuple[int, int, int], int]]:
     """The joints t_y(a0, a1, b_y), y = 0, 1, of Fine's two triangles for
     a local table of total ``mass`` with p(a_x=0) ``alice[x]``, p(b_y=0)
-    ``bob[y]`` and p(a_x=0, b_y=0) ``joint[x][y]``."""
-    zero = Fraction(0)  # keeps every cell, and so every weight, a Fraction
+    ``bob[y]`` and p(a_x=0, b_y=0) ``joint[x][y]``, all numerators over
+    one denominator."""
     triangles = []
     for y in (0, 1):
         p0, p1 = joint[0][y], joint[1][y]
         # cell (a0, a1, b): (constant, coefficient on q, coefficient on r_y)
         triangles.append({
-            (0, 0, 0): (zero, 0, 1),
-            (0, 0, 1): (zero, 1, -1),
+            (0, 0, 0): (0, 0, 1),
+            (0, 0, 1): (0, 1, -1),
             (0, 1, 0): (p0, 0, -1),
             (1, 0, 0): (p1, 0, -1),
             (0, 1, 1): (alice[0] - p0, -1, 1),
@@ -164,16 +169,17 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     _require_scenario(box, "decompose")
     chsh, alpha, beta = _strongest_chsh(box)
     pr = PRBox(alpha, beta, 0 if chsh > 0 else 1)
-    weight = max(Fraction(0), (abs(chsh) - 2) / 2)
+    # over 4D, mu = (|C_pq| - 2) / 2 is 2(|C| - 2D) and mu/2 is |C| - 2D
+    den, t = box._lattice
+    half = max(0, abs(chsh) - 2 * den)
     # the local remainder, unnormalized, by the numbers that fix it: its
     # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0); the PR vertex has
     # uniform marginals and p(00|xy) = 1/2 where its cells hold (0, 0)
-    half, t = weight / 2, box.table
     t0, t1 = _glued_triangles(
-        1 - weight,
-        [t[x][0][0][0] + t[x][0][0][1] - half for x in (0, 1)],
-        [t[0][y][0][0] + t[0][y][1][0] - half for y in (0, 1)],
-        [[t[x][y][0][0] - (half if (0, 0) in pr.cells(x, y) else 0) for y in (0, 1)]
+        4 * den - 2 * half,
+        [4 * (t[x][0][0][0] + t[x][0][0][1]) - half for x in (0, 1)],
+        [4 * (t[0][y][0][0] + t[0][y][1][0]) - half for y in (0, 1)],
+        [[4 * t[x][y][0][0] - (half if (0, 0) in pr.cells(x, y) else 0) for y in (0, 1)]
          for x in (0, 1)],
     )
     products = []
@@ -184,8 +190,8 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
         u, v = t0[a0, a1, b0], t1[a0, a1, b0]
         w = min(u, v) if b0 == b1 else max(0, u - v)
         if w:
-            products.append(ProductMember(w, s_alice, s_bob))
-    prs = (PRMember(weight, pr),) if weight else ()
+            products.append(ProductMember(Fraction(w, 4 * den), s_alice, s_bob))
+    prs = (PRMember(Fraction(2 * half, 4 * den), pr),) if half else ()
     return NonlocalEnsemble(tuple(products), prs)
 
 
@@ -193,4 +199,4 @@ def is_local(box: BipartiteBox) -> bool:
     """True iff the box is a convex combination of product vertices
     alone, i.e. (Fine) iff no CHSH value exceeds 2."""
     _require_scenario(box, "is_local")
-    return abs(_strongest_chsh(box)[0]) <= 2
+    return abs(_strongest_chsh(box)[0]) <= 2 * box._lattice[0]

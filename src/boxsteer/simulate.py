@@ -42,7 +42,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .boxes import SBox, _is_index, as_prob
+from .boxes import SBox, _is_index, _sums_to_one, as_prob
 from .ensembles import (
     NonlocalEnsemble,
     constituent_after_measurement,
@@ -65,9 +65,7 @@ class InputPolicy:
         table = tuple(tuple(as_prob(p) for p in row) for row in self.table)
         if len(table) != 2 or any(len(row) != 2 for row in table):
             raise ValidationError("input policy must be a 2x2 table")
-        total = sum(p for row in table for p in row)
-        if total != 1:
-            raise ValidationError(f"input policy sums to {total}, expected 1")
+        _sums_to_one([p for row in table for p in row], "input policy sums to")
         object.__setattr__(self, "table", table)
 
     @classmethod

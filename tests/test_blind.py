@@ -52,6 +52,10 @@ class TestTargetState:
         with pytest.raises(bx.ValidationError):
             bx.TargetState(0.25, HALF)
 
+    def test_rejects_bools(self):
+        with pytest.raises(bx.ValidationError, match="cannot interpret True"):
+            bx.TargetState(True, False)
+
 
 class TestCanonicalize:
     def test_identity_inside(self):

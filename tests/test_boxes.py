@@ -29,6 +29,12 @@ class TestAsProb:
         with pytest.raises(bx.ValidationError):
             bx.as_prob(0.5)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bools(self, flag):
+        # the rule of every index: an int, never a bool
+        with pytest.raises(bx.ValidationError, match=f"cannot interpret {flag}"):
+            bx.as_prob(flag)
+
     @pytest.mark.parametrize(
         "bad", [F(-1, 2), F(3, 2), -1, 2, "7/5", F(10**5000), F(-1, 10**5000)]
     )
@@ -45,6 +51,10 @@ class TestLocalBox:
     def test_float_entries_rejected(self):
         with pytest.raises(bx.ValidationError):
             bx.LocalBox(((0.5, 0.5),))
+
+    def test_bool_entries_rejected(self):
+        with pytest.raises(bx.ValidationError):
+            bx.LocalBox([[True, False]])
 
     def test_prob_and_shape(self):
         box = bx.LocalBox(((F(1, 4), F(3, 4)), (F(1), F(0))))
@@ -353,3 +363,69 @@ class TestMarginalsAndConditioning:
     def test_weight_vectors_are_distributions(self, weights):
         assert sum(weights) == 1
         assert all(w >= 0 for w in weights)
+
+
+# Each literal reads (its denominator has at most 2,863 digits), but the
+# lcm of the three has 8,195, more than an int may print by default.
+LONG = (F(1, 3**6000), F(1, 5**4000), F(1, 7**3000))
+QUARTERS = ((F(1, 4),) * 2,) * 2
+
+
+def long_signalling_box(y_long: int = 0) -> bx.BipartiteBox:
+    """Alice's p(a=0|x=0) is 1/3**6000 + 1/5**4000 at y = ``y_long`` and
+    1/2 at the other y: a signalling box whose two marginals cannot be
+    printed.  Bob's marginals are 1/2 throughout."""
+    (l3, l5, _) = LONG
+    long = ((l3, l5), (F(1, 2) - l3, F(1, 2) - l5))
+    row = (long, QUARTERS) if y_long == 0 else (QUARTERS, long)
+    return bx.BipartiteBox((row, (QUARTERS, QUARTERS)))
+
+
+class TestUnprintableTotals:
+    """A total past the int-string limit is named by its side."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: bx.LocalBox([[*LONG, F(1, 2)]]), "row x=0 sums to below 1"),
+            (lambda: bx.LocalBox([[*LONG, F(1)]]), "row x=0 sums to above 1"),
+            (
+                lambda: bx.BipartiteBox(
+                    (((LONG[:2], (LONG[2], F(1, 2))), QUARTERS), (QUARTERS, QUARTERS))
+                ),
+                r"entries for \(x=0, y=0\) sum to below 1",
+            ),
+            (
+                lambda: bx.Ensemble.from_strategies([(w, (0,)) for w in LONG], 1),
+                "ensemble weights sum to below 1",
+            ),
+            (
+                lambda: bx.NonlocalEnsemble.from_weights(
+                    {((0, 0), (0, 0)): LONG[1], ((0, 1), (0, 0)): LONG[2]},
+                    {(0, 0, 0): F(1) - LONG[0]},
+                ),
+                "member weights sum to above 1",
+            ),
+            (
+                lambda: bx.InputPolicy(((LONG[0], LONG[1]), (LONG[2], F(1, 2)))),
+                "input policy sums to below 1",
+            ),
+        ],
+    )
+    def test_bad_sum(self, build, message):
+        with pytest.raises(bx.ValidationError, match=f"^{message}, expected 1$"):
+            build()
+
+    def test_signalling_scan(self):
+        assert bx.no_signalling_violations(long_signalling_box()) == [
+            "Alice marginal p(a=0|x=0) depends on Bob's input: y=0: below y=1's, y=1: 1/2",
+            "Alice marginal p(a=1|x=0) depends on Bob's input: y=0: above y=1's, y=1: 1/2",
+        ]
+        assert bx.no_signalling_violations(long_signalling_box(y_long=1)) == [
+            "Alice marginal p(a=0|x=0) depends on Bob's input: y=0: 1/2, y=1: below y=0's",
+            "Alice marginal p(a=1|x=0) depends on Bob's input: y=0: 1/2, y=1: above y=0's",
+        ]
+
+    def test_signalling_error(self):
+        with pytest.raises(bx.SignallingError, match="y=0: below y=1's, y=1: 1/2"):
+            bx.decompose(long_signalling_box())

@@ -283,6 +283,39 @@ class TestDecompose:
         assert "Traceback" not in result.stderr
 
 
+def long_box_path(tmp_path, signalling):
+    """A box whose (0, 0) row sums, or whose Alice marginals at y=0 add
+    up, to a value too long to print: 1/3**6000 + 1/5**4000 + ...;
+    every other row is uniform."""
+    a, b = 3**6000, 5**4000
+    if signalling:
+        row = [f"1/{a}", f"1/{b}", f"{a - 2}/{2 * a}", f"{b - 2}/{2 * b}"]
+    else:
+        row = [f"1/{a}", f"1/{b}", f"1/{7**3000}", "1/2"]
+    table = [row] + [["1/4"] * 4 for _ in range(3)]
+    return write(tmp_path / "long.json", {"X": 2, "Y": 2, "A": 2, "B": 2, "table": table})
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_unprintable_sum_is_bad_input(tmp_path, command):
+    result = run_cli(command, long_box_path(tmp_path, signalling=False))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: entries for (x=0, y=0) sum to below 1, expected 1\n"
+
+
+def test_unprintable_marginals_named_by_side(tmp_path):
+    path = long_box_path(tmp_path, signalling=True)
+    result = run_cli("check", path)
+    assert (result.returncode, result.stderr) == (5, "")
+    assert json.loads(result.stdout) == {"ns": False, "local": None}
+    result = run_cli("decompose", path)
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "error: decompose needs a no-signalling box: Alice marginal "
+        "p(a=0|x=0) depends on Bob's input: y=0: below y=1's, y=1: 1/2; "
+    )
+
+
 class TestCheck:
     def test_pr_box(self, tmp_path):
         result = run_cli("check", pr_box_path(tmp_path))

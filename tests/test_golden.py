@@ -8,21 +8,24 @@ the degenerate boundary), the stdout, stderr and exit code of
 and wrong-alphabet cases, the stdout of ``boxsteer decompose`` on a PR
 box in white noise (its witness depends on the split rule), the SHA-256
 digests of the NDJSON log and the report document of ten seeded
-simulations, and the audit verdict of one tampered log.  Inline SHA-256 digests pin the stdout of ``boxsteer
+simulations, the audit verdict of one tampered log, and the
+no-signalling-scan and normalization messages of the library's
+validators (``messages.json``).  Inline SHA-256 digests pin the stdout of ``boxsteer
 blind`` for two relabeled targets with a ``--split`` and for a mirrored
 boundary target; the stderr of rejected splits, the ``alice_marginal``
 witness of two wrong ensembles and Bob's unseen-outcome message are
 pinned inline too.
-Any change to them changes a CLI document or a log byte, so it must be
-deliberate and recorded.  ``PYTHONPATH=src python3
-tests/test_golden.py`` rewrites the simulation, steer/verify and
-decompose files from the current library.
+Any change to them changes a CLI document, a log byte or an error
+message, so it must be deliberate and recorded.  ``PYTHONPATH=src python3
+tests/test_golden.py`` rewrites the simulation, steer/verify, decompose
+and message files from the current library.
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from fractions import Fraction as F
@@ -33,7 +36,7 @@ import pytest
 import boxsteer as bx
 from boxsteer import cli, serialize
 from strategies import pr_bipartite_box
-from test_polytope import noisy_pr
+from test_polytope import flat_box, noisy_pr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -435,6 +438,77 @@ def test_decompose_document(tmp_path):
     assert decompose_stdout(tmp_path) == golden
 
 
+# ---------------------------------------------------------------------------
+# signalling-scan and bad-sum messages
+# ---------------------------------------------------------------------------
+
+MESSAGES = GOLDEN / "messages.json"
+# pairwise coprime: primes just below 2**64
+P1, P2 = 2**64 - 59, 2**64 - 83
+
+
+def signalling_cases():
+    """Boxes that signal: Alice's output is Bob's input; Bob's output is
+    Alice's input; a noisy PR box with mass moved across one block over
+    denominators near 2**64; and a three-input box where only y=1 moves
+    Alice's marginal."""
+    follows_y = [F(int(a == y and b == 0)) for x, y, a, b in itertools.product((0, 1), repeat=4)]
+    follows_x = [F(int(b == x and a == 0)) for x, y, a, b in itertools.product((0, 1), repeat=4)]
+    moved = [noisy_pr(F(1, 2) + F(1, P1)).prob(*key) for key in itertools.product((0, 1), repeat=4)]
+    moved[4], moved[7] = moved[4] - F(1, P2), moved[7] + F(1, P2)
+    quarter = [F(1, 4)] * 2
+    three = [[quarter, quarter], [[F(1, 2), F(1, 4)], [F(1, 4), F(0)]], [quarter, quarter]]
+    return {
+        "follows_y": flat_box(follows_y),
+        "follows_x": flat_box(follows_x),
+        "moved_near_2_64": flat_box(moved),
+        "three_inputs": bx.BipartiteBox([three, three]),
+    }
+
+
+def bad_sum_cases():
+    """Calls that fail normalization, in every validator that checks it."""
+    quarter = [F(1, 4)] * 2
+    return {
+        "local_box": lambda: bx.LocalBox(((F(1, 2), F(1, 4)), (F(1), F(0)))),
+        "local_box_near_2_64": lambda: bx.LocalBox(((F(1, P1), F(1, P2)),)),
+        "bipartite_box": lambda: bx.BipartiteBox(
+            [[[quarter, quarter], [quarter, [F(1, 2), F(1, 4)]]]] * 2
+        ),
+        "ensemble": lambda: bx.Ensemble.from_strategies(
+            [(F(1, 2), (0, 1)), (F(1, 3), (1, 1))], 2
+        ),
+        "ensemble_zero": lambda: bx.Ensemble.from_strategies([(F(0), (0,))], 1),
+        "nonlocal_ensemble": lambda: bx.NonlocalEnsemble.from_weights(
+            {((0, 0), (0, 1)): F(1, 3)}, {(0, 0, 1): F(1, P1)}
+        ),
+        "nonlocal_ensemble_empty": lambda: bx.NonlocalEnsemble((), ()),
+        "input_policy": lambda: bx.InputPolicy(((F(1, 4), F(1, 4)), (F(1, 4), F(0)))),
+    }
+
+
+def error_text(call):
+    try:
+        call()
+    except bx.BoxWorldError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError("the call did not fail")
+
+
+def messages():
+    doc = {}
+    for name, box in signalling_cases().items():
+        doc[f"scan/{name}"] = bx.no_signalling_violations(box)
+        doc[f"alice_marginal/{name}"] = error_text(lambda: bx.alice_marginal(box))
+    for name, call in bad_sum_cases().items():
+        doc[f"sum/{name}"] = error_text(call)
+    return doc
+
+
+def test_messages():
+    assert messages() == json.loads(MESSAGES.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_simulation_bytes(case):
     golden = json.loads(SIMULATE_DIGESTS.read_text(encoding="utf-8"))
@@ -446,8 +520,9 @@ def test_tampered_audit_document():
 
 
 if __name__ == "__main__":
-    # rewrite the simulation, remote-preparation and decompose files; only
-    # when log bytes or steer/verify/decompose output are meant to change
+    # rewrite the simulation, remote-preparation, decompose and message
+    # files; only when log bytes, steer/verify/decompose output or the
+    # scan and normalization messages are meant to change
     SIMULATE_DIGESTS.write_text(
         json.dumps({case_id(c): simulate_digests(c) for c in CASES}, indent=2) + "\n",
         encoding="utf-8",
@@ -458,3 +533,4 @@ if __name__ == "__main__":
         DECOMPOSE_NOISY_PR.write_text(
             decompose_stdout(Path(scratch)), encoding="utf-8"
         )
+    MESSAGES.write_text(json.dumps(messages(), indent=2) + "\n", encoding="utf-8")

@@ -416,6 +416,113 @@ class TestScenarioErrors:
             bx.is_local(signalling_box())
 
 
+# ---------------------------------------------------------------------------
+# the integer lattice: a box's numerators over one common denominator
+# ---------------------------------------------------------------------------
+
+KEYS = tuple(itertools.product(BITS, repeat=4))
+# pairwise coprime: the five primes just below 2**64
+PRIMES_NEAR_2_64 = tuple(2**64 - k for k in (59, 83, 95, 179, 189))
+
+
+def flat_box(flat) -> bx.BipartiteBox:
+    """The one-bit box of 16 entries in (x, y, a, b) order."""
+    return bx.BipartiteBox(
+        [[[flat[8 * x + 4 * y + 2 * a:8 * x + 4 * y + 2 * a + 2] for a in BITS]
+          for y in BITS] for x in BITS]
+    )
+
+
+def mixed_denominators():
+    """Small denominators, 2**16..2**20, and coprime ones near 2**64."""
+    return st.one_of(
+        st.integers(1, 24),
+        st.integers(2**16, 2**20),
+        st.sampled_from(PRIMES_NEAR_2_64),
+    )
+
+
+@st.composite
+def mixed_boxes(draw):
+    """One-bit boxes over mixed denominators: a vertex ensemble of up to
+    five members, each but the last weighing n/(d k) for its own d, or a
+    PR vertex in white noise at visibility 1/2 + s/(4d), s in {-1, 0, 1},
+    on either side of the CHSH facet or on it; half of them are then made
+    to signal by moving up to 1/d of one cell to another of its block."""
+    if draw(st.booleans()):
+        vertices = draw(st.lists(st.integers(0, 23), min_size=1, max_size=5, unique=True))
+        weights = []
+        for _ in vertices[1:]:
+            d = draw(mixed_denominators())
+            weights.append(F(draw(st.integers(0, d)), d * len(vertices)))
+        weights.append(1 - sum(weights, F(0)))
+        catalog = catalog_boxes()
+        flat = [
+            sum((w * catalog[v].prob(*key) for w, v in zip(weights, vertices)), F(0))
+            for key in KEYS
+        ]
+    else:
+        visibility = F(1, 2) + F(draw(st.integers(-1, 1)), 4 * draw(mixed_denominators()))
+        box = noisy_pr(visibility, draw(st.sampled_from(bx.catalog_prs())))
+        flat = [box.prob(*key) for key in KEYS]
+    if draw(st.booleans()):
+        block = 4 * draw(st.integers(0, 3))
+        source, target = draw(st.permutations(range(4)))[:2]
+        moved = min(flat[block + source], F(1, draw(mixed_denominators())))
+        flat[block + source] -= moved
+        flat[block + target] += moved
+    return flat_box(flat)
+
+
+class TestLattice:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_boxes())
+    def test_matches_simplex(self, box):
+        den, numerators = box._lattice
+        assert den == math.lcm(*(box.prob(*key).denominator for key in KEYS))
+        assert all(
+            F(numerators[x][y][a][b], den) == box.prob(x, y, a, b) for x, y, a, b in KEYS
+        )
+        # no-signalling iff a mixture of the 24 vertices
+        rhs = [box.prob(*key) for key in KEYS] + [F(1)]
+        columns = tuple(col + (F(1),) for col in CATALOG_COLUMNS)
+        ns = solve_nonneg_exact(columns, rhs) is not None
+        assert (bx.no_signalling_violations(box) == []) == ns
+        if not ns:
+            with pytest.raises(bx.SignallingError):
+                bx.decompose(box)
+            return
+        assert bx.is_local(box) == simplex_local(box)
+        assert_canonical(box, bx.decompose(box))
+
+    def test_adds_no_fraction_once_built(self, monkeypatch):
+        # the scan, the CHSH test, the peel, the gluing and the remix run
+        # on integer numerators; Fractions are only built, never added
+        p, q = PRIMES_NEAR_2_64[:2]
+        boxes = [
+            noisy_pr(F(1, 2) + F(1, p), bx.PRBox(1, 0, 1)),
+            noisy_pr(F(1, 2) - F(1, 2**20)),
+            bx.mix_nonlocal(
+                bx.NonlocalEnsemble.from_weights(
+                    {((0, 1), (1, 0)): F(1, p), ((1, 1), (0, 0)): F(1, 3)},
+                    {(0, 1, 0): 1 - F(1, p) - F(1, 3) - F(3, q), (1, 1, 1): F(3, q)},
+                )
+            ),
+        ]
+        signalling = signalling_box()
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on a built box")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(F, name, refuse)
+        assert bx.no_signalling_violations(signalling)
+        for box in boxes:
+            assert bx.no_signalling_violations(box) == []
+            bx.is_local(box)
+            assert bx.mix_nonlocal(bx.decompose(box)) == box
+
+
 def random_columns(rng: random.Random, rows: int, count: int):
     return tuple(
         tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows))
