@@ -31,13 +31,11 @@ from .boxes import (
     no_signalling_violations,
 )
 from .ensembles import (
-    AliceReduction,
     Ensemble,
     Member,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
-    ReductionRecord,
     constituent_after_measurement,
     mix,
     mix_nonlocal,
@@ -77,10 +75,9 @@ from .steering import (
     verify_steering_state,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
-    "AliceReduction",
     "AuditVerdict",
     "BipartiteBox",
     "BlindReport",
@@ -98,7 +95,6 @@ __all__ = [
     "PRBox",
     "PRMember",
     "ProductMember",
-    "ReductionRecord",
     "RegionError",
     "Relabeling",
     "RoundLog",

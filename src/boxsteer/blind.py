@@ -41,14 +41,12 @@ split over individual members is free, and every valid split produces
 identical reductions, which is what keeps Bob blind.  The tests check
 with an exact simplex that no other aggregates are feasible.
 
-Verification reduces the ensemble once per Bob input and reads
-everything else off those records and the members, without mixing a
-two-party box: Alice's marginal is p(a|x) = sum of w * [S(x) = a] over
-the S-box weights of a reduction (the two records of a PR member give
-complementary outputs, so each gets half its weight); Bob sees outcome
-b on input y iff some member's cells at x = 0 hold b; and his posterior
-after b holds every product record's S box and the S boxes of the PR
-records for b.
+Verification reads the joint law after each of Bob's inputs (per
+member and outcome b, the share w / n and Alice's constituent) without
+mixing a two-party box: the reduction is the joint summed over b;
+Alice's marginal is p(a|x) = sum of w * [S(x) = a] over its S-box
+weights; Bob sees b iff some entry gives b; and his posterior after b
+holds the entries of members that drew b and every product entry.
 """
 
 from __future__ import annotations
@@ -60,13 +58,13 @@ from typing import Callable
 
 from .boxes import PRBox, SBox, _require_index, as_prob
 from .ensembles import (
-    AliceReduction,
     Ensemble,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
-    _sbox_ensemble,
-    posterior_alice_reduction,
+    _Entry,
+    _joint_after_input,
+    _reduction,
 )
 from .errors import (
     DegenerateRegionWarning,
@@ -222,8 +220,8 @@ def _verify(
         for triangle in (upper_triangle_weights, lower_triangle_weights)
     ]
 
-    reductions = [posterior_alice_reduction(ensemble, y) for y in (0, 1)]
-    reduced = [reduction.constituent_weights() for reduction in reductions]
+    joints = [_joint_after_input(ensemble, y) for y in (0, 1)]
+    reduced = [_reduction(joint) for joint in joints]
     checks = []
     for y in (0, 1):
         if reduced[y] == expected[y]:
@@ -251,10 +249,11 @@ def _verify(
         )
 
     supports = []
-    for y in (0, 1):
-        for b, labels in enumerate(_posterior_supports(reductions[y])):
-            if _bob_sees(ensemble, y, b):
-                supports.append(((y, b), labels))
+    for y, joint in enumerate(joints):
+        for b in (0, 1):
+            kept = _kept_in_play(joint, b)
+            if kept is not None:
+                supports.append(((y, b), tuple(sorted(sbox.label for sbox in kept))))
     return BlindReport(
         checks=tuple(checks),
         target=target,
@@ -278,28 +277,21 @@ def _alice_marginal(
     return tuple(rows[0]), tuple(rows[1])
 
 
-def _bob_sees(ensemble: NonlocalEnsemble, y: int, b: int) -> bool:
-    """Whether some member's cells at x = 0 hold Bob's outcome ``b`` on
-    input ``y`` (merged weights are positive).  Last to first, so that a
-    PR member, which allows both outcomes, answers before the products."""
-    for m in reversed(ensemble.members):
-        for _, cell_b in m.cells(0, y):
-            if cell_b == b:
-                return True
-    return False
+def _kept_in_play(joint: list[_Entry], b: int) -> dict[SBox, Fraction] | None:
+    """The constituent weights of the joint's entries Bob keeps in play
+    after outcome ``b``: those of members that drew b, and every entry of
+    a member that drew nothing.  None if no entry gives b."""
+    if all(seen != b for _, seen, _, _ in joint):
+        return None
+    return _reduction(e for e in joint if e[1] == b or not e[2])
 
 
-def _posterior_supports(reduction: AliceReduction) -> tuple[tuple[str, ...], ...]:
-    """The sorted S-box labels of Bob's posterior after outcome 0 and
-    after outcome 1: every product record counts for both outcomes, a PR
-    record for its own.  Record weights are positive, so no weight needs
-    summing."""
-    labels: tuple[set[str], set[str]] = (set(), set())
-    for record in reduction.records:
-        outcomes = (0, 1) if record.bob_outcome is None else (record.bob_outcome,)
-        for b in outcomes:
-            labels[b].add(record.constituent.label)
-    return tuple(tuple(sorted(support)) for support in labels)
+def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
+    """The single-party ensemble of S-box weights, in their order, zero
+    weights dropped."""
+    return Ensemble.from_strategies(
+        ((w, (sbox.output(0), sbox.output(1))) for sbox, w in weights.items()), 2
+    )
 
 
 def _describe(weights: dict[SBox, Fraction]) -> str:
@@ -317,27 +309,19 @@ def bob_posterior(
     members: any Bob factor is possible, and a product round stays in
     play with its full weight whatever b he saw.  Only PR rounds let the
     outcome select between the two constituents they can leave behind.
+    Over the joint after ``y``, p(c | b) is the sum of the shares of the
+    entries (share, b', drew, c) in play, b' = b or not drew, over the
+    sum of the shares of all entries in play.
     """
-    reduction = posterior_alice_reduction(ensemble, y)
+    joint = _joint_after_input(ensemble, y)
     _require_index("b", b, 2)
-    if not _bob_sees(ensemble, y, b):
+    kept = _kept_in_play(joint, b)
+    if kept is None:
         raise ZeroProbabilityError(
             f"Bob never sees b={b} on input y={y} under this ensemble"
         )
-    return _posterior(reduction, b)
-
-
-def _posterior(reduction: AliceReduction, b: int) -> dict[SBox, Fraction]:
-    totals: dict[SBox, Fraction] = {}
-    norm = Fraction(0)
-    for record in reduction.records:
-        if record.bob_outcome is not None and record.bob_outcome != b:
-            continue
-        totals[record.constituent] = (
-            totals.get(record.constituent, Fraction(0)) + record.weight
-        )
-        norm += record.weight
-    return {sbox: w / norm for sbox, w in totals.items() if w != 0}
+    norm = sum(kept.values())
+    return {sbox: w / norm for sbox, w in kept.items()}
 
 
 # ---------------------------------------------------------------------------

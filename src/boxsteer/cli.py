@@ -96,7 +96,8 @@ def _load_json(path: str) -> Any:
         text = handle.read()
     try:
         return json.loads(text)
-    except ValueError as exc:  # bad JSON, or an int past Python's int-string limit
+    # bad JSON, an int past the int-string limit, nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -186,7 +187,7 @@ def _parse_policy(value: str) -> InputPolicy:
     if value.lstrip().startswith("{"):
         try:
             obj = json.loads(value)
-        except ValueError as exc:  # bad JSON, or an int past the int-string limit
+        except (ValueError, RecursionError) as exc:  # as in _load_json
             raise ValidationError(f"inline policy is not valid JSON: {exc}") from exc
         return input_policy_from_json(obj)
     return input_policy_from_json(_load_json(value))

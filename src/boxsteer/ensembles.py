@@ -11,12 +11,12 @@ ones without changing anything observable.
 
 A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
-extremal PR correlations.  When Bob measures ``y``, each member leaves
-Alice in a definite S box; :func:`posterior_alice_reduction` records
-one entry per (member, Bob outcome) pair.  The audit and blind
-verification read their merged constituent weights, and Bob's posterior
-their outcomes; no code reads a record's ``member_id``.  Alice's side is
-kept as S-box weights; the :class:`Ensemble` is built only on request.
+extremal PR correlations.  Its round table, built once, lists each
+member's equally likely rounds per input pair, one per outcome its
+``cells`` allow, with the S box Alice is left in.  Its rows at x = 0 are
+the joint law after Bob's input (:func:`_joint_after_input`), of which
+Alice's reduction, Bob's outcomes and his posterior are sums; the
+sampler and the audit read the table.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering.
@@ -46,6 +46,9 @@ from .errors import ValidationError
 _K = TypeVar("_K", bound=Hashable)
 
 Strategy = tuple[int, ...]
+# an entry of the joint after Bob's input: (share, b, drew, constituent)
+_Entry = tuple[Fraction, int, bool, SBox]
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # input pairs (x, y), in round-table order
 
 
 def _merge_weighted(pairs: Iterable[tuple[Fraction, _K]]) -> list[tuple[Fraction, _K]]:
@@ -301,6 +304,23 @@ class NonlocalEnsemble:
             totals[m.box.beta] = totals.get(m.box.beta, Fraction(0)) + m.weight
         return {k: v for k, v in totals.items() if v != 0}
 
+    @functools.cached_property
+    def _round_table(self) -> tuple[tuple[tuple[tuple, ...], ...], ...]:
+        """``[member][index of (x, y) in PAIRS]``: the member's rounds on
+        (x, y), as (x, y, a, b, constituent), one per outcome of its
+        ``cells``, in that order, equally likely.  Built once; the
+        sampler, the audit and the joint after Bob's input read it."""
+        table = []
+        for m in self.members:
+            # the constituent depends on (y, b) alone, not on x
+            after = [[constituent_after_measurement(m, y, b) for b in (0, 1)]
+                     for y in (0, 1)]
+            table.append(tuple(
+                tuple((x, y, a, b, after[y][b]) for a, b in m.cells(x, y))
+                for x, y in PAIRS
+            ))
+        return tuple(table)
+
 
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     """The two-party box realized by the ensemble.
@@ -344,67 +364,37 @@ def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:
     raise ValidationError(f"unknown member type {member!r}")
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
-    """One provenance entry of a reduction.
-
-    ``bob_outcome`` is None for product members: Bob's outcome there is
-    produced by his own factor and carries no information about which
-    member the round used.  PR members split into one record per Bob
-    outcome, each with half the member weight.
-    """
-
-    member_id: int
-    bob_outcome: int | None
-    constituent: SBox
-    weight: Fraction
-
-
-def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
-    """The single-party ensemble of S-box weights, in their order, zero
-    weights dropped."""
-    return Ensemble.from_strategies(
-        ((w, (sbox.output(0), sbox.output(1))) for sbox, w in weights.items()), 2
-    )
-
-
-@dataclass(frozen=True)
-class AliceReduction:
-    """Alice's ensemble after Bob's input ``input_choice``, with provenance."""
-
-    input_choice: int
-    records: tuple[ReductionRecord, ...]
-
-    def constituent_weights(self) -> dict[SBox, Fraction]:
-        """Merged weight per S box, in first-occurrence order, zeros dropped."""
-        totals: dict[SBox, Fraction] = {}
-        for record in self.records:
-            totals[record.constituent] = (
-                totals.get(record.constituent, Fraction(0)) + record.weight
-            )
-        return {k: v for k, v in totals.items() if v != 0}
-
-    @property
-    def ensemble(self) -> Ensemble:
-        return _sbox_ensemble(self.constituent_weights())
-
-
-def posterior_alice_reduction(ensemble: NonlocalEnsemble, y: int) -> AliceReduction:
-    """Reduce a two-party ensemble to Alice's ensemble for Bob input ``y``."""
+def _joint_after_input(ensemble: NonlocalEnsemble, y: int) -> list[_Entry]:
+    """The joint law of Bob's outcome and Alice's constituent once Bob
+    has chosen ``y``: per member, in member order, one entry
+    (w_m / n, b, drew, constituent) for each of its n rounds at
+    (x, y) = (0, y), in b order.  ``drew`` is n = 2: the member draws b
+    (a PR member) rather than fixing it (a product).  Alice's input never
+    reaches Bob, so the rows at x = 1 give the same joint."""
     _require_index("y", y, 2)
-    records: list[ReductionRecord] = []
-    for member_id, member in enumerate(ensemble.members):
-        if isinstance(member, ProductMember):
-            records.append(
-                ReductionRecord(member_id, None, member.alice, member.weight)
-            )
-        else:
-            half = member.weight / 2
-            for b in (0, 1):
-                records.append(
-                    ReductionRecord(
-                        member_id, b, constituent_after_measurement(member, y, b), half
-                    )
-                )
-    return AliceReduction(y, tuple(records))
+    joint = []
+    for m, rows in zip(ensemble.members, ensemble._round_table):
+        row = rows[y]  # (0, y) is the y-th input pair
+        drew = len(row) == 2
+        share = m.weight / 2 if drew else m.weight
+        # rows list outcomes in a order, so b = 1 comes first where a XOR b = 1
+        for *_, b, constituent in (row if row[0][3] == 0 else row[::-1]):
+            joint.append((share, b, drew, constituent))
+    return joint
 
+
+def _reduction(entries: Iterable[_Entry]) -> dict[SBox, Fraction]:
+    """The shares of joint entries summed per constituent, in
+    first-occurrence order; shares are positive, so no sum is zero."""
+    totals: dict[SBox, Fraction] = {}
+    for w, _, _, c in entries:
+        totals[c] = totals[c] + w if c in totals else w
+    return totals
+
+
+def posterior_alice_reduction(
+    ensemble: NonlocalEnsemble, y: int
+) -> dict[SBox, Fraction]:
+    """Alice's ensemble after Bob's input ``y``, as S-box weights: the
+    joint after that input summed over Bob's outcome."""
+    return _reduction(_joint_after_input(ensemble, y))

@@ -285,7 +285,8 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad JSON on log line {lineno}: {exc}") from exc
-        except ValueError as exc:  # an integer past Python's int-string limit
+        # an int past the int-string limit, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"log line {lineno}: {exc}") from exc
         yield round_log_from_json(obj)
 
@@ -377,7 +378,7 @@ def simulation_report_to_json(report: SimulationReport) -> dict:
         "rounds": report.rounds,
         "rng_seed": report.rng_seed,
         "policy": input_policy_to_json(report.policy),
-        # nested tuples; cells of input pairs never drawn are NaN
+        # nested tuples; cells of input pairs never drawn are null
         "empirical_joint": report.empirical_joint,
         "alice_frequencies": {
             str(y): {sbox.label: freq for sbox, freq in cells.items()}
@@ -392,4 +393,4 @@ def simulation_report_to_json(report: SimulationReport) -> dict:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

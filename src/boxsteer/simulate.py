@@ -1,11 +1,10 @@
 """Seeded Monte Carlo execution of the refereed preparation protocol.
 
 Each round the Referee draws a member of the declared ensemble, the
-players draw inputs (x, y) from the input policy, and outcomes (a, b)
-are drawn uniformly from the ones the member allows on (x, y), its
-``cells``.  The Referee then names Alice's resulting constituent by the
-parity-relation rule (:func:`constituent_after_measurement`); a round is
-logged with it as both the Referee's inference and Alice's actual
+players draw inputs (x, y) from the input policy, and the round is one
+of the member's equally likely rounds on (x, y) in the ensemble's round
+table: an outcome (a, b) its ``cells`` allow, with the constituent Alice
+is left in, logged as both the Referee's inference and Alice's actual
 constituent.
 
 Randomness scheme: one substream per round.  Round ``r`` of a run with
@@ -27,13 +26,14 @@ divides 2**53).  Floats appear only in frequencies and test statistics.
 A log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
 (:class:`LogTally`); the audit flags each round that is not one of its
-member's rounds in the same table.  Rounds are drawn (:func:`sample_rounds`)
-and counted one at a time, so a log can be streamed without being held.
+member's rounds in the same table, and tests Alice's constituent
+frequencies per Bob input against :func:`posterior_alice_reduction`.
+Rounds are drawn (:func:`sample_rounds`) and counted one at a time, so a
+log can be streamed without being held.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,16 +43,11 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .boxes import SBox, _is_index, _sums_to_one, as_prob
-from .ensembles import (
-    NonlocalEnsemble,
-    constituent_after_measurement,
-    posterior_alice_reduction,
-)
+from .ensembles import PAIRS, NonlocalEnsemble, posterior_alice_reduction
 from .errors import ValidationError
 
 DEFAULT_SIGNIFICANCE = 1e-3
 BITS = (0, 1)
-PAIRS = tuple(product(BITS, BITS))
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class SimulationReport:
     rounds: int
     rng_seed: int
     policy: InputPolicy
-    empirical_joint: tuple[tuple[tuple[tuple[float, ...], ...], ...], ...]
+    empirical_joint: tuple[tuple[tuple[tuple[float | None, ...], ...], ...], ...]
     alice_frequencies: dict[int, dict[SBox, float]]
     alice_frequencies_by_outcome: dict[tuple[int, int], dict[SBox, float]]
     verdict: AuditVerdict
@@ -249,26 +244,12 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
     return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
 
 
-def _round_table(ensemble: NonlocalEnsemble) -> tuple[tuple[tuple[tuple, ...], ...], ...]:
-    """``[member][index of (x, y)]``: the member's rounds on (x, y), as
-    (x, y, a, b, constituent), one per outcome of its ``cells``, in that
-    order, equally likely.  The sampler and the audit read the same rounds."""
-    after = constituent_after_measurement
-    return tuple(
-        tuple(
-            tuple((x, y, a, b, after(m, y, b)) for a, b in m.cells(x, y))
-            for x, y in PAIRS
-        )
-        for m in ensemble.members
-    )
-
-
 def sample_rounds(
     ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
 ) -> Iterator[RoundLog]:
     """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
     one at a time, after the arguments are checked.  The outcome is entry
-    k * n >> 53 of the member's n rounds on (x, y) in :func:`_round_table`:
+    k * n >> 53 of the member's n rounds on (x, y) in its round table:
     u < i/n iff k < i * 2**53 / n, exact as n, 1 or 2, divides 2**53."""
     if not _is_index(rounds):
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
@@ -279,7 +260,7 @@ def sample_rounds(
 
     member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
     pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
-    table = _round_table(ensemble)
+    table = ensemble._round_table
 
     def draw() -> Iterator[RoundLog]:
         for start in range(0, rounds, _BLOCK):
@@ -353,7 +334,7 @@ class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
     alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
     member exists, x, y, a, b are bits, (x, y, a, b) is one of its rounds
-    in :func:`_round_table`, and the inference and the constituent are the
+    in the ensemble's round table, and the inference and the constituent are the
     one that round implies) runs once per distinct cell; the round loop
     makes one lookup, counts, and keeps the first 20 offending round ids in
     log order.  A cell that is not well-typed is a mismatch and stays out
@@ -368,7 +349,7 @@ class LogTally:
         self.significance = significance
         self._implied = [  # per member, {(x, y, a, b): implied constituent}
             {entry[:4]: entry[4] for outcomes in rows for entry in outcomes}
-            for rows in _round_table(ensemble)
+            for rows in ensemble._round_table
         ]
         self.cells: dict[tuple, list] = {}
         self.mismatch_rounds: list[int] = []
@@ -415,7 +396,7 @@ class LogTally:
         cells: list[FrequencyCell] = []
         for y, counts in self._grouped((_Y,), (_ACTUAL,)).items():
             total = sum(counts.values())
-            weights = posterior_alice_reduction(self.ensemble, y).constituent_weights()
+            weights = posterior_alice_reduction(self.ensemble, y)
             for sbox in sorted(set(weights) | set(counts), key=lambda s: s.index):
                 weight = weights.get(sbox, Fraction(0))
                 seen = counts.get(sbox, 0)
@@ -435,9 +416,9 @@ class LogTally:
         )
 
     def report(self, seed: int, policy: InputPolicy) -> SimulationReport:
-        """The run's report; the joint cells of input pairs never drawn are NaN."""
+        """The run's report; the joint cells of input pairs never drawn are None."""
         joint = _relative(self._grouped((_X, _Y), (_A, _B)))
-        undrawn = dict.fromkeys(PAIRS, math.nan)
+        undrawn = dict.fromkeys(PAIRS)
         return SimulationReport(
             rounds=sum(n for n, _ in self.cells.values()),
             rng_seed=seed,

@@ -13,10 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # every name in boxsteer.__all__, sorted; the JSON formats stay in
 # boxsteer.serialize and the steering checks in boxsteer.steering
 PUBLIC_NAMES = """
-AliceReduction AuditVerdict BipartiteBox BlindReport BlindSteeringPlan
+AuditVerdict BipartiteBox BlindReport BlindSteeringPlan
 BoxWorldError CheckResult DegenerateRegionWarning Ensemble FrequencyCell
 IncompatibleEnsemblesError InputPolicy LocalBox Member NonlocalEnsemble PRBox
-PRMember ProductMember ReductionRecord RegionError Relabeling RoundLog SBox
+PRMember ProductMember RegionError Relabeling RoundLog SBox
 SignallingError SimulationReport SteeringState TargetState ValidationError
 VerificationReport ZeroProbabilityError alice_marginal as_prob
 bob_outcome_distribution bob_posterior canonicalize catalog_hash

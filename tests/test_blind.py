@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
+from boxsteer.ensembles import _joint_after_input
 from simplex_oracle import solve_nonneg_exact
 from strategies import (
     catalog_boxes,
     condition_on_bob,
-    ensembles_equal,
     interior_targets,
     nonlocal_ensembles,
     product_only_ensembles,
@@ -332,9 +332,8 @@ class TestBuildEnsemble:
         assert plan.report.passed
         canonical = bx.plan_blind_steering(CANONICAL).ensemble
         for y in BITS:
-            assert ensembles_equal(
-                bx.posterior_alice_reduction(split, y).ensemble,
-                bx.posterior_alice_reduction(canonical, y).ensemble,
+            assert bx.posterior_alice_reduction(split, y) == (
+                bx.posterior_alice_reduction(canonical, y)
             )
 
     def test_wrong_aggregates_rejected(self):
@@ -468,9 +467,8 @@ def test_family_invariance(target, rng):
     plan = bx.plan_blind_steering(target, random_blind_split(rng, canonical))
     assert plan.report.passed
     for y in BITS:
-        assert ensembles_equal(
-            bx.posterior_alice_reduction(plan.ensemble, y).ensemble,
-            bx.posterior_alice_reduction(canonical, y).ensemble,
+        assert bx.posterior_alice_reduction(plan.ensemble, y) == (
+            bx.posterior_alice_reduction(canonical, y)
         )
 
 
@@ -534,7 +532,7 @@ class TestClosedFormOracles:
     def test_marginal_of_either_reduction(self, ensemble):
         expected = bx.alice_marginal(bx.mix_nonlocal(ensemble)).table
         for y in BITS:
-            weights = bx.posterior_alice_reduction(ensemble, y).constituent_weights()
+            weights = bx.posterior_alice_reduction(ensemble, y)
             assert bx.blind._alice_marginal(weights) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -561,8 +559,11 @@ class TestClosedFormOracles:
         box = bx.mix_nonlocal(ensemble)
         for y, b in itertools.product(BITS, BITS):
             seen = bx.bob_outcome_distribution(box, y)[b] > 0
-            assert bx.blind._bob_sees(ensemble, y, b) == seen
-            if not seen:
+            joint = _joint_after_input(ensemble, y)
+            assert any(outcome == b for _, outcome, _, _ in joint) == seen
+            if seen:
+                assert sum(bx.bob_posterior(ensemble, y, b).values()) == 1
+            else:
                 with pytest.raises(bx.ZeroProbabilityError):
                     bx.bob_posterior(ensemble, y, b)
 
@@ -574,11 +575,11 @@ class TestClosedFormOracles:
 
 
 def test_plan_reduces_once_per_input_and_never_mixes(monkeypatch):
-    calls = {"mix_nonlocal": 0, "posterior_alice_reduction": 0, "Ensemble": 0}
+    calls = {"mix_nonlocal": 0, "_joint_after_input": 0, "Ensemble": 0}
     assert not hasattr(bx.blind, "mix_nonlocal")
     for module, name in (
         (bx.ensembles, "mix_nonlocal"),
-        (bx.blind, "posterior_alice_reduction"),
+        (bx.blind, "_joint_after_input"),
     ):
         original = getattr(module, name)
 
@@ -596,7 +597,7 @@ def test_plan_reduces_once_per_input_and_never_mixes(monkeypatch):
     monkeypatch.setattr(bx.Ensemble, "__post_init__", counted_ensemble)
     bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
     # the only single-party ensembles built are the report's two expected ones
-    assert calls == {"mix_nonlocal": 0, "posterior_alice_reduction": 2, "Ensemble": 2}
+    assert calls == {"mix_nonlocal": 0, "_joint_after_input": 2, "Ensemble": 2}
 
 
 def test_blind_path_builds_no_box(monkeypatch):

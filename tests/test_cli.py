@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.6.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.7.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -548,3 +548,42 @@ class TestAudit:
         assert result.returncode == 2
         assert result.stderr.startswith("error: cannot read")
         assert "Traceback" not in result.stderr
+
+
+DEPTH = 100_000  # far past the recursion limit of json.loads
+
+
+def deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * DEPTH + "]" * DEPTH)
+    return str(path)
+
+
+def assert_bad_input(result):
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "recursion" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_box_file(self, tmp_path, command):
+        assert_bad_input(run_cli(command, deeply_nested(tmp_path)))
+
+    def test_ensemble_file(self, tmp_path):
+        assert_bad_input(run_cli("simulate", deeply_nested(tmp_path), "--rounds", "10"))
+
+    def test_inline_policy(self, tmp_path):
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        # unclosed, so that the argument stays under Linux's 128 KiB limit
+        policy = '{"table": ' + "[" * DEPTH
+        assert_bad_input(run_cli("simulate", path, "--rounds", "10", "--policy", policy))
+
+    def test_log_line(self, tmp_path):
+        ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        logs = tmp_path / "logs.ndjson"
+        logs.write_text("[" * DEPTH + "]" * DEPTH + "\n")
+        result = run_cli("audit", str(logs), ensemble)
+        assert_bad_input(result)
+        assert result.stderr.startswith("error: log line 1: ")

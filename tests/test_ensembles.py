@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
 import boxsteer as bx
-from boxsteer import simulate
+from boxsteer.ensembles import _joint_after_input
 from strategies import (
     catalog_ensembles,
     closed_form_reduction,
@@ -18,6 +19,7 @@ from strategies import (
     nonlocal_ensembles,
     pr_bipartite_box,
     product_decomposition,
+    random_blind_split,
     realizes,
 )
 
@@ -27,6 +29,11 @@ HALF = F(1, 2)
 
 def sbox_ensemble(*pairs):
     return bx.Ensemble(tuple((w, bx.SBox(a, b).as_local_box()) for w, (a, b) in pairs))
+
+
+def weights_ensemble(weights):
+    """The single-party ensemble of a ``{SBox: weight}`` reduction."""
+    return bx.Ensemble(tuple((w, sbox.as_local_box()) for sbox, w in weights.items()))
 
 
 UNIFORM = bx.LocalBox(((HALF, HALF), (HALF, HALF)))
@@ -215,7 +222,7 @@ class TestVertexCells:
         table = box.table
         mixed = bx.mix_nonlocal(ensemble)
         pairs = list(itertools.product(BITS, BITS))
-        (rows,) = simulate._round_table(ensemble)
+        (rows,) = ensemble._round_table
         for (x, y), row in zip(pairs, rows):
             allowed = tuple((a, b) for a, b in pairs if table[x][y][a][b])
             assert member.cells(x, y) == allowed
@@ -288,38 +295,61 @@ class TestConstituentAfterMeasurement:
         assert checked == 16 * 2 + 8 * 4
 
 
+def oracle_joint(ensemble, y):
+    """The joint after Bob's input ``y`` from each member's written table:
+    per member and outcome b Bob can see, w_m times Bob's marginal, b,
+    whether that marginal is below one, and Alice's conditional box."""
+    joint = []
+    for m in ensemble.members:
+        box = member_box(m)
+        for b, p_b in enumerate(bx.bob_outcome_distribution(box, y)):
+            if p_b:
+                constituent = bx.SBox.from_local_box(condition_on_bob(box, y, b))
+                joint.append((m.weight * p_b, b, p_b < 1, constituent))
+    return joint
+
+
+class TestJointAfterInput:
+    @pytest.mark.parametrize(
+        "ensemble", catalog_ensembles(), ids=lambda e: e.members[0].label
+    )
+    def test_vertex_matches_conditioning(self, ensemble):
+        # PR001 and its kin list b = 1 first in their cells at (0, 0); the
+        # joint, like the oracle, lists b = 0 first
+        for y in BITS:
+            assert _joint_after_input(ensemble, y) == oracle_joint(ensemble, y)
+
+    def test_blind_splits_match_conditioning(self):
+        rng = random.Random(2007)
+        for s, t in [(2, 4), (6, 4), (1, 5), (5, 1)]:  # eighths
+            target = bx.TargetState(F(s, 8), F(t, 8))
+            canonical = bx.plan_blind_steering(target).ensemble
+            for _ in range(10):
+                split = random_blind_split(rng, canonical)
+                for y in BITS:
+                    joint = _joint_after_input(split, y)
+                    assert joint == oracle_joint(split, y)
+                    assert sum(share for share, _, _, _ in joint) == 1
+
+    def test_round_table_built_once(self):
+        e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
+        assert e._round_table is e._round_table
+
+
 class TestPosteriorAliceEnsemble:
     def test_pr000_reductions(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
-        assert ensembles_equal(
-            bx.posterior_alice_reduction(e, 0).ensemble,
-            sbox_ensemble((HALF, (0, 0)), (HALF, (0, 1))),
-        )
-        assert ensembles_equal(
-            bx.posterior_alice_reduction(e, 1).ensemble,
-            sbox_ensemble((HALF, (1, 0)), (HALF, (1, 1))),
-        )
+        assert bx.posterior_alice_reduction(e, 0) == {
+            bx.SBox(0, 0): HALF, bx.SBox(0, 1): HALF
+        }
+        assert bx.posterior_alice_reduction(e, 1) == {
+            bx.SBox(1, 0): HALF, bx.SBox(1, 1): HALF
+        }
 
     def test_product_member_reduction(self):
         e = bx.NonlocalEnsemble.from_weights(products={((0, 1), (0, 0)): F(1)})
         for y in BITS:
-            assert ensembles_equal(
-                bx.posterior_alice_reduction(e, y).ensemble, sbox_ensemble((F(1), (0, 1)))
-            )
-
-    def test_provenance_records(self):
-        e = bx.NonlocalEnsemble.from_weights(
-            products={((0, 1), (0, 0)): HALF}, prs={(0, 0, 0): HALF}
-        )
-        reduction = bx.posterior_alice_reduction(e, 0)
-        product_records = [r for r in reduction.records if r.bob_outcome is None]
-        pr_records = [r for r in reduction.records if r.bob_outcome is not None]
-        assert len(product_records) == 1
-        assert product_records[0].weight == HALF
-        assert len(pr_records) == 2
-        assert all(r.weight == F(1, 4) for r in pr_records)
-        assert {r.bob_outcome for r in pr_records} == {0, 1}
-        assert sum(r.weight for r in reduction.records) == 1
+            assert bx.posterior_alice_reduction(e, y) == {bx.SBox(0, 1): F(1)}
 
     @pytest.mark.parametrize("y", [1.0, True, False, 2, "0", None])
     def test_non_bit_input_rejected(self, y):
@@ -332,19 +362,16 @@ class TestPosteriorAliceEnsemble:
     @given(nonlocal_ensembles())
     def test_generic_reduction_matches_closed_form(self, ensemble):
         for y in BITS:
-            reduced = bx.posterior_alice_reduction(ensemble, y).ensemble
-            expected = closed_form_reduction(ensemble, y)
-            got = {
-                bx.SBox.from_local_box(box): w for w, box in reduced.members
-            }
-            assert got == expected
+            reduced = bx.posterior_alice_reduction(ensemble, y)
+            assert reduced == closed_form_reduction(ensemble, y)
 
     @settings(max_examples=80, deadline=None)
     @given(nonlocal_ensembles())
     def test_reduction_preserves_marginal(self, ensemble):
         marginal = bx.alice_marginal(bx.mix_nonlocal(ensemble))
         for y in BITS:
-            assert bx.mix(bx.posterior_alice_reduction(ensemble, y).ensemble) == marginal
+            reduced = bx.posterior_alice_reduction(ensemble, y)
+            assert bx.mix(weights_ensemble(reduced)) == marginal
 
     @settings(max_examples=50, deadline=None)
     @given(local_boxes(3, 2))

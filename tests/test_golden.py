@@ -204,6 +204,19 @@ def test_reduction_witnesses(s, t, upper, lower):
     )
 
 
+def test_reduction_witness_lists_b_zero_first():
+    # PR001 has parity 1 at (0, 0), so its cells list b = 1 first; the
+    # reduction names the b = 0 constituent (S01) first all the same
+    pr001 = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 1): F(1)})
+    report = bx.verify_blind_steering(pr001, bx.TargetState(F(1, 4), F(1, 2)))
+    assert report.check("reduction_y0") == bx.CheckResult(
+        "reduction_y0",
+        False,
+        "Bob input 0 prepares 1/2*S01 + 1/2*S00, "
+        "expected 1/4*S00 + 1/2*S01 + 1/4*S11",
+    )
+
+
 # Bob always sees b = 1 here: his factor is S01 and no PR member is present
 CONSTANT = bx.NonlocalEnsemble.from_weights(products={((0, 0), (0, 1)): F(1)})
 
@@ -269,7 +282,7 @@ def ensembles():
 POLICIES = {
     "uniform": ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))),
     "skewed": ((F(1, 8), F(3, 8)), (F(1, 3), F(1, 6))),
-    # (x, y) = (1, 1) is never drawn, so its joint cells are NaN
+    # (x, y) = (1, 1) is never drawn, so its joint cells are null
     "no11": ((F(1, 2), F(1, 4)), (F(1, 4), F(0))),
 }
 

@@ -28,6 +28,11 @@ def reload(doc):
     return json.loads(json.dumps(doc))
 
 
+def reject_constant(name):
+    # json.loads hook for NaN, Infinity and -Infinity, which are not JSON
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestFractions:
     @pytest.mark.parametrize(
         "value,text", [(F(3, 4), "3/4"), (F(1), "1"), (F(0), "0"), (F(7, 100), "7/100")]
@@ -386,21 +391,26 @@ class TestReports:
             assert cell["ok"] in (True, False)
             assert cell["expected"].count("/") <= 1
 
-    def test_undrawn_input_pair_is_nan(self):
-        # the policy never draws (x, y) = (1, 1), so its four cells are NaN
+    def test_undrawn_input_pair_is_null(self):
+        # the policy never draws (x, y) = (1, 1), so its four cells are null,
+        # and the document is strict JSON
         policy = bx.InputPolicy(((F(1, 2), F(1, 4)), (F(1, 4), F(0))))
         e = bx.plan_blind_steering(CANONICAL).ensemble
         report, _ = bx.run_protocol(e, rounds=40, seed=5, policy=policy)
         text = serialize.dumps(serialize.simulation_report_to_json(report))
-        joint = json.loads(text)["empirical_joint"]
-        assert "[\n          NaN,\n          NaN\n        ]" in text
-        assert text.count("NaN") == 4
+        joint = json.loads(text, parse_constant=reject_constant)["empirical_joint"]
+        assert "[\n          null,\n          null\n        ]" in text
+        assert text.count("null") == 4
         for x, y in itertools.product(BITS, BITS):
             cells = [joint[x][y][a][b] for a in BITS for b in BITS]
             if (x, y) == (1, 1):
-                assert all(math.isnan(p) for p in cells)
+                assert cells == [None] * 4
             else:
                 assert sum(cells) == pytest.approx(1)
+
+    def test_dumps_rejects_nan(self):
+        with pytest.raises(ValueError):
+            serialize.dumps({"p": math.nan})
 
     def test_audit_verdict_document(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
