@@ -42,8 +42,9 @@ identical reductions, which is what keeps Bob blind.  The tests check
 with an exact simplex that no other aggregates are feasible.
 
 Verification reads the joint law after each of Bob's inputs (per
-member and outcome b, the share w / n and Alice's constituent) without
-mixing a two-party box: the reduction is the joint summed over b;
+member and outcome b, the share w / n and Alice's constituent), built
+once per ensemble, without mixing a two-party box: the reduction is the
+joint summed over b;
 Alice's marginal is p(a|x) = sum of w * [S(x) = a] over its S-box
 weights; Bob sees b iff some entry gives b; and his posterior after b
 holds the entries of members that drew b and every product entry.
@@ -56,14 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .boxes import PRBox, SBox, _require_index, as_prob
+from .boxes import SBOXES, PRBox, SBox, _require_index, as_prob
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
     _Entry,
-    _joint_after_input,
     _reduction,
 )
 from .errors import (
@@ -74,10 +74,7 @@ from .errors import (
 )
 from .reports import CheckResult, VerificationReport
 
-_S00 = SBox(0, 0)
-_S01 = SBox(0, 1)
-_S10 = SBox(1, 0)
-_S11 = SBox(1, 1)
+_S00, _S01, _S10, _S11 = SBOXES
 _PR000 = PRBox(0, 0, 0)
 
 
@@ -220,7 +217,7 @@ def _verify(
         for triangle in (upper_triangle_weights, lower_triangle_weights)
     ]
 
-    joints = [_joint_after_input(ensemble, y) for y in (0, 1)]
+    joints = ensemble._joints
     reduced = [_reduction(joint) for joint in joints]
     checks = []
     for y in (0, 1):
@@ -277,7 +274,7 @@ def _alice_marginal(
     return tuple(rows[0]), tuple(rows[1])
 
 
-def _kept_in_play(joint: list[_Entry], b: int) -> dict[SBox, Fraction] | None:
+def _kept_in_play(joint: tuple[_Entry, ...], b: int) -> dict[SBox, Fraction] | None:
     """The constituent weights of the joint's entries Bob keeps in play
     after outcome ``b``: those of members that drew b, and every entry of
     a member that drew nothing.  None if no entry gives b."""
@@ -313,9 +310,9 @@ def bob_posterior(
     entries (share, b', drew, c) in play, b' = b or not drew, over the
     sum of the shares of all entries in play.
     """
-    joint = _joint_after_input(ensemble, y)
+    _require_index("y", y, 2)
     _require_index("b", b, 2)
-    kept = _kept_in_play(joint, b)
+    kept = _kept_in_play(ensemble._joints[y], b)
     if kept is None:
         raise ZeroProbabilityError(
             f"Bob never sees b={b} on input y={y} under this ensemble"

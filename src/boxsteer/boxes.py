@@ -10,9 +10,9 @@ Construction validates nonnegativity and normalization exactly, and all
 comparisons in this module are exact equalities; floats are rejected at
 the door so that no rounding can leak into a derivation.  The sums run
 on integers: a row sums to one iff its numerators over the lcm of its
-denominators sum to that lcm, and the no-signalling scan and the
-marginals add a :class:`BipartiteBox`'s numerators over one common
-denominator D; they build a ``Fraction`` only to return or print one.
+denominators sum to that lcm.  A :class:`BipartiteBox` is validated on
+its numerators over one common denominator D, which the no-signalling
+scan and the marginals add; they build a ``Fraction`` only to print one.
 
 Special families used throughout the package:
 
@@ -84,6 +84,19 @@ def _sums_to_one(probs: tuple[Fraction, ...] | list[Fraction], what: str) -> Non
         raise ValidationError(f"{what} {total}, expected 1")
 
 
+def _clipped(text: str, width: int = 40) -> str:
+    """``text`` for a message: past ``width`` characters, its ends only."""
+    return text if len(text) <= width else text[:width - 20] + "..." + text[-10:]
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)`` clipped; an int too long for a repr, by its size."""
+    try:
+        return _clipped(repr(value))
+    except ValueError:
+        return f"<{value.bit_length()}-bit int>"
+
+
 def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -93,7 +106,14 @@ def _require_index(name: str, value: object, size: int) -> int:
     ``bool`` or a float.  A bit is an index with ``size`` 2."""
     if _is_index(value) and 0 <= value < size:
         return value
-    raise ValidationError(f"{name}={value!r} outside range(0, {size})")
+    raise ValidationError(f"{name}={_quoted(value)} outside range(0, {size})")
+
+
+def _require_natural(name: str, value: object) -> int:
+    """``value`` if it is a nonnegative ``int``, never a ``bool``."""
+    if _is_index(value) and value >= 0:
+        return value
+    raise ValidationError(f"{name} must be a nonnegative integer, got {_quoted(value)}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +204,9 @@ class SBox:
         return cls(alpha=f0 ^ f1, beta=f0)
 
 
+SBOXES = tuple(SBox(i >> 1, i & 1) for i in range(4))  # S00, S01, S10, S11: by index
+
+
 @dataclass(frozen=True)
 class BipartiteBox:
     """Two-party box: ``table[x][y][a][b]`` is the exact p(ab|xy).
@@ -197,19 +220,17 @@ class BipartiteBox:
 
     def __post_init__(self) -> None:
         try:
-            cells = tuple(
-                tuple(
-                    tuple(tuple(as_prob(p) for p in row_b) for row_b in block_a)
-                    for block_a in block_y
-                )
-                for block_y in self.table
-            )
+            cells = tuple(tuple(tuple(tuple(as_prob(p) for p in r) for r in ba)
+                                for ba in by) for by in self.table)
         except TypeError as exc:
             raise ValidationError("bipartite table must be nested sequences") from exc
         if not cells or any(not y_block for y_block in cells):
             raise ValidationError("bipartite table must be non-empty")
-        y_dim = len(cells[0])
-        a_dim = len(cells[0][0]) if y_dim else 0
+        # the lattice: D, the lcm of the denominators, and the numerators over D
+        den = math.lcm(*(p.denominator for by in cells for ba in by for r in ba for p in r))
+        nums = tuple(tuple(tuple(tuple(p.numerator * (den // p.denominator) for p in r)
+                                 for r in ba) for ba in by) for by in cells)
+        y_dim, a_dim = len(cells[0]), len(cells[0][0])
         b_dim = len(cells[0][0][0]) if a_dim else 0
         for x, block_y in enumerate(cells):
             if len(block_y) != y_dim:
@@ -217,9 +238,13 @@ class BipartiteBox:
             for y, block_a in enumerate(block_y):
                 if len(block_a) != a_dim or any(len(r) != b_dim for r in block_a):
                     raise ValidationError("ragged table: outcome dimensions vary")
-                entries = [p for row in block_a for p in row]
-                _sums_to_one(entries, f"entries for (x={x}, y={y}) sum to")
+                if sum(map(sum, nums[x][y])) != den:
+                    total = _shown(sum(map(sum, block_a), Fraction(0)), Fraction(1), "1")
+                    raise ValidationError(
+                        f"entries for (x={x}, y={y}) sum to {total}, expected 1"
+                    )
         object.__setattr__(self, "table", cells)
+        object.__setattr__(self, "_lattice", (den, nums))
 
     @property
     def num_inputs_alice(self) -> int:
@@ -249,20 +274,7 @@ class BipartiteBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[x][y][a][b]
 
-    # each marginal re-asks for the scan of the same box, so the scan and
-    # its integers are kept on the instance (a cache keyed by the table
-    # would hash every exact entry again on each lookup)
-    @functools.cached_property
-    def _lattice(self) -> tuple[int, tuple]:
-        """(D, numerators): D the lcm of the entries' denominators, and
-        each entry's numerator over D, nested like ``table``."""
-        t = self.table
-        den = math.lcm(*(p.denominator for by in t for ba in by for r in ba for p in r))
-
-        def over(row: tuple[Fraction, ...]) -> tuple[int, ...]:
-            return tuple(p.numerator * (den // p.denominator) for p in row)
-        return den, tuple(tuple(tuple(over(r) for r in ba) for ba in by) for by in t)
-
+    # the scan is kept on the instance: each marginal re-asks for it
     @functools.cached_property
     def _no_signalling_problems(self) -> tuple[str, ...]:
         return _no_signalling_scan(self)

@@ -13,10 +13,10 @@ A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
 extremal PR correlations.  Its round table, built once, lists each
 member's equally likely rounds per input pair, one per outcome its
-``cells`` allow, with the S box Alice is left in.  Its rows at x = 0 are
-the joint law after Bob's input (:func:`_joint_after_input`), of which
-Alice's reduction, Bob's outcomes and his posterior are sums; the
-sampler and the audit read the table.
+``cells`` allow, with the S box Alice is left in.  Its rows at x = 0
+give the joint law after each of Bob's inputs (``_joints``, built once
+too), of which Alice's reduction, Bob's outcomes and his posterior are
+sums; the sampler and the audit read the table.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering.
@@ -309,7 +309,7 @@ class NonlocalEnsemble:
         """``[member][index of (x, y) in PAIRS]``: the member's rounds on
         (x, y), as (x, y, a, b, constituent), one per outcome of its
         ``cells``, in that order, equally likely.  Built once; the
-        sampler, the audit and the joint after Bob's input read it."""
+        sampler, the audit and the joints after Bob's input read it."""
         table = []
         for m in self.members:
             # the constituent depends on (y, b) alone, not on x
@@ -320,6 +320,22 @@ class NonlocalEnsemble:
                 for x, y in PAIRS
             ))
         return tuple(table)
+
+    @functools.cached_property
+    def _joints(self) -> tuple[tuple[_Entry, ...], tuple[_Entry, ...]]:
+        """Per y, the joint law of Bob's outcome and Alice's constituent
+        once Bob has chosen y: per member, in member order, one entry
+        (w_m / n, b, drew, constituent) for each of its n rounds at (0, y),
+        in b order; ``drew`` is n = 2, a PR member drawing b.  Alice's
+        input never reaches Bob, so the rows at x = 1 give the same."""
+        return tuple(
+            tuple(
+                (m.weight / len(rows[y]), b, len(rows[y]) == 2, constituent)
+                for m, rows in zip(self.members, self._round_table)  # (0, y) is pair y
+                for *_, b, constituent in sorted(rows[y], key=lambda round_: round_[3])
+            )
+            for y in (0, 1)
+        )
 
 
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
@@ -349,38 +365,17 @@ def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:
     """Alice's definite S box once Bob has measured ``y`` and seen ``b``.
 
     For a product member the answer is just Alice's factor.  For a PR
-    member the forced parity relation turns Alice's output into an
-    affine function of x with slope ``y XOR beta`` and intercept
-    ``alpha*(y XOR beta) XOR delta XOR b``.
+    member, Alice's output on each x is the ``a`` that the member's
+    ``cells(x, y)`` pair with ``b``.
     """
     _require_index("y", y, 2)
     _require_index("b", b, 2)
     if isinstance(member, ProductMember):
         return member.alice
     if isinstance(member, PRMember):
-        slope = y ^ member.box.beta
-        intercept = (member.box.alpha * slope) ^ member.box.delta ^ b
-        return SBox(slope, intercept)
+        f0, f1 = (a for x in (0, 1) for a, seen in member.cells(x, y) if seen == b)
+        return SBox(f0 ^ f1, f0)  # outputs beta on x = 0, alpha XOR beta on 1
     raise ValidationError(f"unknown member type {member!r}")
-
-
-def _joint_after_input(ensemble: NonlocalEnsemble, y: int) -> list[_Entry]:
-    """The joint law of Bob's outcome and Alice's constituent once Bob
-    has chosen ``y``: per member, in member order, one entry
-    (w_m / n, b, drew, constituent) for each of its n rounds at
-    (x, y) = (0, y), in b order.  ``drew`` is n = 2: the member draws b
-    (a PR member) rather than fixing it (a product).  Alice's input never
-    reaches Bob, so the rows at x = 1 give the same joint."""
-    _require_index("y", y, 2)
-    joint = []
-    for m, rows in zip(ensemble.members, ensemble._round_table):
-        row = rows[y]  # (0, y) is the y-th input pair
-        drew = len(row) == 2
-        share = m.weight / 2 if drew else m.weight
-        # rows list outcomes in a order, so b = 1 comes first where a XOR b = 1
-        for *_, b, constituent in (row if row[0][3] == 0 else row[::-1]):
-            joint.append((share, b, drew, constituent))
-    return joint
 
 
 def _reduction(entries: Iterable[_Entry]) -> dict[SBox, Fraction]:
@@ -397,4 +392,4 @@ def posterior_alice_reduction(
 ) -> dict[SBox, Fraction]:
     """Alice's ensemble after Bob's input ``y``, as S-box weights: the
     joint after that input summed over Bob's outcome."""
-    return _reduction(_joint_after_input(ensemble, y))
+    return _reduction(ensemble._joints[_require_index("y", y, 2)])

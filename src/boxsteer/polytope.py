@@ -51,7 +51,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .boxes import BipartiteBox, PRBox, SBox, _require_no_signalling
+from .boxes import SBOXES, BipartiteBox, PRBox, SBox, _require_no_signalling
 from .ensembles import NonlocalEnsemble, PRMember, ProductMember
 from .errors import ValidationError
 
@@ -69,10 +69,7 @@ __all__ = [
 def catalog_products() -> tuple[tuple[SBox, SBox], ...]:
     """The 16 product vertices, ordered lexicographically by
     (Alice alpha, Alice beta, Bob alpha, Bob beta)."""
-    return tuple(
-        (SBox(i, j), SBox(k, l))
-        for i, j, k, l in itertools.product((0, 1), repeat=4)
-    )
+    return tuple(itertools.product(SBOXES, repeat=2))
 
 
 @functools.cache

@@ -27,7 +27,16 @@ from fractions import Fraction
 from typing import Any
 
 from .blind import BlindReport, TargetState
-from .boxes import BipartiteBox, PRBox, SBox, _is_index, _require_index
+from .boxes import (
+    SBOXES,
+    BipartiteBox,
+    PRBox,
+    SBox,
+    _clipped,
+    _quoted,
+    _require_index,
+    _require_natural,
+)
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
@@ -52,20 +61,17 @@ def _int_string_bound(digits: int) -> int:
     return 10**digits
 
 
-def _clipped(literal: str) -> str:
-    return literal if len(literal) <= 40 else literal[:20] + "..." + literal[-10:]
-
-
 def fraction_from_json(value: Any) -> Fraction:
     if not isinstance(value, str):
         raise ValidationError(
-            f"expected a rational string like \"3/4\", got {value!r}; "
+            f"expected a rational string like \"3/4\", got {_quoted(value)}; "
             "JSON numbers are not accepted for probabilities"
         )
     try:
         frac = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational string {_clipped(value)!r}: {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:  # its reason may quote the literal
+        raise ValidationError(f"bad rational string {_clipped(value)!r}: "
+                              f"{_clipped(str(exc), 80)}") from exc
     # exponent notation ("1e5000") gets past the int-string limit that a
     # long literal hits, and would leave a value that cannot be printed
     # (0, or a Python without the limit, means no limit)
@@ -77,12 +83,6 @@ def fraction_from_json(value: Any) -> Fraction:
             f"denominator has more than {digits} digits"
         )
     return frac
-
-
-def _index_from_json(value: Any, what: str) -> int:
-    if not _is_index(value) or value < 0:
-        raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
-    return value
 
 
 def _field(obj: Any, key: str) -> Any:
@@ -116,16 +116,19 @@ def bipartite_box_to_json(box: BipartiteBox) -> dict:
 
 
 def bipartite_box_from_json(obj: Any) -> BipartiteBox:
-    nx = _index_from_json(_field(obj, "X"), "X")
-    ny = _index_from_json(_field(obj, "Y"), "Y")
-    na = _index_from_json(_field(obj, "A"), "A")
-    nb = _index_from_json(_field(obj, "B"), "B")
+    nx = _require_natural("X", _field(obj, "X"))
+    ny = _require_natural("Y", _field(obj, "Y"))
+    na = _require_natural("A", _field(obj, "A"))
+    nb = _require_natural("B", _field(obj, "B"))
     flat = _field(obj, "table")
-    if not isinstance(flat, list) or len(flat) != nx * ny:
-        raise ValidationError(f"table must have {nx * ny} rows (x*Y + y order)")
+    rows, entries = nx * ny, na * nb
+    if not isinstance(flat, list) or len(flat) != rows:
+        raise ValidationError(f"table must have {_quoted(rows)} rows (x*Y + y order)")
     for row in flat:
-        if not isinstance(row, list) or len(row) != na * nb:
-            raise ValidationError(f"each row must have {na * nb} entries (a*B + b order)")
+        if not isinstance(row, list) or len(row) != entries:
+            raise ValidationError(
+                f"each row must have {_quoted(entries)} entries (a*B + b order)"
+            )
     table = tuple(
         tuple(
             tuple(
@@ -154,8 +157,8 @@ def ensemble_to_json(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj: Any) -> Ensemble:
-    num_inputs = _index_from_json(_field(obj, "X"), "X")
-    num_outputs = _index_from_json(_field(obj, "A"), "A")
+    num_inputs = _require_natural("X", _field(obj, "X"))
+    num_outputs = _require_natural("A", _field(obj, "A"))
     raw = _field(obj, "members")
     if not isinstance(raw, list):
         raise ValidationError("members must be a list")
@@ -164,7 +167,9 @@ def ensemble_from_json(obj: Any) -> Ensemble:
         weight = fraction_from_json(_field(item, "w"))
         strategy = _field(item, "f")
         if not isinstance(strategy, list) or len(strategy) != num_inputs:
-            raise ValidationError(f"f must list one output per input ({num_inputs})")
+            raise ValidationError(
+                f"f must list one output per input ({_quoted(num_inputs)})"
+            )
         pairs.append((weight, strategy))
     return Ensemble.from_strategies(pairs, num_outputs)
 
@@ -216,19 +221,19 @@ def sbox_to_json(sbox: SBox) -> str:
     return sbox.label
 
 
-_SBOXES = {sbox.label: sbox for sbox in (SBox(i >> 1, i & 1) for i in range(4))}
+_SBOXES = {sbox.label: sbox for sbox in SBOXES}
 
 
 def sbox_from_json(value: Any) -> SBox:
     if isinstance(value, str) and value in _SBOXES:
         return _SBOXES[value]
-    raise ValidationError(f"expected an S-box label like \"S01\", got {value!r}")
+    raise ValidationError(f"expected an S-box label like \"S01\", got {_quoted(value)}")
 
 
 def round_log_from_json(obj: Any) -> RoundLog:
     return RoundLog(
-        round_id=_index_from_json(_field(obj, "round_id"), "round_id"),
-        member_id=_index_from_json(_field(obj, "member_id"), "member_id"),
+        round_id=_require_natural("round_id", _field(obj, "round_id")),
+        member_id=_require_natural("member_id", _field(obj, "member_id")),
         x=_require_index("x", _field(obj, "x"), 2),
         y=_require_index("y", _field(obj, "y"), 2),
         a=_require_index("a", _field(obj, "a"), 2),

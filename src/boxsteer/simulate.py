@@ -42,7 +42,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .boxes import SBox, _is_index, _sums_to_one, as_prob
+from .boxes import SBox, _is_index, _require_natural, _sums_to_one, as_prob
 from .ensembles import PAIRS, NonlocalEnsemble, posterior_alice_reduction
 from .errors import ValidationError
 
@@ -255,8 +255,7 @@ def sample_rounds(
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ValidationError(f"rounds must be positive, got {rounds}")
-    if not _is_index(seed) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    _require_natural("seed", seed)
 
     member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
     pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
@@ -332,13 +331,13 @@ def _well_typed(cell: tuple) -> bool:
 
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
-    alice_actual)`` as [rounds, breaks the rule].  The per-round rule (the
-    member exists, x, y, a, b are bits, (x, y, a, b) is one of its rounds
-    in the ensemble's round table, and the inference and the constituent are the
-    one that round implies) runs once per distinct cell; the round loop
-    makes one lookup, counts, and keeps the first 20 offending round ids in
-    log order.  A cell that is not well-typed is a mismatch and stays out
-    of the frequency tests and the report's tables."""
+    alice_actual)`` as [rounds, breaks the rule].  The per-round rule is
+    membership in the honest cells: (m, x, y, a, b, c, c) for each round
+    (x, y, a, b, c) of member m in the ensemble's round table.  It runs
+    once per distinct cell; the round loop makes one lookup, counts, and
+    keeps the first 20 offending round ids in log order.  A cell that is
+    not well-typed is a mismatch and stays out of the frequency tests and
+    the report's tables."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -347,10 +346,10 @@ class LogTally:
             raise ValidationError(f"significance must be in (0, 1), got {significance}")
         self.ensemble = ensemble
         self.significance = significance
-        self._implied = [  # per member, {(x, y, a, b): implied constituent}
-            {entry[:4]: entry[4] for outcomes in rows for entry in outcomes}
-            for rows in ensemble._round_table
-        ]
+        self._honest = {
+            (m, *entry, entry[-1]) for m, rows in enumerate(ensemble._round_table)
+            for outcomes in rows for entry in outcomes
+        }
         self.cells: dict[tuple, list] = {}
         self.mismatch_rounds: list[int] = []
 
@@ -367,14 +366,8 @@ class LogTally:
             self.mismatch_rounds.append(log.round_id)
 
     def _breaks_rule(self, cell: tuple) -> bool:
-        member_id, x, y, a, b, inference, actual = cell
-        # the fields first: a bad one is a mismatch, not a lookup error
-        known = _is_index(member_id) and 0 <= member_id < len(self._implied)
-        if not (known and _well_typed(cell)):
-            return True
-        implied = self._implied[member_id].get((x, y, a, b))
-        # not a round the member logs, or not the constituent it implies
-        return implied is None or not inference == actual == implied
+        # the types first: True == 1 and 1.0 == 1 would find an honest cell
+        return not (_is_index(cell[0]) and _well_typed(cell) and cell in self._honest)
 
     def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
         """Rounds of the well-typed cells by the fields at ``group``, then at

@@ -8,6 +8,7 @@ suite.  Everything produced here is exact-rational.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -422,3 +423,40 @@ def facet_local(box: bx.BipartiteBox) -> bool:
 
 def ensemble_weight_map(ensemble: bx.Ensemble) -> dict[tuple[tuple[Fraction, ...], ...], Fraction]:
     return {box.table: w for w, box in ensemble.members}
+
+
+_RAW = "\0raw\0"  # stands for a replacement's JSON text
+_DUPLICATE = "\0dup\0"  # stands for a duplicated key
+
+
+def json_text(doc) -> str:
+    """A JSON document as text; a list of log lines as NDJSON."""
+    if isinstance(doc, list):
+        return "".join(json.dumps(line, sort_keys=True) + "\n" for line in doc)
+    return json.dumps(doc)
+
+
+def resolve(doc, path: tuple):
+    """The value at ``path``, a tuple of keys and indices, in ``doc``."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def mutated(doc, kind: str, path: tuple, key, raw: str) -> str:
+    """``doc`` as text (:func:`json_text`) with the value at ``path``
+    replaced by the JSON text ``raw`` (kind "replace"), or with the key
+    ``key`` of the object at ``path`` dropped ("drop") or given a second
+    time, with the value ``raw`` ("duplicate")."""
+    if kind == "replace" and not path:
+        return raw
+    doc = json.loads(json.dumps(doc))
+    parent = resolve(doc, path[:-1] if kind == "replace" else path)
+    if kind == "replace":
+        parent[path[-1]] = _RAW
+    elif kind == "drop":
+        del parent[key]
+    else:
+        parent[_DUPLICATE] = _RAW
+    text = json_text(doc).replace(json.dumps(_DUPLICATE), json.dumps(key))
+    return text.replace(json.dumps(_RAW), raw)

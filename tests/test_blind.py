@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from boxsteer.ensembles import _joint_after_input
 from simplex_oracle import solve_nonneg_exact
 from strategies import (
     catalog_boxes,
@@ -559,7 +559,7 @@ class TestClosedFormOracles:
         box = bx.mix_nonlocal(ensemble)
         for y, b in itertools.product(BITS, BITS):
             seen = bx.bob_outcome_distribution(box, y)[b] > 0
-            joint = _joint_after_input(ensemble, y)
+            joint = ensemble._joints[y]
             assert any(outcome == b for _, outcome, _, _ in joint) == seen
             if seen:
                 assert sum(bx.bob_posterior(ensemble, y, b).values()) == 1
@@ -574,20 +574,31 @@ class TestClosedFormOracles:
         assert report.posterior_supports == expected_supports(ensemble)
 
 
+def count_joints(monkeypatch, calls):
+    """Count into ``calls["joints"]`` the joints after Bob's input that
+    ensembles build, two per build of ``NonlocalEnsemble._joints``."""
+    cached = bx.NonlocalEnsemble.__dict__["_joints"]
+    build = cached.func
+
+    def counted(ensemble):
+        joints = build(ensemble)
+        calls["joints"] += len(joints)
+        return joints
+
+    monkeypatch.setattr(cached, "func", counted)
+
+
 def test_plan_reduces_once_per_input_and_never_mixes(monkeypatch):
-    calls = {"mix_nonlocal": 0, "_joint_after_input": 0, "Ensemble": 0}
+    calls = {"mix_nonlocal": 0, "joints": 0, "Ensemble": 0}
     assert not hasattr(bx.blind, "mix_nonlocal")
-    for module, name in (
-        (bx.ensembles, "mix_nonlocal"),
-        (bx.blind, "_joint_after_input"),
-    ):
-        original = getattr(module, name)
+    original = bx.ensembles.mix_nonlocal
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted_mix(*args):
+        calls["mix_nonlocal"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(bx.ensembles, "mix_nonlocal", counted_mix)
+    count_joints(monkeypatch, calls)
     validate = bx.Ensemble.__post_init__
 
     def counted_ensemble(self):
@@ -597,7 +608,25 @@ def test_plan_reduces_once_per_input_and_never_mixes(monkeypatch):
     monkeypatch.setattr(bx.Ensemble, "__post_init__", counted_ensemble)
     bx.plan_blind_steering(bx.TargetState(F(3, 4), HALF))
     # the only single-party ensembles built are the report's two expected ones
-    assert calls == {"mix_nonlocal": 0, "_joint_after_input": 2, "Ensemble": 2}
+    assert calls == {"mix_nonlocal": 0, "joints": 2, "Ensemble": 2}
+
+
+def test_plan_and_posteriors_build_two_joints(monkeypatch):
+    # the plan's verification and Bob's posteriors at every (y, b) he
+    # sees read the same two joints, built once for the split ensemble
+    calls = {"joints": 0}
+    count_joints(monkeypatch, calls)
+    target = bx.TargetState(F(3, 16), F(7, 16))
+    canonical = bx.plan_blind_steering(target).ensemble
+    split = random_blind_split(random.Random(23), canonical)
+    calls["joints"] = 0
+    plan = bx.plan_blind_steering(target, split)
+    assert plan.ensemble is split and plan.report.passed
+    seen = [key for key, _ in plan.report.posterior_supports]
+    assert seen == list(itertools.product(BITS, BITS))
+    posteriors = [bx.bob_posterior(split, y, b) for y, b in seen]
+    assert all(sum(p.values()) == 1 for p in posteriors)
+    assert calls == {"joints": 2}
 
 
 def test_blind_path_builds_no_box(monkeypatch):

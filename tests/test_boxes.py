@@ -1,8 +1,10 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxsteer as bx
 from strategies import (
@@ -191,6 +193,30 @@ class TestBipartiteBox:
     def test_shape(self):
         box = pr_bipartite_box(bx.PRBox(0, 0, 0))
         assert box.shape == (2, 2, 2, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lattice_is_numerators_over_lcm(self, data):
+        # computed while validating: D is the lcm of every entry's
+        # denominator, and each numerator is the entry times D
+        X, Y, A, B = (data.draw(st.integers(1, 3)) for _ in range(4))
+        rows = [data.draw(weight_vectors(A * B)) for _ in range(X * Y)]
+        table = [
+            [[rows[x * Y + y][a * B:(a + 1) * B] for a in range(A)] for y in range(Y)]
+            for x in range(X)
+        ]
+        box = bx.BipartiteBox(table)
+        keys = list(itertools.product(range(X), range(Y), range(A), range(B)))
+        den = math.lcm(*(box.prob(*key).denominator for key in keys))
+        numerators = tuple(
+            tuple(
+                tuple(tuple(int(box.prob(x, y, a, b) * den) for b in range(B))
+                      for a in range(A))
+                for y in range(Y)
+            )
+            for x in range(X)
+        )
+        assert box._lattice == (den, numerators)
 
 
 PR000_TABLE = {

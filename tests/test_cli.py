@@ -9,7 +9,7 @@ import pytest
 
 import boxsteer as bx
 from boxsteer import serialize
-from strategies import pr_bipartite_box, product_box
+from strategies import mutated, pr_bipartite_box, product_box
 
 CANONICAL_ENSEMBLE_DOC = {
     "products": [
@@ -587,3 +587,61 @@ class TestDeepNesting:
         result = run_cli("audit", str(logs), ensemble)
         assert_bad_input(result)
         assert result.stderr.startswith("error: log line 1: ")
+
+
+HONEST_LINE = {
+    "a": 0, "alice_actual": "S00", "b": 0, "member_id": 2,
+    "referee_inference": "S00", "round_id": 0, "x": 0, "y": 0,
+}
+NESTED = "[" * 900 + "]" * 900  # parses: under the recursion limit
+
+
+@pytest.mark.parametrize(
+    "command,path,raw",
+    [
+        ("check", ("X",), NESTED),
+        ("check", ("table", 0, 0), NESTED),
+        ("simulate", ("prs", 0, "w"), NESTED),
+        ("simulate", ("products", 0, "ij", 0), NESTED),
+        ("policy", ("table", 0, 0), NESTED),
+        ("audit", (0, "x"), NESTED),
+        ("audit", (0, "member_id"), NESTED),
+        ("audit", (0, "alice_actual"), NESTED),
+        ("audit", (0, "alice_actual"), json.dumps("S" * 5000)),
+    ],
+    ids=["box-X", "box-entry", "w", "ij", "policy", "x", "member_id",
+         "alice_actual", "long-label"],
+)
+def test_quoted_value_clipped(tmp_path, command, path, raw):
+    # an ill-typed value is quoted by its ends only, however long its repr
+    docs = {
+        "check": serialize.bipartite_box_to_json(pr_bipartite_box(bx.PRBox(0, 0, 0))),
+        "simulate": CANONICAL_ENSEMBLE_DOC,
+        "policy": {"table": [["1/4", "1/4"], ["1/4", "1/4"]]},
+        "audit": [HONEST_LINE],
+    }
+    text = mutated(docs[command], "replace", path, None, raw)
+    ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "check":
+        result = run_cli("check", str(bad))
+    elif command == "simulate":
+        result = run_cli("simulate", str(bad), "--rounds", "10")
+    elif command == "policy":
+        result = run_cli("simulate", ensemble, "--rounds", "10", "--policy", text)
+    else:
+        result = run_cli("audit", str(bad), ensemble)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "..." in result.stderr
+    assert len(result.stderr.encode()) <= 200
+
+
+def test_count_past_int_string_limit(tmp_path):
+    # X*Y has more digits than str() writes: it is named by its size
+    path = tmp_path / "box.json"
+    path.write_text('{"X": ' + "9" * 4300 + ', "Y": 2, "A": 2, "B": 2, "table": []}')
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: table must have <14286-bit int> rows (x*Y + y order)\n"

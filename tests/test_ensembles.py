@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 import boxsteer as bx
-from boxsteer.ensembles import _joint_after_input
 from strategies import (
     catalog_ensembles,
     closed_form_reduction,
@@ -274,8 +273,8 @@ class TestConstituentAfterMeasurement:
         assert str(raised.value) == f"{message} outside range(0, 2)"
 
     def test_matches_table_conditioning(self):
-        # bit-algebra route equals the conditioning route on all 24
-        # vertices, at every (y, b) Bob can see
+        # the route through ``cells`` equals the conditioning route on all
+        # 24 vertices, at every (y, b) Bob can see: all four for a PR box
         vertices = [
             bx.ProductMember(F(1), alice, bob) for alice, bob in bx.catalog_products()
         ] + [bx.PRMember(F(1), pr) for pr in bx.catalog_prs()]
@@ -317,7 +316,7 @@ class TestJointAfterInput:
         # PR001 and its kin list b = 1 first in their cells at (0, 0); the
         # joint, like the oracle, lists b = 0 first
         for y in BITS:
-            assert _joint_after_input(ensemble, y) == oracle_joint(ensemble, y)
+            assert list(ensemble._joints[y]) == oracle_joint(ensemble, y)
 
     def test_blind_splits_match_conditioning(self):
         rng = random.Random(2007)
@@ -327,13 +326,14 @@ class TestJointAfterInput:
             for _ in range(10):
                 split = random_blind_split(rng, canonical)
                 for y in BITS:
-                    joint = _joint_after_input(split, y)
-                    assert joint == oracle_joint(split, y)
+                    joint = split._joints[y]
+                    assert list(joint) == oracle_joint(split, y)
                     assert sum(share for share, _, _, _ in joint) == 1
 
     def test_round_table_built_once(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         assert e._round_table is e._round_table
+        assert e._joints is e._joints
 
 
 class TestPosteriorAliceEnsemble:
