@@ -10,9 +10,10 @@ Construction validates nonnegativity and normalization exactly, and all
 comparisons in this module are exact equalities; floats are rejected at
 the door so that no rounding can leak into a derivation.  The sums run
 on integers: a row sums to one iff its numerators over the lcm of its
-denominators sum to that lcm.  A :class:`BipartiteBox` is validated on
-its numerators over one common denominator D, which the no-signalling
-scan and the marginals add; they build a ``Fraction`` only to print one.
+denominators sum to that lcm.  A :class:`BipartiteBox` is integers over
+one denominator D: its state, which equality and hashing compare and the
+no-signalling scan and the marginals add, building a ``Fraction`` only
+to print one.  A box computed from valid data (a remix) skips the checks.
 
 Special families used throughout the package:
 
@@ -32,8 +33,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence, TypeVar
 
 from .errors import SignallingError, ValidationError
+
+_T = TypeVar("_T")
 
 
 def as_prob(value: Fraction | int | str) -> Fraction:
@@ -53,9 +57,9 @@ def as_prob(value: Fraction | int | str) -> Fraction:
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational literal: {value!r}") from exc
+            raise ValidationError(f"not a rational literal: {_quoted(value)}") from exc
     else:
-        raise ValidationError(f"cannot interpret {value!r} as a probability")
+        raise ValidationError(f"cannot interpret {_quoted(value)} as a probability")
     if not 0 <= frac.numerator <= frac.denominator:
         # str() raises on a numerator or denominator past the int-string
         # limit, so a long value is named by its side of the interval
@@ -90,11 +94,23 @@ def _clipped(text: str, width: int = 40) -> str:
 
 
 def _quoted(value: object) -> str:
-    """``repr(value)`` clipped; an int too long for a repr, by its size."""
+    """``repr(value)`` clipped; an int too long for a repr, by its size,
+    and a value holding one, by its type."""
     try:
         return _clipped(repr(value))
     except ValueError:
-        return f"<{value.bit_length()}-bit int>"
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit int>"
+        return f"<{type(value).__name__}>"
+
+
+def _built(cls: type[_T], **state: object) -> _T:
+    """A ``cls`` holding ``state`` as given, for data valid by
+    construction: no ``__init__`` or ``__post_init__`` runs, so nothing
+    is checked twice.  The public constructors keep every check."""
+    obj = object.__new__(cls)
+    vars(obj).update(state)
+    return obj
 
 
 def _is_index(value: object) -> bool:
@@ -207,29 +223,34 @@ class SBox:
 SBOXES = tuple(SBox(i >> 1, i & 1) for i in range(4))  # S00, S01, S10, S11: by index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BipartiteBox:
-    """Two-party box: ``table[x][y][a][b]`` is the exact p(ab|xy).
+    """Two-party box p(ab|xy), held as integers over one denominator.
 
-    Construction enforces nonnegative entries and exact normalization
-    for every input pair; it does *not* enforce no-signalling, which is
-    a separate predicate (:func:`is_no_signalling`).
+    ``den`` is D, the lcm of the entries' reduced denominators, and
+    ``numerators[x][y][a][b]`` is D p(ab|xy).  The form is canonical, so
+    equality and hashing compare those integers.  ``table[x][y][a][b]``
+    is the same box as exact ``Fraction`` entries, a read-only view.
+
+    ``BipartiteBox(table)`` enforces nonnegative entries and exact
+    normalization for every input pair; it does *not* enforce
+    no-signalling, which is a separate predicate (:func:`is_no_signalling`).
     """
 
-    table: tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
+    den: int
+    numerators: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, table: Sequence) -> None:
         try:
-            cells = tuple(tuple(tuple(tuple(as_prob(p) for p in r) for r in ba)
-                                for ba in by) for by in self.table)
+            cells = tuple([tuple([tuple([tuple([as_prob(p) for p in r]) for r in ba])
+                                  for ba in by]) for by in table])
         except TypeError as exc:
             raise ValidationError("bipartite table must be nested sequences") from exc
         if not cells or any(not y_block for y_block in cells):
             raise ValidationError("bipartite table must be non-empty")
-        # the lattice: D, the lcm of the denominators, and the numerators over D
-        den = math.lcm(*(p.denominator for by in cells for ba in by for r in ba for p in r))
-        nums = tuple(tuple(tuple(tuple(p.numerator * (den // p.denominator) for p in r)
-                                 for r in ba) for ba in by) for by in cells)
+        den = math.lcm(*[p.denominator for by in cells for ba in by for r in ba for p in r])
+        nums = tuple([tuple([tuple([tuple([p.numerator * (den // p.denominator) for p in r])
+                                    for r in ba]) for ba in by]) for by in cells])
         y_dim, a_dim = len(cells[0]), len(cells[0][0])
         b_dim = len(cells[0][0][0]) if a_dim else 0
         for x, block_y in enumerate(cells):
@@ -243,24 +264,46 @@ class BipartiteBox:
                     raise ValidationError(
                         f"entries for (x={x}, y={y}) sum to {total}, expected 1"
                     )
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", nums)
+        # the validated Fractions are the view, so it is never rebuilt
         object.__setattr__(self, "table", cells)
-        object.__setattr__(self, "_lattice", (den, nums))
+
+    @classmethod
+    def _of_numerators(cls, den: int, numerators: Sequence) -> BipartiteBox:
+        """The box of ``numerators`` over ``den``, valid already (each is
+        nonnegative and each (x, y) row sums to ``den``), put in lowest
+        terms: both are divided by their gcd.  Nothing is checked."""
+        g = math.gcd(den, *[n for by in numerators for ba in by for r in ba for n in r])
+        return _built(cls, den=den // g, numerators=tuple([
+            tuple([tuple([tuple([n // g for n in r]) for r in ba]) for ba in by])
+            for by in numerators]))
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
+        """p(ab|xy) as exact ``Fraction`` entries, read off the numerators on first use."""
+        den = self.den
+        return tuple(tuple(tuple(tuple(Fraction(n, den) for n in r) for r in ba)
+                           for ba in by) for by in self.numerators)
+
+    def __repr__(self) -> str:
+        return f"BipartiteBox(table={self.table!r})"
 
     @property
     def num_inputs_alice(self) -> int:
-        return len(self.table)
+        return len(self.numerators)
 
     @property
     def num_inputs_bob(self) -> int:
-        return len(self.table[0])
+        return len(self.numerators[0])
 
     @property
     def num_outputs_alice(self) -> int:
-        return len(self.table[0][0])
+        return len(self.numerators[0][0])
 
     @property
     def num_outputs_bob(self) -> int:
-        return len(self.table[0][0][0])
+        return len(self.numerators[0][0][0])
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -333,7 +376,7 @@ def _marginals(name: str, sums: list[int], den: int) -> str:
 def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:
     problems: list[str] = []
     X, Y, A, B = box.shape
-    den, t = box._lattice
+    den, t = box.den, box.numerators
     for x in range(X):
         for a in range(A):
             sums = [sum(t[x][y][a]) for y in range(Y)]
@@ -377,7 +420,7 @@ def alice_marginal(box: BipartiteBox) -> LocalBox:
     y; we read it off at y=0.
     """
     _require_no_signalling(box, "alice_marginal")
-    den, t = box._lattice
+    den, t = box.den, box.numerators
     return LocalBox([[Fraction(sum(row), den) for row in block[0]] for block in t])
 
 
@@ -386,5 +429,5 @@ def bob_outcome_distribution(box: BipartiteBox, y: int) -> tuple[Fraction, ...]:
     (read off at x=0)."""
     _require_no_signalling(box, "bob_outcome_distribution")
     _require_index("y", y, box.num_inputs_bob)
-    den, t = box._lattice
+    den, t = box.den, box.numerators
     return tuple(Fraction(sum(column), den) for column in zip(*t[0][y]))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
@@ -36,6 +37,7 @@ from .boxes import (
     PRBox,
     SBox,
     _is_index,
+    _quoted,
     _require_index,
     _sums_to_one,
     as_prob,
@@ -127,6 +129,8 @@ class Ensemble:
         outputs = self.num_outputs
         if not _is_index(outputs) or outputs < 1:
             raise ValidationError(f"num_outputs {outputs!r} is not a positive int")
+        if outputs > sys.maxsize:  # no list, so no mixture row, is that long
+            raise ValidationError(f"num_outputs={_quoted(outputs)} is too many for a table")
         pairs = []
         for entry in self.strategies:
             try:
@@ -338,12 +342,28 @@ class NonlocalEnsemble:
         )
 
 
+# vertex -> its cells on each (x, y) of PAIRS; there are 24 vertices
+_CELL_ROWS: dict[Hashable, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
+def _cell_rows(member: Member) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``member.cells(x, y)`` for each (x, y) of PAIRS, read once per
+    vertex, so that loops over the fixed bits check no index."""
+    # the vertex: a PR box, or a product's two S boxes, as the merge keys them
+    vertex = member.box if isinstance(member, PRMember) else (member.alice, member.bob)
+    rows = _CELL_ROWS.get(vertex)
+    if rows is None:
+        rows = _CELL_ROWS[vertex] = tuple(member.cells(x, y) for x, y in PAIRS)
+    return rows
+
+
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     """The two-party box realized by the ensemble.
 
     Built from the vertex formula: on every input pair (x, y) each
     member spreads its weight evenly over the outcomes its ``cells``
-    allow, one for a product and two for a PR member.
+    allow, one for a product and two for a PR member.  The sums are the
+    box's numerators, valid by construction, so no table is checked.
     """
     members = ensemble.members
     # numerators over twice the weights' lcm, so a PR member's half is one
@@ -351,14 +371,11 @@ def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     acc = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
     for m in members:
         weight = m.weight.numerator * (den // m.weight.denominator)
-        for x in range(2):
-            for y in range(2):
-                cells = m.cells(x, y)
-                share = weight // len(cells)
-                for a, b in cells:
-                    acc[x][y][a][b] += share
-    return BipartiteBox([[[[Fraction(n, den) for n in row] for row in block]
-                          for block in block_y] for block_y in acc])
+        for (x, y), cells in zip(PAIRS, _cell_rows(m)):
+            share = weight // len(cells)
+            for a, b in cells:
+                acc[x][y][a][b] += share
+    return BipartiteBox._of_numerators(den, acc)
 
 
 def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:

@@ -51,8 +51,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .boxes import SBOXES, BipartiteBox, PRBox, SBox, _require_no_signalling
-from .ensembles import NonlocalEnsemble, PRMember, ProductMember
+from .boxes import SBOXES, BipartiteBox, PRBox, SBox, _built, _require_no_signalling
+from .ensembles import NonlocalEnsemble, PRMember, ProductMember, _cell_rows
 from .errors import ValidationError
 
 __all__ = [
@@ -109,7 +109,7 @@ def _strongest_chsh(box: BipartiteBox) -> tuple[int, int, int]:
     order on ties), C_pq as a numerator over the box's denominator D."""
     (e00, e01), (e10, e11) = (
         [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block]
-        for block in box._lattice[1]
+        for block in box.numerators
     )
     # the sign flips only at (x, y) = (1-p, 1-q)
     forms = [
@@ -165,19 +165,21 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     above, so every weight's denominator divides 4 lcm(box's denominators)."""
     _require_scenario(box, "decompose")
     chsh, alpha, beta = _strongest_chsh(box)
-    pr = PRBox(alpha, beta, 0 if chsh > 0 else 1)
     # over 4D, mu = (|C_pq| - 2) / 2 is 2(|C| - 2D) and mu/2 is |C| - 2D
-    den, t = box._lattice
+    den, t = box.den, box.numerators
     half = max(0, abs(chsh) - 2 * den)
+    # catalog_prs() is in (alpha, beta, delta) order; delta = 1 iff C < 0
+    pr = _built(PRMember, weight=Fraction(2 * half, 4 * den),
+                box=catalog_prs()[4 * alpha + 2 * beta + (chsh < 0)])
     # the local remainder, unnormalized, by the numbers that fix it: its
     # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0); the PR vertex has
     # uniform marginals and p(00|xy) = 1/2 where its cells hold (0, 0)
+    peel = [half if (0, 0) in cells else 0 for cells in _cell_rows(pr)]  # by 2x + y
     t0, t1 = _glued_triangles(
         4 * den - 2 * half,
         [4 * (t[x][0][0][0] + t[x][0][0][1]) - half for x in (0, 1)],
         [4 * (t[0][y][0][0] + t[0][y][1][0]) - half for y in (0, 1)],
-        [[4 * t[x][y][0][0] - (half if (0, 0) in pr.cells(x, y) else 0) for y in (0, 1)]
-         for x in (0, 1)],
+        [[4 * t[x][y][0][0] - peel[2 * x + y] for y in (0, 1)] for x in (0, 1)],
     )
     products = []
     for s_alice, s_bob in catalog_products():
@@ -187,13 +189,16 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
         u, v = t0[a0, a1, b0], t1[a0, a1, b0]
         w = min(u, v) if b0 == b1 else max(0, u - v)
         if w:
-            products.append(ProductMember(Fraction(w, 4 * den), s_alice, s_bob))
-    prs = (PRMember(Fraction(2 * half, 4 * den), pr),) if half else ()
-    return NonlocalEnsemble(tuple(products), prs)
+            products.append(
+                _built(ProductMember, weight=Fraction(w, 4 * den), alice=s_alice, bob=s_bob)
+            )
+    # the members are distinct vertices of positive weight summing to one,
+    # as NonlocalEnsemble would leave them, so none is merged or checked
+    return _built(NonlocalEnsemble, products=tuple(products), prs=(pr,) if half else ())
 
 
 def is_local(box: BipartiteBox) -> bool:
     """True iff the box is a convex combination of product vertices
     alone, i.e. (Fine) iff no CHSH value exceeds 2."""
     _require_scenario(box, "is_local")
-    return abs(_strongest_chsh(box)[0]) <= 2 * box._lattice[0]
+    return abs(_strongest_chsh(box)[0]) <= 2 * box.den

@@ -28,6 +28,8 @@ from typing import Sequence
 
 from .boxes import (
     BipartiteBox,
+    LocalBox,
+    _clipped,
     bob_outcome_distribution,
     deterministic_table,
     no_signalling_violations,
@@ -112,6 +114,16 @@ def steered_ensemble(state: SteeringState, y: int) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
+def _shown_rows(box: LocalBox) -> str:
+    """The rows p(a|x) of ``box`` for a message, as ``((1/2, 1/2), ...)``
+    clipped; rows with an entry too long to print, by their shape."""
+    try:
+        text = ", ".join("(" + ", ".join(map(str, row)) + ")" for row in box.table)
+    except ValueError:  # a numerator or denominator past the int-string limit
+        return f"a {box.num_inputs}x{box.num_outputs} table too long to print"
+    return _clipped(f"({text})")
+
+
 def check_common_mixture(ensembles: Sequence[Ensemble]) -> CheckResult:
     """All ensembles mix to one and the same box."""
     ensembles = tuple(ensembles)
@@ -122,7 +134,8 @@ def check_common_mixture(ensembles: Sequence[Ensemble]) -> CheckResult:
             return CheckResult(
                 "mixture_consistency",
                 False,
-                f"ensemble {position} mixes to {other.table}, expected {common.table}",
+                f"ensemble {position} mixes to {_shown_rows(other)}, "
+                f"expected {_shown_rows(common)}",
             )
     return CheckResult("mixture_consistency", True)
 

@@ -193,6 +193,21 @@ def pr_bipartite_box(pr: bx.PRBox) -> bx.BipartiteBox:
     ))
 
 
+# every way a BipartiteBox is built: from a table it validates, or from
+# numerators that are valid already
+BOX_BUILDERS = ("__init__", "_of_numerators")
+
+
+def refuse_boxes(monkeypatch) -> None:
+    """Make building a ``BipartiteBox``, by either constructor, fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BipartiteBox built")
+
+    for name in BOX_BUILDERS:
+        monkeypatch.setattr(bx.BipartiteBox, name, refuse)
+
+
 def member_box(member: bx.Member) -> bx.BipartiteBox:
     """A member's vertex table: the product of its two S boxes' tables,
     or its PR box's."""
@@ -429,9 +444,9 @@ _RAW = "\0raw\0"  # stands for a replacement's JSON text
 _DUPLICATE = "\0dup\0"  # stands for a duplicated key
 
 
-def json_text(doc) -> str:
-    """A JSON document as text; a list of log lines as NDJSON."""
-    if isinstance(doc, list):
+def json_text(doc, lines: bool = False) -> str:
+    """A JSON document as text; with ``lines``, a list of log lines as NDJSON."""
+    if lines:
         return "".join(json.dumps(line, sort_keys=True) + "\n" for line in doc)
     return json.dumps(doc)
 
@@ -443,11 +458,11 @@ def resolve(doc, path: tuple):
     return doc
 
 
-def mutated(doc, kind: str, path: tuple, key, raw: str) -> str:
+def mutated(doc, kind: str, path: tuple, key, raw: str, lines: bool = False) -> str:
     """``doc`` as text (:func:`json_text`) with the value at ``path``
     replaced by the JSON text ``raw`` (kind "replace"), or with the key
     ``key`` of the object at ``path`` dropped ("drop") or given a second
-    time, with the value ``raw`` ("duplicate")."""
+    time, with the value ``raw`` ("duplicate"); ``lines`` as there."""
     if kind == "replace" and not path:
         return raw
     doc = json.loads(json.dumps(doc))
@@ -458,5 +473,5 @@ def mutated(doc, kind: str, path: tuple, key, raw: str) -> str:
         del parent[key]
     else:
         parent[_DUPLICATE] = _RAW
-    text = json_text(doc).replace(json.dumps(_DUPLICATE), json.dumps(key))
+    text = json_text(doc, lines).replace(json.dumps(_DUPLICATE), json.dumps(key))
     return text.replace(json.dumps(_RAW), raw)

@@ -18,6 +18,7 @@ from strategies import (
     product_only_ensembles,
     random_blind_split,
     realizes,
+    refuse_boxes,
     target_box,
     target_from_box,
     vertex_ensembles,
@@ -650,10 +651,7 @@ def test_blind_path_builds_no_box(monkeypatch):
         ]
         return reports, posteriors
 
-    def refuse(self):
-        raise AssertionError("BipartiteBox built")
-
-    monkeypatch.setattr(bx.BipartiteBox, "__post_init__", refuse)
+    refuse_boxes(monkeypatch)
     reports, posteriors = run()
     monkeypatch.undo()
     assert [r.passed for r in reports] == [True, True, False]

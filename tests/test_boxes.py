@@ -44,6 +44,23 @@ class TestAsProb:
         with pytest.raises(bx.ValidationError):
             bx.as_prob(bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bx.as_prob("x" * 3000),
+            lambda: bx.as_prob(["1/2"] * 3000),
+            lambda: bx.TargetState("x" * 3000, "1/2"),
+            lambda: bx.LocalBox([[b"1" * 3000, 0]]),
+            lambda: bx.as_prob([10**5000]),
+        ],
+    )
+    def test_long_value_quoted_by_its_ends(self, build):
+        # "not a rational literal" and "cannot interpret" clip the value,
+        # and name one holding an int too long to print by its type
+        with pytest.raises(bx.ValidationError) as caught:
+            build()
+        assert len(str(caught.value)) <= 80
+
 
 class TestLocalBox:
     def test_row_normalization_enforced(self):
@@ -216,7 +233,7 @@ class TestBipartiteBox:
             )
             for x in range(X)
         )
-        assert box._lattice == (den, numerators)
+        assert (box.den, box.numerators) == (den, numerators)
 
 
 PR000_TABLE = {

@@ -620,7 +620,7 @@ def test_quoted_value_clipped(tmp_path, command, path, raw):
         "policy": {"table": [["1/4", "1/4"], ["1/4", "1/4"]]},
         "audit": [HONEST_LINE],
     }
-    text = mutated(docs[command], "replace", path, None, raw)
+    text = mutated(docs[command], "replace", path, None, raw, lines=command == "audit")
     ensemble = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,12 +1,12 @@
 """The CLI's contract under mutated input, run in-process.
 
-Valid documents for ``check``, ``decompose``, ``blind --split``,
-``simulate`` and ``audit`` are mutated one way each: a key dropped,
-duplicated with a retyped value, or a value (or the whole document)
-replaced by another JSON type, a number or bool where a rational or a
-bit belongs, a huge literal or deep nesting; or the file is emptied,
-given a byte-order mark or a non-UTF-8 byte, or replaced by a
-directory.  Whatever the input, ``cli.main`` returns 0, 2, 3 or 5
+Valid documents for ``steer``, ``verify``, ``check``, ``decompose``,
+``blind --split``, ``simulate`` and ``audit`` are mutated one way each:
+a key dropped, duplicated with a retyped value, or a value (or the
+whole document) replaced by another JSON type, a number or bool where a
+rational or a bit belongs, a huge literal or deep nesting; or the file
+is emptied, given a byte-order mark or a non-UTF-8 byte, or replaced by
+a directory.  Whatever the input, ``cli.main`` returns 0, 2, 3 or 5
 without raising; bad input (2) is one short ``error:`` line; and every
 document on stdout is strict JSON.
 """
@@ -24,11 +24,15 @@ import boxsteer as bx
 from boxsteer import cli, serialize
 from strategies import json_text, mutated, resolve, round_log_to_json
 from test_cli import CANONICAL_ENSEMBLE_DOC as ENSEMBLE_DOC
+from test_cli import PR_EMERGENCE_DOC as STEER_DOC
 
 ENSEMBLE = serialize.nonlocal_ensemble_from_json(ENSEMBLE_DOC)
 BOX_DOC = serialize.bipartite_box_to_json(bx.mix_nonlocal(ENSEMBLE))
 POLICY_DOC = {"table": [["1/2", "1/4"], ["1/4", "0"]]}
 LOG_DOC = [round_log_to_json(log) for log in bx.run_protocol(ENSEMBLE, 30, 0)[1]]
+STEERED_BOX_DOC = serialize.bipartite_box_to_json(
+    bx.construct_steering_state([serialize.ensemble_from_json(e) for e in STEER_DOC]).box
+)
 
 REPLACEMENTS = [
     "0", "1", "2", "-1", "1.0", "0.5", "1e400", "NaN", "-Infinity",
@@ -79,6 +83,11 @@ def write_file(name, text, damage):
 
 CASES = {
     # command: (argv, {file name or "--policy": its valid document})
+    "steer": (["steer", "ensembles.json"], {"ensembles.json": STEER_DOC}),
+    "verify": (
+        ["verify", "box.json", "ensembles.json"],
+        {"box.json": STEERED_BOX_DOC, "ensembles.json": STEER_DOC},
+    ),
     "check": (["check", "box.json"], {"box.json": BOX_DOC}),
     "decompose": (["decompose", "box.json"], {"box.json": BOX_DOC}),
     "blind": (
@@ -124,9 +133,11 @@ def test_cli_contract_under_mutation(data):
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
         try:
+            # a log is NDJSON, one line per round; any other file one document
             texts = {
-                name: mutated(doc, *mutation) if name == target and mutation
-                else json_text(doc)
+                name: mutated(doc, *mutation, lines=name.endswith(".ndjson"))
+                if name == target and mutation
+                else json_text(doc, lines=name.endswith(".ndjson"))
                 for name, doc in docs.items()
             }
             for name, text in texts.items():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -86,6 +87,15 @@ class TestEnsembleConstruction:
         with pytest.raises(bx.ValidationError) as raised:
             bx.Ensemble.from_strategies(((F(1), strategy),), 2)
         assert str(raised.value) == f"{message} outside range(0, 2)"
+
+    @pytest.mark.parametrize(
+        "outputs", [sys.maxsize + 1, int("9" * 4300)], ids=["maxsize+1", "4300-nines"]
+    )
+    def test_alphabet_past_any_table_rejected(self, outputs):
+        # the mixture has a row of num_outputs cells: past sys.maxsize no
+        # list is that long, so the ensemble is refused when it is built
+        with pytest.raises(bx.ValidationError, match="is too many for a table"):
+            bx.Ensemble.from_strategies(((F(1), (0, 1)),), outputs)
 
     def test_duplicates_merged_and_zeros_dropped(self):
         e = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 0)), (F(0), (1, 1)))

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -11,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
+from boxsteer import boxes
 from simplex_oracle import solve_nonneg_exact
 from strategies import (
+    BOX_BUILDERS,
     catalog_boxes,
     chsh_values,
     facet_local,
+    member_box,
     nonlocal_ensembles,
     pr_bipartite_box,
     product_box,
@@ -190,22 +194,23 @@ class TestCatalog:
 
     def test_version_string_builds_no_vertex_table(self):
         # a profile hook set before the import sees every BipartiteBox
-        # built while importing the CLI and building its parser
+        # built, by either constructor, while importing the CLI and
+        # building its parser
+        builders = sorted(f"BipartiteBox.{name}" for name in BOX_BUILDERS)
         code = (
             "import sys\n"
             "built = []\n"
             "def hook(frame, event, arg):\n"
-            "    if event == 'call' and frame.f_code.co_qualname == "
-            "'BipartiteBox.__post_init__':\n"
+            f"    if event == 'call' and frame.f_code.co_qualname in {builders!r}:\n"
             "        built.append(1)\n"
             "sys.setprofile(hook)\n"
             "from boxsteer import cli\n"
             "cli._build_parser()\n"
             "sys.setprofile(None)\n"
-            "from boxsteer import NonlocalEnsemble, mix_nonlocal\n"
+            "from boxsteer import BipartiteBox, NonlocalEnsemble, mix_nonlocal\n"
             "pr = NonlocalEnsemble.from_weights(prs={(0, 0, 0): 1})\n"
             "sys.setprofile(hook)\n"
-            "mix_nonlocal(pr)\n"
+            "BipartiteBox(mix_nonlocal(pr).table)\n"
             "sys.setprofile(None)\n"
             "print(len(built))\n"
         )
@@ -213,8 +218,8 @@ class TestCatalog:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        # the one table is the control, built after the parser
-        assert done.stdout.strip() == "1"
+        # the control, after the parser: one box built each way
+        assert done.stdout.strip() == "2"
 
 
 class TestDecompose:
@@ -478,7 +483,7 @@ class TestLattice:
     @settings(max_examples=80, deadline=None)
     @given(mixed_boxes())
     def test_matches_simplex(self, box):
-        den, numerators = box._lattice
+        den, numerators = box.den, box.numerators
         assert den == math.lcm(*(box.prob(*key).denominator for key in KEYS))
         assert all(
             F(numerators[x][y][a][b], den) == box.prob(x, y, a, b) for x, y, a, b in KEYS
@@ -521,6 +526,99 @@ class TestLattice:
             assert bx.no_signalling_violations(box) == []
             bx.is_local(box)
             assert bx.mix_nonlocal(bx.decompose(box)) == box
+
+
+    def test_one_op_budget(self):
+        # one geometry op on a Fraction-valued table: the public constructor,
+        # the scan, decompose, the remix and the locality test.  The
+        # decomposition and the remix are built as valid, so the op builds
+        # Fractions for the weights alone and checks no index in its loops
+        # over fixed bits; the first op reads each vertex's cells, once
+        watched = {F.__new__.__code__: "Fraction", boxes._require_index.__code__: "index"}
+        p = PRIMES_NEAR_2_64[0]
+        ensembles = [
+            bx.NonlocalEnsemble.from_weights(
+                {((0, 1), (1, 0)): F(1, p), ((1, 1), (0, 0)): F(1, 3)},
+                {(0, 1, 0): 1 - F(1, p) - F(1, 3)},
+            ),
+            # every vertex, weighing 1/300 to 24/300
+            bx.NonlocalEnsemble(
+                tuple(bx.ProductMember(F(k + 1, 300), *vertex)
+                      for k, vertex in enumerate(bx.catalog_products())),
+                tuple(bx.PRMember(F(k + 17, 300), pr) for k, pr in enumerate(bx.catalog_prs())),
+            ),
+        ]
+        tables = [noisy_pr(F(1, 2) + F(1, p), bx.PRBox(1, 0, 1)).table]
+        tables += [bx.mix_nonlocal(e).table for e in ensembles]
+
+        def op(table):
+            box = bx.BipartiteBox(table)
+            assert bx.no_signalling_violations(box) == []
+            remix = bx.mix_nonlocal(bx.decompose(box))
+            bx.is_local(box)
+            return box, remix
+
+        for table in tables:
+            op(table)
+            counts = collections.Counter()
+
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code in watched:
+                    counts[watched[frame.f_code]] += 1
+
+            sys.setprofile(hook)
+            try:
+                box, remix = op(table)
+            finally:
+                sys.setprofile(None)
+            assert remix == box
+            assert counts["Fraction"] <= 12 and counts["index"] <= 10, counts
+
+
+def assert_same_box(built: bx.BipartiteBox, public: bx.BipartiteBox) -> None:
+    """``built`` is ``public``: equal, with the same lattice, hash, table
+    and repr."""
+    assert built == public
+    assert (built.den, built.numerators) == (public.den, public.numerators)
+    assert hash(built) == hash(public)
+    assert built.table == public.table
+    assert repr(built) == repr(public)
+
+
+class TestBuiltAsValid:
+    """``mix_nonlocal`` and ``decompose`` build their boxes, members and
+    ensembles without the public checks.  Each equals what the public
+    constructor builds from the same data, which it accepts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(nonlocal_ensembles(), nonlocal_ensembles(2**20)))
+    def test_remix_is_the_public_box(self, ensemble):
+        box = bx.mix_nonlocal(ensemble)
+        # the same box summed in Fractions over the members' vertex tables
+        tables = [(m.weight, member_box(m)) for m in ensemble.members]
+        public = bx.BipartiteBox([[[[
+            sum((w * vertex.prob(x, y, a, b) for w, vertex in tables), F(0))
+            for b in BITS] for a in BITS] for y in BITS] for x in BITS])
+        assert_same_box(box, public)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(nonlocal_ensembles().map(bx.mix_nonlocal), mixed_boxes()))
+    def test_decomposition_is_the_public_ensemble(self, box):
+        if bx.no_signalling_violations(box):
+            return
+        ensemble = bx.decompose(box)
+        for built in ensemble.members:
+            if isinstance(built, bx.ProductMember):
+                public = bx.ProductMember(built.weight, built.alice, built.bob)
+            else:
+                public = bx.PRMember(built.weight, built.box)
+            assert built == public and hash(built) == hash(public)
+            assert repr(built) == repr(public)
+        # the public constructor merges nothing, drops nothing and accepts the sum
+        public = bx.NonlocalEnsemble(ensemble.products, ensemble.prs)
+        assert ensemble == public and hash(ensemble) == hash(public)
+        assert repr(ensemble) == repr(public)
+        assert_same_box(bx.mix_nonlocal(ensemble), box)
 
 
 def random_columns(rng: random.Random, rows: int, count: int):

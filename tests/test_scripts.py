@@ -32,3 +32,19 @@ def test_readme_examples(capsys):
     pr = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): 1})
     assert state.box == bx.mix_nonlocal(pr)
     assert bx.verify_steering_state(state).passed
+
+
+def test_fuzz_cli_smoke():
+    # the seeded fuzz run at a tiny size: it keeps the contract and
+    # tallies every run by subcommand and exit code
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fuzz_cli.py"), "--seed", "3", "--examples", "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    first, *rows = result.stdout.splitlines()
+    runs = re.fullmatch(r"seed 3: (\d+) runs kept the CLI contract", first)
+    assert runs and int(runs[1]) >= 20
+    tally = [re.fullmatch(r"  (\w+) +exit ([0235]): (\d+)", row) for row in rows]
+    assert all(tally) and sum(int(m[3]) for m in tally) == int(runs[1])

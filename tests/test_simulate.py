@@ -18,6 +18,7 @@ from strategies import (
     member_box,
     nonlocal_ensembles,
     pr_bipartite_box,
+    refuse_boxes,
     weight_vectors,
 )
 
@@ -163,7 +164,7 @@ class TestSampleRounds:
         def refuse(self):
             raise AssertionError(f"{type(self).__name__} built")
 
-        monkeypatch.setattr(bx.BipartiteBox, "__post_init__", refuse)
+        refuse_boxes(monkeypatch)
         monkeypatch.setattr(bx.LocalBox, "__post_init__", refuse)
         logs = list(sample_rounds(e, 50, 0, bx.InputPolicy.uniform()))
         monkeypatch.undo()

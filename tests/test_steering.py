@@ -71,6 +71,33 @@ class TestConstruction:
             )
         assert "mixes to" in str(err.value)
 
+    @pytest.mark.parametrize("width", [2, 40])
+    def test_incompatible_message_bounded(self, width):
+        # the two mixtures are quoted by their ends, with entries as "1/2",
+        # however many inputs they have
+        one = bx.Ensemble.from_strategies([(F(1), (0,) * width)], 2)
+        halves = bx.Ensemble.from_strategies(
+            [(HALF, (0,) * width), (HALF, (1,) * width)], 2
+        )
+        with pytest.raises(bx.IncompatibleEnsemblesError) as err:
+            bx.construct_steering_state([halves, one])
+        assert str(err.value).startswith("ensemble 1 mixes to ((1, 0), (1, 0)")
+        assert len(str(err.value)) <= 150
+
+    def test_incompatible_mixture_too_long_to_print(self):
+        # denominators of 4,000 digits sum to one of 8,000, past the
+        # int-string limit: the mixture is named by its shape
+        d1, d2 = 10**4000 + 7, 10**4000 + 9
+        wide = bx.Ensemble.from_strategies(
+            [(F(1, 2 * d1), (0,)), (F(1, 2 * d2), (0,)),
+             (F(d1 - 1, 2 * d1), (1,)), (F(d2 - 1, 2 * d2), (1,))],
+            2,
+        )
+        one = bx.Ensemble.from_strategies([(F(1), (0,))], 2)
+        with pytest.raises(bx.IncompatibleEnsemblesError) as err:
+            bx.construct_steering_state([one, wide])
+        assert "mixes to a 1x2 table too long to print, expected ((1, 0))" in str(err.value)
+
     def test_single_ensemble_rejected(self):
         with pytest.raises(bx.ValidationError):
             bx.construct_steering_state([UNIFORM_E0])
