@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .polytope import catalog_hash, decompose, is_local
-from .boxes import is_no_signalling
+from .boxes import _quoted, is_no_signalling
 from .serialize import (
     audit_verdict_to_json,
     bipartite_box_from_json,
@@ -70,6 +70,12 @@ EXIT_REGION = 3
 EXIT_CHECKS_FAILED = 5
 
 
+def _named(path: str | Path, exc: Exception) -> str:
+    """``path`` once, clipped, and what went wrong with it: an OSError's
+    text names the path in full, so its ``strerror`` stands in for it."""
+    return f"{_quoted(str(path))}: {getattr(exc, 'strerror', None) or exc}"
+
+
 @contextlib.contextmanager
 def _reading(path: str):
     """An input file as UTF-8 text; failing to open or decode it is bad input."""
@@ -77,7 +83,7 @@ def _reading(path: str):
         with open(path, encoding="utf-8") as handle:
             yield handle
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {_named(path, exc)}") from exc
 
 
 @contextlib.contextmanager
@@ -88,7 +94,7 @@ def _writing(path: Path):
         with path.open("w", encoding="utf-8") as handle:
             yield handle
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+        raise ValidationError(f"cannot write {_named(path, exc)}") from exc
 
 
 def _load_json(path: str) -> Any:
@@ -98,7 +104,7 @@ def _load_json(path: str) -> Any:
         return json.loads(text)
     # bad JSON, an int past the int-string limit, nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{_quoted(path)} is not valid JSON: {exc}") from exc
 
 
 def _emit(out: str | None, documents: dict[str, Any]) -> None:

@@ -13,10 +13,11 @@ generator keyed on the (seed, round) pair through numpy's SeedSequence.
 Three uniform draws per round — member, inputs, outcomes — in that
 order.  Logs are therefore bit-for-bit reproducible and independent of
 execution order; a parallel runner would produce the identical log.
-The scheme is evaluated for a block of rounds at once
-(:func:`_round_ints`): numpy's SeedSequence hash and its PCG64 seeding
+The scheme is evaluated for a block of rounds at once, in
+:mod:`boxsteer._stream`: numpy's SeedSequence hash and its PCG64 seeding
 and output, written out over arrays of round ids, give the integers k
-with ``u = k * 2**-53`` that ``random()`` returns.
+with ``u = k * 2**-53`` that ``random()`` returns.  That module is the
+only one that imports numpy, and it is loaded when rounds are drawn.
 
 Draws are exact: a cumulative weight c = num/den picks iff u < c, iff
 k < ceil(num * 2**53 / den); the outcome, one of n equally likely rounds,
@@ -27,7 +28,8 @@ A log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
 (:class:`LogTally`); the audit flags each round that is not one of its
 member's rounds in the same table, and tests Alice's constituent
-frequencies per Bob input against :func:`posterior_alice_reduction`.
+frequencies per Bob input against :func:`posterior_alice_reduction`,
+with scipy's two-sided exact binomial test (:func:`_binom_pvalue`).
 Rounds are drawn (:func:`sample_rounds`) and counted one at a time, so a
 log can be streamed without being held.
 """
@@ -37,10 +39,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from math import ceil, floor
 from operator import attrgetter, itemgetter
-
-import numpy as np
 
 from .boxes import SBox, _is_index, _require_natural, _sums_to_one, as_prob
 from .ensembles import PAIRS, NonlocalEnsemble, posterior_alice_reduction
@@ -123,127 +123,6 @@ class SimulationReport:
     verdict: AuditVerdict
 
 
-# numpy's SeedSequence (NEP 19) and PCG64 (O'Neill 2014, XSL-RR 128/64)
-_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # SeedSequence pool mixing
-_HASH_B = (0x8B51F9DD, 0x58F38DED)  # SeedSequence.generate_state
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U64 = np.uint32, np.uint64
-_BLOCK = 1024  # rounds drawn per numpy evaluation
-
-
-def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence reads from an int."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _hashes(h: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constants of successive hashmix calls."""
-    while True:
-        following = h * mult & _M32
-        yield _U32(h), _U32(following)
-        h = following
-
-
-def _hashmix(value: np.ndarray, hashes: Iterator) -> np.ndarray:
-    xor, mult = next(hashes)
-    value = (value ^ xor) * mult
-    return value ^ value >> _U32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = x * _MIX_L - y * _MIX_R
-    return value ^ value >> _U32(16)
-
-
-def _mul_add(state: tuple, inc: tuple) -> tuple:
-    """One PCG step, state * _PCG_MULT + inc mod 2**128, on (high, low)
-    pairs of uint64 arrays."""
-    hi, lo = state
-    m_hi, m_lo = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & _M64)
-    mask, s32 = _U64(_M32), _U64(32)
-    # the high word of lo * m_lo, from 32-bit limbs
-    l0, l1, m0, m1 = lo & mask, lo >> s32, m_lo & mask, m_lo >> s32
-    p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
-    mid = (p00 >> s32) + (p01 & mask) + (p10 & mask)
-    carry = l1 * m1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    return _add((carry + lo * m_hi + hi * m_lo, lo * m_lo), inc)
-
-
-def _add(x: tuple, y: tuple) -> tuple:
-    """(high, low) sums mod 2**128."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < y[1]), lo
-
-
-def _generate_state(seed: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for rounds
-    ``r`` in [start, stop), as an array of shape (stop - start, 4)."""
-    blocks = []
-    while start < stop:
-        # entropy: the seed's words, then r's; above its lowest word, r is
-        # the same for every round of the segment
-        high = start >> 32
-        n = min(stop, (high + 1) << 32) - start
-        low = np.arange(start & _M32, (start & _M32) + n, dtype=_U64).astype(_U32)
-        words = [np.full(n, w, _U32) for w in _words(seed)] + [low]
-        words += [np.full(n, w, _U32) for w in _words(high)] if high else []
-        words += [np.zeros(n, _U32)] * (4 - len(words))
-        # a pool of 4 hashed words, cross-mixed, then mixed with the rest
-        hashes = _hashes(*_HASH_A)
-        pool = [_hashmix(word, hashes) for word in words[:4]]
-        for src, dst in product(range(4), repeat=2):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
-        hashes = _hashes(*_HASH_B)
-        halves = [_hashmix(pool[i % 4], hashes).astype(_U64) for i in range(8)]
-        pairs = [halves[i] | halves[i + 1] << _U64(32) for i in (0, 2, 4, 6)]
-        blocks.append(np.stack(pairs, 1))
-        start += n
-    return np.concatenate(blocks)
-
-
-def _pcg64_seeded(words: np.ndarray) -> tuple[tuple, tuple]:
-    """PCG64's (state, inc) after ``srandom_r`` on the words of
-    :func:`_generate_state`, each a (high, low) pair of uint64 arrays."""
-    seed_hi, seed_lo, seq_hi, seq_lo = words.T
-    inc = (seq_hi << _U64(1) | seq_lo >> _U64(63), seq_lo << _U64(1) | _U64(1))
-    return _mul_add(_add(inc, (seed_hi, seed_lo)), inc), inc
-
-
-def _pcg64_ints(state: tuple, inc: tuple) -> np.ndarray:
-    """The next three XSL-RR outputs, shifted right by 11, as (n, 3)."""
-    draws = []
-    for _ in range(3):
-        state = _mul_add(state, inc)
-        folded, rot = state[0] ^ state[1], state[0] >> _U64(58)
-        folded = folded >> rot | folded << (_U64(64) - rot & _U64(63))
-        draws.append(folded >> _U64(11))
-    return np.stack(draws, 1)
-
-
-def _round_ints(seed: int, start: int, stop: int) -> np.ndarray:
-    """For rounds ``r`` in [start, stop), the three integers k that
-    ``default_rng([seed, r]).random(3)`` returns as k * 2**-53, as an
-    array of shape (stop - start, 3)."""
-    return _pcg64_ints(*_pcg64_seeded(_generate_state(seed, start, stop)))
-
-
-def _thresholds(weights: Iterable[Fraction]) -> list[int]:
-    """ceil(c * 2**53) for each cumulative weight c: with u = k * 2**-53,
-    u < c iff k < ceil(c * 2**53), so the first c above u is at index
-    ``searchsorted(thresholds, k, side="right")``; zero weights are never
-    picked."""
-    return [-((-c.numerator << 53) // c.denominator) for c in accumulate(weights)]
-
-
 def sample_rounds(
     ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
 ) -> Iterator[RoundLog]:
@@ -257,18 +136,15 @@ def sample_rounds(
         raise ValidationError(f"rounds must be positive, got {rounds}")
     _require_natural("seed", seed)
 
-    member_thresholds = np.array(_thresholds(m.weight for m in ensemble.members), _U64)
-    pair_thresholds = np.array(_thresholds(policy.table[x][y] for x, y in PAIRS), _U64)
+    from . import _stream  # numpy loads only when rounds are drawn
+
+    members = [m.weight for m in ensemble.members]
+    pairs = [policy.table[x][y] for x, y in PAIRS]
     table = ensemble._round_table
 
     def draw() -> Iterator[RoundLog]:
-        for start in range(0, rounds, _BLOCK):
-            stop = min(start + _BLOCK, rounds)
-            k = _round_ints(seed, start, stop)
-            member_ids = np.searchsorted(member_thresholds, k[:, 0], side="right")
-            pairs = np.searchsorted(pair_thresholds, k[:, 1], side="right")
-            drawn = member_ids.tolist(), pairs.tolist(), k[:, 2].tolist()
-            for round_id, member_id, pair, k_outcome in zip(range(start, stop), *drawn):
+        for block in _stream.blocks(seed, rounds, members, pairs):
+            for round_id, member_id, pair, k_outcome in block:
                 outcomes = table[member_id][pair]
                 x, y, a, b, sbox = outcomes[k_outcome * len(outcomes) >> 53]
                 yield RoundLog(round_id, member_id, x, y, a, b, sbox, sbox)
@@ -383,9 +259,6 @@ class LogTally:
         return dict(sorted(out.items()))
 
     def verdict(self) -> AuditVerdict:
-        # scipy.stats takes most of a second to import; only the audit needs it
-        from scipy.stats import binomtest
-
         cells: list[FrequencyCell] = []
         for y, counts in self._grouped((_Y,), (_ACTUAL,)).items():
             total = sum(counts.values())
@@ -396,7 +269,7 @@ class LogTally:
                 if weight == 0:
                     pvalue, ok = None, seen == 0
                 else:
-                    pvalue = float(binomtest(seen, total, float(weight)).pvalue)
+                    pvalue = _binom_pvalue(seen, total, float(weight))
                     ok = pvalue >= self.significance
                 cells.append(FrequencyCell(y, sbox, weight, seen, total, pvalue, ok))
         mismatches = sum(n for n, breaks in self.cells.values() if breaks)
@@ -430,6 +303,54 @@ class LogTally:
             alice_frequencies_by_outcome=_relative(self._grouped((_Y, _B), (_ACTUAL,))),
             verdict=self.verdict(),
         )
+
+
+def _binom_pvalue(k: int, n: int, p: float) -> float:
+    """The two-sided p-value of scipy's ``binomtest(k, n, p)``, for
+    0 <= k <= n and n >= 1: its algorithm on the binomial ufuncs that
+    scipy's ``binom`` distribution reads, with its clamps outside the
+    support, so the value is the same float.  The outcomes at most as
+    likely as k (up to a relative 1e-7) are those out to k on its side
+    of the mode and, found by bisection, the tail beyond it on the other
+    side."""
+    # loaded by the audit alone; scipy's stats package would add about 0.6 s
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
+
+    def pmf(i: int) -> float:
+        return float(_binom_pmf(i, n, p)) if 0 <= i <= n else 0.0
+
+    def cdf(i: int) -> float:
+        return 1.0 if i >= n else float(_binom_cdf(i, n, p)) if i >= 0 else 0.0
+
+    def sf(i: int) -> float:
+        return 0.0 if i >= n else float(_binom_sf(i, n, p)) if i >= 0 else 1.0
+
+    def last_at_most(value, bound: float, lo: int, hi: int) -> int:
+        """The i in [lo - 1, hi] with value(i) <= bound < value(i + 1), for
+        ``value`` ascending on [lo, hi] (scipy's
+        ``_binary_search_for_binom_tst``)."""
+        while lo < hi:
+            mid = lo + (hi - lo) // 2
+            at = value(mid)
+            if at < bound:
+                lo = mid + 1
+            elif at > bound:
+                hi = mid - 1
+            else:
+                return mid
+        return lo if value(lo) <= bound else lo - 1
+
+    if k == p * n:
+        return 1.0
+    d = pmf(k) * (1 + 1e-7)
+    if k < p * n:
+        i = last_at_most(lambda j: -pmf(j), -d, ceil(p * n), n)
+        beyond = n - i + int(d == pmf(i))
+        pvalue = cdf(k) + sf(n - beyond)
+    else:
+        i = last_at_most(pmf, d, 0, floor(p * n))
+        pvalue = cdf(i) + sf(k - 1)
+    return min(1.0, pvalue)
 
 
 def _relative(grouped: dict) -> dict:

@@ -447,6 +447,17 @@ class TestSimulate:
         report_doc = serialize.simulation_report_to_json(report)
         assert plain.stdout == serialize.dumps({"report": report_doc})
 
+    @pytest.mark.parametrize("flag", ["--policy", "--out"])
+    def test_long_path_named_once_and_clipped(self, tmp_path, flag):
+        # an OSError's own text names the path too; the message holds only its ends
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        result = run_cli("simulate", path, "--rounds", "10", flag, "p" * 3000)
+        assert result.returncode == 2
+        verb = "read" if flag == "--policy" else "write"
+        assert result.stderr.startswith(f"error: cannot {verb} 'ppp")
+        assert result.stderr.count("...") == 1 and "p" * 30 not in result.stderr
+        assert len(result.stderr.encode()) <= 200
+
     def test_out_on_existing_file(self, tmp_path):
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         taken = tmp_path / "taken"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
-from boxsteer import simulate
+from boxsteer import _stream, simulate
 from boxsteer.simulate import sample_rounds
 from strategies import (
     catalog_ensembles,
@@ -222,7 +223,7 @@ class TestBlockSampler:
     @given(st.lists(st.fractions(0, 1, max_denominator=10**20), min_size=1, max_size=6))
     def test_thresholds_are_exact(self, weights):
         # k * 2**-53 < c exactly when k < T, for every cumulative weight c
-        for c, t in zip(itertools.accumulate(weights), simulate._thresholds(weights)):
+        for c, t in zip(itertools.accumulate(weights), _stream._thresholds(weights)):
             assert F(t - 1, 2**53) < c <= F(t, 2**53)
 
     @pytest.mark.parametrize(
@@ -246,14 +247,14 @@ class TestBlockSampler:
         ks = [0, 2**52 - 1, 2**52, 2**53 - 1, *drawn]
         ints = np.array([(0, p << 51, k) for p in range(4) for k in ks], np.uint64)
         policy = bx.InputPolicy.uniform()
-        with mock.patch.object(simulate, "_round_ints", lambda _, i, j: ints[i:j]):
+        with mock.patch.object(_stream, "_round_ints", lambda _, i, j: ints[i:j]):
             for ensemble in catalog_ensembles():
                 table = member_box(ensemble.members[0]).table
                 logs = sample_rounds(ensemble, len(ints), 0, policy)
                 for log, (_, k_pair, k) in zip(logs, ints.tolist(), strict=True):
                     x, y = pairs[k_pair >> 51]
                     row = [table[x][y][a][b] for a, b in pairs]
-                    outcome = np.searchsorted(simulate._thresholds(row), k, "right")
+                    outcome = np.searchsorted(_stream._thresholds(row), k, "right")
                     assert (log.x, log.y, (log.a, log.b)) == (x, y, pairs[outcome])
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -261,7 +262,7 @@ class TestBlockSampler:
         # zero cells in the policy and in the members' tables
         policy = bx.InputPolicy(((F(1, 3), F(0)), (F(1, 2), F(1, 6))))
         ensemble = canonical_ensemble()
-        rounds = simulate._BLOCK + 3
+        rounds = _stream._BLOCK + 3
         assert list(sample_rounds(ensemble, rounds, seed, policy)) == _reference_rounds(
             ensemble, rounds, seed, policy
         )
@@ -270,10 +271,10 @@ class TestBlockSampler:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**128])
     def test_stages_match_numpy(self, seed, start):
         # the entropy grows by a word at 2**32 and 2**64
-        words = simulate._generate_state(seed, start, start + 4)
-        state, inc = simulate._pcg64_seeded(words)
-        ints = simulate._pcg64_ints(state, inc)
-        assert (ints == simulate._round_ints(seed, start, start + 4)).all()
+        words = _stream._generate_state(seed, start, start + 4)
+        state, inc = _stream._pcg64_seeded(words)
+        ints = _stream._pcg64_ints(state, inc)
+        assert (ints == _stream._round_ints(seed, start, start + 4)).all()
         for i, r in enumerate(range(start, start + 4)):
             expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
             assert words[i].tolist() == expected.tolist()
@@ -290,7 +291,7 @@ def test_numpy_stream_canary():
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 + 7]
     rounds = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**80]
     for seed, r in itertools.product(seeds, rounds):
-        got = simulate._round_ints(seed, r, r + 1)[0] * 2.0**-53
+        got = _stream._round_ints(seed, r, r + 1)[0] * 2.0**-53
         expected = np.random.default_rng([seed, r]).random(3)
         assert got.tolist() == expected.tolist(), (
             f"numpy {np.__version__}: default_rng([{seed}, {r}]) stream differs "
@@ -562,12 +563,53 @@ class TestReportFromCounts:
         assert report.rounds == 700
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported by the audit alone, not by `import boxsteer`
+# each child's code, and the modules it must not load
+LIGHT_IMPORTS = {
+    "import": ("import boxsteer", ("numpy", "scipy")),
+    "blind": ("from boxsteer import cli; cli.main(['blind', '1/4', '1/2'])", ("numpy",)),
+    "audit": (
+        "import boxsteer as bx\n"
+        "e = bx.plan_blind_steering(bx.TargetState('1/4', '1/2')).ensemble\n"
+        "verdict = bx.referee_audit(bx.run_protocol(e, 200, 0)[1], e)\n"
+        "assert verdict.passed and verdict.frequency_cells[0].pvalue is not None",
+        ("scipy.stats",),
+    ),
+}
+
+
+@pytest.mark.parametrize("child", sorted(LIGHT_IMPORTS))
+def test_child_loads_only_what_it_runs(child):
+    # numpy loads only when rounds are drawn, and scipy.stats never
+    code, unloaded = LIGHT_IMPORTS[child]
+    check = f"import sys\nloaded = [m for m in {unloaded!r} if m in sys.modules]\nassert not loaded, loaded"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, boxsteer; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", f"{code}\n{check}"], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+
+
+def _binomtest_cases():
+    """(k, n, p): every k for n < 40 on the 1/8 grid and at 1/3 and 2/3;
+    for n up to 2 * 10**4, the ends, the mean and random k on the 1/64
+    grid, which holds the 1/2 ... 1/32 grids, p = 1 and k = p * n; and
+    k whose tail on the far side of the mode starts within a relative
+    1e-6 of pmf(k), which pin the 1e-7 slack."""
+    yield from [(44, 118, 0.25), (33, 213, 23 / 64), (180, 213, 41 / 64), (69, 230, 9 / 32)]
+    small = [i / 8 for i in range(1, 9)] + [1 / 3, 2 / 3]
+    for p, n in itertools.product(small, range(1, 40)):
+        yield from ((k, n, p) for k in range(n + 1))
+    rng = random.Random(25)
+    for p, n in itertools.product([i / 64 for i in range(1, 65)], [40, 99, 1000, 4096, 20000]):
+        ks = {0, 1, n - 1, n, round(p * n), *(rng.randint(0, n) for _ in range(3))}
+        yield from ((k, n, p) for k in sorted(ks))
+
+
+def test_binom_pvalue_is_binomtest():
+    # the audit's port of scipy's two-sided exact test, against scipy itself
+    from scipy.stats import binomtest
+
+    differ = [
+        (k, n, p) for k, n, p in _binomtest_cases()
+        if simulate._binom_pvalue(k, n, p) != binomtest(k, n, p).pvalue
+    ]
+    assert not differ, differ[:5]
