@@ -8,10 +8,12 @@ the pair
 
 a point of the unit square whose corners are the four S boxes.  Bob's
 input decides which of two fixed decompositions of that state Alice
-ends up holding, yet neither player learns which constituent a given
-round used: Alice sees only her marginal, and Bob's outcome does not
-single out a constituent.  Only the Referee, who knows the member drawn
-in each round, can tell.
+ends up holding.  Alice sees only her marginal.  Bob's outcome leaves at
+least two candidates in :func:`bob_posterior`'s model, where he does not
+know how the aggregates split over members, but in the default plan's
+ensemble every Bob factor is S00, so b = 1 comes only from a PR round
+and can name Alice's constituent.  Only the Referee, who knows the
+member drawn in each round, can always tell.
 
 The square's two diagonals cut it into four triangles.  Everything is
 solved in the canonical *left* triangle ``t >= s, s + t < 1``; the two

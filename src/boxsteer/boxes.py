@@ -113,6 +113,14 @@ def _built(cls: type[_T], **state: object) -> _T:
     return obj
 
 
+def _grouped(flat: Sequence[int], shape: tuple) -> tuple:
+    """``flat``, in (x, y, a, b) order, as ``[x][y][a][b]`` tuples of a
+    ``shape`` of positive sizes: zip over one iterator k times groups by k."""
+    _, y_dim, a_dim, b_dim = shape
+    rows = zip(*[iter(flat)] * b_dim)
+    return tuple(zip(*[zip(*[rows] * a_dim)] * y_dim))
+
+
 def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -241,43 +249,60 @@ class BipartiteBox:
     numerators: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
     def __init__(self, table: Sequence) -> None:
+        # one pass: each entry coerced once, its numerator and denominator read once
+        cells, ns, ds = [], [], []
         try:
-            cells = tuple([tuple([tuple([tuple([as_prob(p) for p in r]) for r in ba])
-                                  for ba in by]) for by in table])
+            for by in table:
+                block_y = []
+                for ba in by:
+                    block_a = []
+                    for r in ba:
+                        row = []
+                        for p in r:
+                            if type(p) is not Fraction:
+                                p = as_prob(p)
+                            n, d = p.numerator, p.denominator
+                            if not 0 <= n <= d:
+                                as_prob(p)  # raises, with as_prob's message
+                            row.append(p)
+                            ns.append(n)
+                            ds.append(d)
+                        block_a.append(tuple(row))
+                    block_y.append(tuple(block_a))
+                cells.append(tuple(block_y))
         except TypeError as exc:
             raise ValidationError("bipartite table must be nested sequences") from exc
         if not cells or any(not y_block for y_block in cells):
             raise ValidationError("bipartite table must be non-empty")
-        den = math.lcm(*[p.denominator for by in cells for ba in by for r in ba for p in r])
-        nums = tuple([tuple([tuple([tuple([p.numerator * (den // p.denominator) for p in r])
-                                    for r in ba]) for ba in by]) for by in cells])
+        den = math.lcm(*ds)
+        flat = [n * (den // d) for n, d in zip(ns, ds)]
         y_dim, a_dim = len(cells[0]), len(cells[0][0])
         b_dim = len(cells[0][0][0]) if a_dim else 0
+        size = a_dim * b_dim
         for x, block_y in enumerate(cells):
             if len(block_y) != y_dim:
                 raise ValidationError("ragged table: y dimension varies with x")
             for y, block_a in enumerate(block_y):
                 if len(block_a) != a_dim or any(len(r) != b_dim for r in block_a):
                     raise ValidationError("ragged table: outcome dimensions vary")
-                if sum(map(sum, nums[x][y])) != den:
+                start = (x * y_dim + y) * size  # the blocks before it passed
+                if sum(flat[start:start + size]) != den:
                     total = _shown(sum(map(sum, block_a), Fraction(0)), Fraction(1), "1")
                     raise ValidationError(
                         f"entries for (x={x}, y={y}) sum to {total}, expected 1"
                     )
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "numerators", _grouped(flat, (len(cells), y_dim, a_dim, b_dim)))
         # the validated Fractions are the view, so it is never rebuilt
-        object.__setattr__(self, "table", cells)
+        object.__setattr__(self, "table", tuple(cells))
 
     @classmethod
-    def _of_numerators(cls, den: int, numerators: Sequence) -> BipartiteBox:
-        """The box of ``numerators`` over ``den``, valid already (each is
-        nonnegative and each (x, y) row sums to ``den``), put in lowest
-        terms: both are divided by their gcd.  Nothing is checked."""
-        g = math.gcd(den, *[n for by in numerators for ba in by for r in ba for n in r])
-        return _built(cls, den=den // g, numerators=tuple([
-            tuple([tuple([tuple([n // g for n in r]) for r in ba]) for ba in by])
-            for by in numerators]))
+    def _of_numerators(cls, den: int, flat: Sequence[int], shape: tuple) -> BipartiteBox:
+        """The box of ``shape`` with numerators ``flat`` over ``den``, valid
+        already (nonnegative, each (x, y) block summing to ``den``), in
+        lowest terms: both are divided by their gcd.  Nothing is checked."""
+        g = math.gcd(den, *flat)
+        return _built(cls, den=den // g, numerators=_grouped([n // g for n in flat], shape))
 
     @functools.cached_property
     def table(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
@@ -307,12 +332,8 @@ class BipartiteBox:
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        return (
-            self.num_inputs_alice,
-            self.num_inputs_bob,
-            self.num_outputs_alice,
-            self.num_outputs_bob,
-        )
+        t = self.numerators
+        return len(t), len(t[0]), len(t[0][0]), len(t[0][0][0])
 
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[x][y][a][b]
@@ -321,6 +342,16 @@ class BipartiteBox:
     @functools.cached_property
     def _no_signalling_problems(self) -> tuple[str, ...]:
         return _no_signalling_scan(self)
+
+    # kept too, for a one-bit box: decompose and is_local both ask for it
+    @functools.cached_property
+    def _strongest_chsh(self) -> tuple[int, int, int]:
+        """(C_pq, p, q) for the CHSH form of largest |C_pq| (first in (p, q)
+        order on ties), C_pq as a numerator over D, of a one-bit box."""
+        # E_xy by 2x + y; the sign flips only at (x, y) = (1-p, 1-q)
+        e = [t[0][0] + t[1][1] - t[0][1] - t[1][0] for by in self.numerators for t in by]
+        forms = [(sum(e) - 2 * e[3 - 2 * p - q], p, q) for p in (0, 1) for q in (0, 1)]
+        return max(forms, key=lambda form: abs(form[0]))
 
 
 @dataclass(frozen=True)
@@ -364,7 +395,7 @@ class PRBox:
 # ---------------------------------------------------------------------------
 
 
-def _marginals(name: str, sums: list[int], den: int) -> str:
+def _marginals(name: str, sums: Sequence[int], den: int) -> str:
     """``name=k: p`` per input k, for marginals ``sums`` over ``den``; one
     too long to print is named by its side of the first that differs."""
     def shown(s: int) -> str:
@@ -374,25 +405,24 @@ def _marginals(name: str, sums: list[int], den: int) -> str:
 
 
 def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:
-    problems: list[str] = []
-    X, Y, A, B = box.shape
+    """Per party and input, its marginal vectors, one per input of the
+    other party, compared whole; only where they differ are outcomes named."""
     den, t = box.den, box.numerators
-    for x in range(X):
-        for a in range(A):
-            sums = [sum(t[x][y][a]) for y in range(Y)]
-            if any(s != sums[0] for s in sums):
-                problems.append(
-                    f"Alice marginal p(a={a}|x={x}) depends on Bob's input: "
-                    + _marginals("y", sums, den)
-                )
-    for y in range(Y):
-        for b in range(B):
-            sums = [sum(t[x][y][a][b] for a in range(A)) for x in range(X)]
-            if any(s != sums[0] for s in sums):
-                problems.append(
-                    f"Bob marginal p(b={b}|y={y}) depends on Alice's input: "
-                    + _marginals("x", sums, den)
-                )
+    # [x][y]: Alice's row sums by a; [y][x]: Bob's column sums by b
+    alice = [[tuple(map(sum, block)) for block in by] for by in t]
+    bob = zip(*[[tuple(map(sum, zip(*block))) for block in by] for by in t])
+    problems: list[str] = []
+    for (party, out, inp, other, other_inp), marginals in (
+        (("Alice", "a", "x", "Bob", "y"), alice), (("Bob", "b", "y", "Alice", "x"), bob)
+    ):
+        for k, vectors in enumerate(marginals):
+            if any(v != vectors[0] for v in vectors):
+                for c, sums in enumerate(zip(*vectors)):
+                    if any(s != sums[0] for s in sums):
+                        problems.append(
+                            f"{party} marginal p({out}={c}|{inp}={k}) depends on "
+                            f"{other}'s input: " + _marginals(other_inp, sums, den)
+                        )
     return tuple(problems)
 
 

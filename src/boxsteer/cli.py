@@ -27,7 +27,7 @@ import json
 import sys
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from . import __version__
 from .blind import TargetState, plan_blind_steering
@@ -230,8 +230,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.passed else EXIT_CHECKS_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subcommands' too, are bad input; --help still exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxsteer",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -294,15 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except RegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGION
     except BoxWorldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_REGION if isinstance(exc, RegionError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

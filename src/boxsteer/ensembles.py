@@ -342,19 +342,23 @@ class NonlocalEnsemble:
         )
 
 
-# vertex -> its cells on each (x, y) of PAIRS; there are 24 vertices
-_CELL_ROWS: dict[Hashable, tuple[tuple[tuple[int, int], ...], ...]] = {}
+# vertex -> its spread; there are 24 vertices
+_SPREADS: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 
 
-def _cell_rows(member: Member) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``member.cells(x, y)`` for each (x, y) of PAIRS, read once per
-    vertex, so that loops over the fixed bits check no index."""
-    # the vertex: a PR box, or a product's two S boxes, as the merge keys them
-    vertex = member.box if isinstance(member, PRMember) else (member.alice, member.bob)
-    rows = _CELL_ROWS.get(vertex)
-    if rows is None:
-        rows = _CELL_ROWS[vertex] = tuple(member.cells(x, y) for x, y in PAIRS)
-    return rows
+def _spread(member: Member) -> tuple[tuple[int, int], ...]:
+    """(8x + 4y + 2a + b, 2 / n) per outcome (a, b) of the n in ``member.cells(x, y)``,
+    per (x, y) of PAIRS: read once per vertex, so that no loop checks an index."""
+    if isinstance(member, PRMember):
+        key: tuple[int, ...] = (member.box.alpha, member.box.beta, member.box.delta)
+    else:
+        key = (member.alice.alpha, member.alice.beta, member.bob.alpha, member.bob.beta)
+    spread = _SPREADS.get(key)
+    if spread is None:
+        spread = _SPREADS[key] = tuple(
+            (8 * x + 4 * y + 2 * a + b, 2 // len(cells))
+            for x, y in PAIRS for cells in [member.cells(x, y)] for a, b in cells)
+    return spread
 
 
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
@@ -365,17 +369,15 @@ def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     allow, one for a product and two for a PR member.  The sums are the
     box's numerators, valid by construction, so no table is checked.
     """
-    members = ensemble.members
-    # numerators over twice the weights' lcm, so a PR member's half is one
-    den = 2 * math.lcm(*(m.weight.denominator for m in members))
-    acc = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for m in members:
-        weight = m.weight.numerator * (den // m.weight.denominator)
-        for (x, y), cells in zip(PAIRS, _cell_rows(m)):
-            share = weight // len(cells)
-            for a, b in cells:
-                acc[x][y][a][b] += share
-    return BipartiteBox._of_numerators(den, acc)
+    weights = [m.weight for m in ensemble.members]
+    lcm = math.lcm(*[w.denominator for w in weights])
+    # over D = 2 lcm, a PR member puts one share on each of its cells, a product two
+    acc = [0] * 16
+    for m, w in zip(ensemble.members, weights):
+        share = w.numerator * (lcm // w.denominator)
+        for cell, times in _spread(m):
+            acc[cell] += times * share
+    return BipartiteBox._of_numerators(2 * lcm, acc, (2, 2, 2, 2))
 
 
 def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:

@@ -24,9 +24,20 @@ form, after the constructive half of Fine's theorem (PRL 48:291, 1982).
 A product vertex is an assignment (a0, a1, b0, b1), and the remainder
 fixes the pairwise marginals p(a_x, b_y).  Adding Alice's chord
 q = p(a0=0, a1=0) splits them into the triangles (a0, a1, b_y), whose
-cells are affine in q and r_y = p(a0=0, a1=0, b_y=0).  q and then each
-r_y take their least feasible values (locality leaves room, by Fine),
-and each chord cell (a0, a1) glues the triangles by its north-west
+cells are c + i q + j r_y with r_y = p(a0=0, a1=0, b_y=0), i and j in
+{-1, 0, 1}.  A cell with j = 1 bounds r_y below, one with j = -1 above,
+and such a pair leaves room for r_y iff (i + i') q >= -(c + c').  Only
+the lower cells (0,0,0), (1,1,0) (i = 0) meet upper ones with i' = 1,
+(0,0,1) and (1,1,1), so they alone bound q below; q and then each r_y
+take their least values, and by Fine every other pair holds.  With M
+the remainder's mass, A_x = p(a_x=0), B_y = p(b_y=0), P_xy = p(a_x=0,
+b_y=0):
+
+    q   = max(0, A0 + A1 - M, max_y (P0y + P1y - By),
+                 max_y (A0 + A1 + By - P0y - P1y - M)),
+    r_y = max(0, q - A0 + P0y, q - A1 + P1y, P0y + P1y - By).
+
+Each chord cell (a0, a1) glues the triangles by its north-west
 corner rule (the Frechet-Hoeffding upper bound): w(a0 a1 b b) =
 min(t_0(a0 a1 b), t_1(a0 a1 b)) and w(a0 a1 b b') = max(0,
 t_0(a0 a1 b) - t_1(a0 a1 b)) for b' != b.  Nothing divides: triangle
@@ -52,7 +63,7 @@ import itertools
 from fractions import Fraction
 
 from .boxes import SBOXES, BipartiteBox, PRBox, SBox, _built, _require_no_signalling
-from .ensembles import NonlocalEnsemble, PRMember, ProductMember, _cell_rows
+from .ensembles import NonlocalEnsemble, PRMember, ProductMember, _spread
 from .errors import ValidationError
 
 __all__ = [
@@ -104,57 +115,28 @@ def _require_scenario(box: BipartiteBox, op: str) -> None:
     _require_no_signalling(box, op)
 
 
-def _strongest_chsh(box: BipartiteBox) -> tuple[int, int, int]:
-    """(C_pq, p, q) for the CHSH form of largest |C_pq| (first in (p, q)
-    order on ties), C_pq as a numerator over the box's denominator D."""
-    (e00, e01), (e10, e11) = (
-        [t[0][0] + t[1][1] - t[0][1] - t[1][0] for t in block]
-        for block in box.numerators
-    )
-    # the sign flips only at (x, y) = (1-p, 1-q)
-    forms = [
-        (e00 + e01 + e10 + e11 - 2 * e, p, q)
-        for e, p, q in ((e11, 0, 0), (e10, 0, 1), (e01, 1, 0), (e00, 1, 1))
-    ]
-    return max(forms, key=lambda form: abs(form[0]))
+# per catalog product (S_A, S_B): its triangle cell 4 a0 + 2 a1 + b0, and b0 == b1
+_PRODUCT_CELLS = tuple(
+    (4 * a.output(0) + 2 * a.output(1) + b.output(0), b.output(0) == b.output(1), a, b)
+    for a, b in catalog_products()
+)
 
 
 def _glued_triangles(
     mass: int, alice: list[int], bob: list[int], joint: list[list[int]]
-) -> list[dict[tuple[int, int, int], int]]:
-    """The joints t_y(a0, a1, b_y), y = 0, 1, of Fine's two triangles for
-    a local table of total ``mass`` with p(a_x=0) ``alice[x]``, p(b_y=0)
-    ``bob[y]`` and p(a_x=0, b_y=0) ``joint[x][y]``, all numerators over
-    one denominator."""
-    triangles = []
-    for y in (0, 1):
-        p0, p1 = joint[0][y], joint[1][y]
-        # cell (a0, a1, b): (constant, coefficient on q, coefficient on r_y)
-        triangles.append({
-            (0, 0, 0): (0, 0, 1),
-            (0, 0, 1): (0, 1, -1),
-            (0, 1, 0): (p0, 0, -1),
-            (1, 0, 0): (p1, 0, -1),
-            (0, 1, 1): (alice[0] - p0, -1, 1),
-            (1, 0, 1): (alice[1] - p1, -1, 1),
-            (1, 1, 0): (bob[y] - p0 - p1, 0, 1),
-            (1, 1, 1): (mass - alice[0] - alice[1] - bob[y] + p0 + p1, 1, -1),
-        })
-    # a cell c + i*q + j*r_y >= 0 bounds r_y below (j = 1) or above
-    # (j = -1); a lower and an upper bound leave room for r_y iff
-    # (i + i') * q >= -(c + c'), with i + i' in {-1, 0, 1}.  The pairs
-    # with i + i' = 1 bound q below, and by Fine's theorem the others
-    # hold at the largest of those bounds.
-    q = max(
-        -(c + c_up)
-        for cells in triangles
-        for c, i, j in cells.values() if j == 1
-        for c_up, i_up, j_up in cells.values() if j_up == -1 and i + i_up == 1
-    )
+) -> list[tuple[int, ...]]:
+    """Fine's two triangles t_y(a0, a1, b_y), y = 0, 1, by 4 a0 + 2 a1 + b,
+    for a local table with M ``mass``, A_x ``alice[x]``, B_y ``bob[y]`` and
+    P_xy ``joint[x][y]``, numerators over one denominator: module docstring."""
+    a0, a1 = alice
+    both = [joint[0][y] + joint[1][y] for y in (0, 1)]
+    q = max(0, a0 + a1 - mass, *[s - b for s, b in zip(both, bob)],
+            *[a0 + a1 + b - s - mass for s, b in zip(both, bob)])
     glued = []
-    for cells in triangles:
-        r = max(-c - i * q for c, i, j in cells.values() if j == 1)
-        glued.append({key: c + i * q + j * r for key, (c, i, j) in cells.items()})
+    for p0, p1, b, s in zip(joint[0], joint[1], bob, both):
+        r = max(0, q - a0 + p0, q - a1 + p1, s - b)
+        glued.append((r, q - r, p0 - r, a0 - p0 - q + r, p1 - r, a1 - p1 - q + r,
+                      b - s + r, mass - a0 - a1 - b + s + q - r))
     return glued
 
 
@@ -164,17 +146,20 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     most 9 products in catalog order, glued by the north-west corner rule
     above, so every weight's denominator divides 4 lcm(box's denominators)."""
     _require_scenario(box, "decompose")
-    chsh, alpha, beta = _strongest_chsh(box)
+    chsh, alpha, beta = box._strongest_chsh
     # over 4D, mu = (|C_pq| - 2) / 2 is 2(|C| - 2D) and mu/2 is |C| - 2D
     den, t = box.den, box.numerators
     half = max(0, abs(chsh) - 2 * den)
-    # catalog_prs() is in (alpha, beta, delta) order; delta = 1 iff C < 0
-    pr = _built(PRMember, weight=Fraction(2 * half, 4 * den),
-                box=catalog_prs()[4 * alpha + 2 * beta + (chsh < 0)])
+    prs, peel = (), [0] * 4
+    if half:
+        # catalog_prs() is in (alpha, beta, delta) order; delta = 1 iff C < 0
+        prs = (_built(PRMember, weight=Fraction(2 * half, 4 * den),
+                      box=catalog_prs()[4 * alpha + 2 * beta + (chsh < 0)]),)
+        # the PR vertex has uniform marginals, and p(00|xy) = 1/2 where it
+        # spreads to cell (x, y, 0, 0), 4(2x + y); peel is by 2x + y
+        peel = [half if (4 * k, 1) in _spread(prs[0]) else 0 for k in range(4)]
     # the local remainder, unnormalized, by the numbers that fix it: its
-    # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0); the PR vertex has
-    # uniform marginals and p(00|xy) = 1/2 where its cells hold (0, 0)
-    peel = [half if (0, 0) in cells else 0 for cells in _cell_rows(pr)]  # by 2x + y
+    # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0)
     t0, t1 = _glued_triangles(
         4 * den - 2 * half,
         [4 * (t[x][0][0][0] + t[x][0][0][1]) - half for x in (0, 1)],
@@ -182,23 +167,20 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
         [[4 * t[x][y][0][0] - peel[2 * x + y] for y in (0, 1)] for x in (0, 1)],
     )
     products = []
-    for s_alice, s_bob in catalog_products():
-        # an S box (alpha, beta) outputs beta on input 0, alpha XOR beta on 1
-        a0, a1 = s_alice.beta, s_alice.alpha ^ s_alice.beta
-        b0, b1 = s_bob.beta, s_bob.alpha ^ s_bob.beta
-        u, v = t0[a0, a1, b0], t1[a0, a1, b0]
-        w = min(u, v) if b0 == b1 else max(0, u - v)
+    for cell, same, s_alice, s_bob in _PRODUCT_CELLS:
+        u, v = t0[cell], t1[cell]
+        w = min(u, v) if same else max(0, u - v)
         if w:
             products.append(
                 _built(ProductMember, weight=Fraction(w, 4 * den), alice=s_alice, bob=s_bob)
             )
     # the members are distinct vertices of positive weight summing to one,
     # as NonlocalEnsemble would leave them, so none is merged or checked
-    return _built(NonlocalEnsemble, products=tuple(products), prs=(pr,) if half else ())
+    return _built(NonlocalEnsemble, products=tuple(products), prs=prs)
 
 
 def is_local(box: BipartiteBox) -> bool:
     """True iff the box is a convex combination of product vertices
     alone, i.e. (Fine) iff no CHSH value exceeds 2."""
     _require_scenario(box, "is_local")
-    return abs(_strongest_chsh(box)[0]) <= 2 * box.den
+    return abs(box._strongest_chsh[0]) <= 2 * box.den

@@ -103,23 +103,14 @@ def _bits_from_json(obj: Any, key: str, length: int) -> list[int]:
 
 def bipartite_box_to_json(box: BipartiteBox) -> dict:
     nx, ny, na, nb = box.shape
-    table = [
-        [
-            fraction_to_json(box.prob(x, y, a, b))
-            for a in range(na)
-            for b in range(nb)
-        ]
-        for x in range(nx)
-        for y in range(ny)
-    ]
+    # one row per (x, y), in x*Y + y order, of its entries in a*B + b order
+    table = [[fraction_to_json(p) for row in block for p in row]
+             for by in box.table for block in by]
     return {"X": nx, "Y": ny, "A": na, "B": nb, "table": table}
 
 
 def bipartite_box_from_json(obj: Any) -> BipartiteBox:
-    nx = _require_natural("X", _field(obj, "X"))
-    ny = _require_natural("Y", _field(obj, "Y"))
-    na = _require_natural("A", _field(obj, "A"))
-    nb = _require_natural("B", _field(obj, "B"))
+    nx, ny, na, nb = [_require_natural(key, _field(obj, key)) for key in "XYAB"]
     flat = _field(obj, "table")
     rows, entries = nx * ny, na * nb
     if not isinstance(flat, list) or len(flat) != rows:
@@ -129,20 +120,9 @@ def bipartite_box_from_json(obj: Any) -> BipartiteBox:
             raise ValidationError(
                 f"each row must have {_quoted(entries)} entries (a*B + b order)"
             )
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    fraction_from_json(flat[x * ny + y][a * nb + b])
-                    for b in range(nb)
-                )
-                for a in range(na)
-            )
-            for y in range(ny)
-        )
-        for x in range(nx)
-    )
-    return BipartiteBox(table)
+    blocks = [[fraction_from_json(p) for p in row] for row in flat]
+    return BipartiteBox([[[blocks[x * ny + y][a * nb:(a + 1) * nb] for a in range(na)]
+                          for y in range(ny)] for x in range(nx)])
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:

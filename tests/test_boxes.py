@@ -19,6 +19,8 @@ from strategies import (
 )
 
 BITS = (0, 1)
+Q, H = F(1, 4), F(1, 2)
+ROW2 = [[[Q, Q], [Q, Q]], [[Q, Q], [Q, Q]]]  # a valid x block: two (y) uniform blocks
 
 
 class TestAsProb:
@@ -210,6 +212,32 @@ class TestBipartiteBox:
     def test_shape(self):
         box = pr_bipartite_box(bx.PRBox(0, 0, 0))
         assert box.shape == (2, 2, 2, 2)
+
+    # tables with several faults get the message of the first check they
+    # fail: entries coerced in (x, y, a, b) order, then non-empty, then per
+    # x the y dimension and per (x, y) the outcome dimensions and the sum
+    @pytest.mark.parametrize("table, message", [
+        pytest.param([[[[Q, Q], [Q]], [[Q, Q], [Q, Q]]], [[[Q, Q], [Q, 0.25]], ROW2]],
+                     "got float 0.25", id="float-after-ragged-row"),
+        pytest.param([[[[Q, Q], [Q, Q]], [[Q, Q], [Q, Q]]], [[[Q, True], [H, H]], ROW2]],
+                     "cannot interpret True", id="bool-and-bad-sum"),
+        pytest.param([[[[H, H], [Q, Q]], [[Q, Q], [Q]]], ROW2],
+                     r"entries for \(x=0, y=0\) sum to 3/2", id="bad-sum-before-ragged-row"),
+        pytest.param([[[[Q, Q], [Q]], [[H, H], [Q, Q]]], ROW2],
+                     "ragged table: outcome dimensions vary", id="ragged-row-before-bad-sum"),
+        pytest.param([[[[H, H], [Q, Q]]], ROW2],
+                     r"entries for \(x=0, y=0\) sum to 3/2", id="bad-sum-before-ragged-y"),
+        pytest.param([[[[Q, Q], [Q, Q]]], [[[Q, Q], [Q]], [[H], [F(1, 2**130 + 1) + 1]]]],
+                     "probability above 1, outside", id="long-fraction-above-1-after-ragged"),
+        pytest.param([[[[Q, Q], [Q, Q]], 7], [[[H, H], [H, H]], [[0.5]]]],
+                     "nested sequences", id="non-sequence-row-before-float"),
+        pytest.param([[[[Q, Q], [Q, 0.5]], 7], ROW2],
+                     "got float 0.5", id="float-before-non-sequence-row"),
+        pytest.param([[], [[[Q, Q], [Q]]]], "non-empty", id="empty-y-block-before-ragged"),
+    ])
+    def test_first_fault_named(self, table, message):
+        with pytest.raises(bx.ValidationError, match=message):
+            bx.BipartiteBox(table)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

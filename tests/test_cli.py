@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import boxsteer as bx
-from boxsteer import serialize
+from boxsteer import cli, serialize
 from strategies import mutated, pr_bipartite_box, product_box
 
 CANONICAL_ENSEMBLE_DOC = {
@@ -60,6 +60,34 @@ class TestVersion:
         assert result.stdout.strip() == (
             "boxsteer 0.7.0 (vertex catalog 843f5f0aaa8bd927)"
         )
+
+
+class TestUsageErrors:
+    # argparse's own errors take main's path for bad input: one error:
+    # line and exit 2, in-process too, with no usage text
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "e.json", "--policy", "-Infinity"],
+         "argument --policy: expected one argument"),
+        (["simulate", "e.json", "--rounds", "ten"], "argument --rounds: invalid int value"),
+        (["bogus"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_one_error_line(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_console_script(self):
+        result = run_cli("simulate", "e.json", "--policy", "-Infinity")
+        assert result.returncode == 2
+        assert result.stderr == "error: argument --policy: expected one argument\n"
 
 
 class TestBlind:

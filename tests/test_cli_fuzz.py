@@ -141,8 +141,14 @@ def test_cli_contract_under_mutation(data):
             for name, text in texts.items():
                 if name != "--policy":
                     write_file(name, text, damage if name == target else None)
-            # attached, so that a policy text such as -Infinity is no option
-            policy = [f"--policy={texts['--policy']}"] if "--policy" in texts else []
+            # attached or detached: a detached text such as -Infinity reads
+            # as an option, which argparse reports as bad input
+            policy = []
+            if "--policy" in texts:
+                policy = (
+                    [f"--policy={texts['--policy']}"] if data.draw(st.booleans())
+                    else ["--policy", texts["--policy"]]
+                )
             args = argv + policy
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

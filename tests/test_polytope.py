@@ -154,6 +154,90 @@ def chord_feasible(box: bx.BipartiteBox, chord: F) -> bool:
     return solve_nonneg_exact(columns, rhs) is not None
 
 
+def fine_pair_scan(mass, alice, bob, joint):
+    """Fine's two triangles by the general rule, the oracle for the closed
+    form in ``polytope._glued_triangles``: (q, (r_0, r_1), [t_0, t_1]), each
+    t_y a dict on (a0, a1, b).  A cell is c + i q + j r_y; every (lower,
+    upper) pair of bounds on r_y is scanned for the ones that bound q."""
+    triangles = []
+    for y in BITS:
+        p0, p1 = joint[0][y], joint[1][y]
+        # cell (a0, a1, b): (constant, coefficient on q, coefficient on r_y)
+        triangles.append({
+            (0, 0, 0): (0, 0, 1),
+            (0, 0, 1): (0, 1, -1),
+            (0, 1, 0): (p0, 0, -1),
+            (1, 0, 0): (p1, 0, -1),
+            (0, 1, 1): (alice[0] - p0, -1, 1),
+            (1, 0, 1): (alice[1] - p1, -1, 1),
+            (1, 1, 0): (bob[y] - p0 - p1, 0, 1),
+            (1, 1, 1): (mass - alice[0] - alice[1] - bob[y] + p0 + p1, 1, -1),
+        })
+    # a cell c + i*q + j*r_y >= 0 bounds r_y below (j = 1) or above
+    # (j = -1); a lower and an upper bound leave room for r_y iff
+    # (i + i') * q >= -(c + c'), with i + i' in {-1, 0, 1}.  The pairs
+    # with i + i' = 1 bound q below, and by Fine's theorem the others
+    # hold at the largest of those bounds.
+    q = max(
+        -(c + c_up)
+        for cells in triangles
+        for c, i, j in cells.values() if j == 1
+        for c_up, i_up, j_up in cells.values() if j_up == -1 and i + i_up == 1
+    )
+    rs = tuple(max(-c - i * q for c, i, j in cells.values() if j == 1) for cells in triangles)
+    glued = [{key: c + i * q + j * r for key, (c, i, j) in cells.items()}
+             for cells, r in zip(triangles, rs)]
+    return q, rs, glued
+
+
+def assert_glued_as_scanned(mass, alice, bob, joint):
+    """The closed form gives the scan's q, r_0, r_1 and all 16 cells,
+    each nonnegative, as Fine's theorem has it for a local table."""
+    from boxsteer import polytope
+
+    q, rs, scanned = fine_pair_scan(mass, alice, bob, joint)
+    glued = polytope._glued_triangles(mass, alice, bob, joint)
+    assert [t[0] + t[1] for t in glued] == [q, q]  # cells (0,0,0) + (0,0,1) = q
+    assert tuple(t[0] for t in glued) == rs  # cell (0,0,0) = r_y
+    for t, cells in zip(glued, scanned):
+        assert list(t) == [cells[a0, a1, b] for a0, a1, b in itertools.product(BITS, repeat=3)]
+        assert min(t) >= 0
+
+
+def glued_arguments(box):
+    """The arguments ``decompose(box)`` glues, PR-peeled remainder and all."""
+    from boxsteer import polytope
+
+    seen = []
+    real = polytope._glued_triangles
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    polytope._glued_triangles = spy
+    try:
+        bx.decompose(box)
+    finally:
+        polytope._glued_triangles = real
+    (args,) = seen
+    return args
+
+
+@st.composite
+def local_numerators(draw):
+    """(mass, alice, bob, joint) of a local table as integer numerators:
+    weights on the 16 assignments (a0, a1, b0, b1), summed."""
+    weights = draw(st.lists(st.integers(0, 2**draw(st.sampled_from((4, 70)))),
+                            min_size=16, max_size=16))
+    held = list(zip(weights, itertools.product(BITS, repeat=4)))
+    alice = [sum(w for w, key in held if key[x] == 0) for x in BITS]
+    bob = [sum(w for w, key in held if key[2 + y] == 0) for y in BITS]
+    joint = [[sum(w for w, key in held if key[x] == key[2 + y] == 0) for y in BITS]
+             for x in BITS]
+    return sum(weights), alice, bob, joint
+
+
 class TestCatalog:
     def test_counts_and_labels(self):
         labels = bx.catalog_labels()
@@ -403,6 +487,23 @@ class TestGluing:
     def test_boundary_boxes(self):
         for box in boundary_boxes():
             assert_canonical(box, bx.decompose(box))
+
+    @settings(max_examples=200, deadline=None)
+    @given(local_numerators())
+    def test_closed_form_is_the_pair_scan(self, numerators):
+        assert_glued_as_scanned(*numerators)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(nonlocal_ensembles(), pr_heavy_ensembles()))
+    def test_closed_form_is_the_pair_scan_on_peeled_boxes(self, ensemble):
+        assert_glued_as_scanned(*glued_arguments(bx.mix_nonlocal(ensemble)))
+
+    def test_closed_form_is_the_pair_scan_on_boundary_boxes(self):
+        peeled = 0
+        for box in boundary_boxes():
+            assert_glued_as_scanned(*glued_arguments(box))
+            peeled += not bx.is_local(box)
+        assert peeled  # PR-peeled remainders among them
 
 
 class TestScenarioErrors:
