@@ -3,13 +3,14 @@ rounds at once: the SeedSequence hash and PCG64's seeding and output,
 written out over arrays of round ids, give the integers k with
 ``u = k * 2**-53`` that ``random()`` returns (:func:`_round_ints`).
 
-Only :func:`boxsteer.simulate.sample_rounds` imports this module, so
-numpy loads when rounds are drawn and not with ``import boxsteer``.
+Only the simulator's draws (:func:`boxsteer.simulate._cell_blocks`)
+import this module, so numpy loads when rounds are drawn and not with
+``import boxsteer``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -137,17 +138,21 @@ def _thresholds(weights: Iterable[Fraction]) -> list[int]:
 
 
 def blocks(
-    seed: int, rounds: int, members: Iterable[Fraction], pairs: Iterable[Fraction]
-) -> Iterator[Iterator[tuple[int, int, int, int]]]:
+    seed: int, rounds: int, members: Iterable[Fraction], pairs: Iterable[Fraction],
+    sizes: Sequence[Sequence[int]],
+) -> Iterator[tuple[int, np.ndarray]]:
     """Rounds 0 to ``rounds`` - 1 of the stream, a block at a time, each
-    as (round id, member index, input pair index, k of the outcome): the
-    member and the pair are picked by their weights, in order."""
+    block as (its first round id, the cell id of each round).  The member
+    m and the input pair p are picked by their weights, in order, and the
+    outcome is entry k * n >> 53 of the n = ``sizes[m][p]`` equally likely
+    ones (u < i/n iff k < i * 2**53 / n, exact as n, 1 or 2, divides
+    2**53); cells are numbered in (m, p, outcome) order."""
     member_thresholds = np.array(_thresholds(members), _U64)
     pair_thresholds = np.array(_thresholds(pairs), _U64)
+    n = np.array(sizes, np.int64)
+    base = (np.cumsum(n) - n.ravel()).reshape(n.shape)
     for start in range(0, rounds, _BLOCK):
-        stop = min(start + _BLOCK, rounds)
-        k = _round_ints(seed, start, stop)
-        member_ids = np.searchsorted(member_thresholds, k[:, 0], side="right")
-        pair_ids = np.searchsorted(pair_thresholds, k[:, 1], side="right")
-        drawn = member_ids.tolist(), pair_ids.tolist(), k[:, 2].tolist()
-        yield zip(range(start, stop), *drawn)
+        k = _round_ints(seed, start, min(start + _BLOCK, rounds))
+        m = np.searchsorted(member_thresholds, k[:, 0], side="right")
+        p = np.searchsorted(pair_thresholds, k[:, 1], side="right")
+        yield start, base[m, p] + (k[:, 2].astype(np.int64) * n[m, p] >> 53)

@@ -193,6 +193,7 @@ class SBox:
     The four instances are the deterministic vertices of the one-bit
     local square; ``beta`` is the output at x=0 and ``alpha`` is the
     slope that decides whether the input is echoed into the output.
+    ``label`` names it, as "S01" for alpha 0 and beta 1.
     """
 
     alpha: int
@@ -201,6 +202,13 @@ class SBox:
     def __post_init__(self) -> None:
         _require_index("alpha", self.alpha, 2)
         _require_index("beta", self.beta, 2)
+        # set once, as every log line writes the label and every log cell
+        # hashes its S boxes; the hash is the dataclass's
+        object.__setattr__(self, "label", f"S{self.alpha}{self.beta}")
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def output(self, x: int) -> int:
         return (self.alpha * _require_index("x", x, 2)) ^ self.beta
@@ -209,10 +217,6 @@ class SBox:
     def index(self) -> int:
         """Canonical position 2*alpha + beta in the S-box family."""
         return 2 * self.alpha + self.beta
-
-    @property
-    def label(self) -> str:
-        return f"S{self.alpha}{self.beta}"
 
     def as_local_box(self) -> LocalBox:
         return LocalBox(deterministic_table((self.output(0), self.output(1)), 2))

@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import warnings
+from itertools import count
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -38,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .polytope import catalog_hash, decompose, is_local
-from .boxes import _quoted, is_no_signalling
+from .boxes import _clipped, _quoted, is_no_signalling
 from .serialize import (
     audit_verdict_to_json,
     bipartite_box_from_json,
@@ -59,8 +61,9 @@ from .simulate import (
     DEFAULT_SIGNIFICANCE,
     InputPolicy,
     LogTally,
+    _cell_blocks,
+    _stamp,
     referee_audit,
-    sample_rounds,
 )
 from .steering import SteeringState, construct_steering_state, verify_steering_state
 
@@ -202,18 +205,21 @@ def _parse_policy(value: str) -> InputPolicy:
 def cmd_simulate(args: argparse.Namespace) -> int:
     ensemble = nonlocal_ensemble_from_json(_load_json(args.ensemble))
     policy = _parse_policy(args.policy)
-    rounds = sample_rounds(ensemble, args.rounds, args.seed, policy)
+    blocks = _cell_blocks(ensemble, args.rounds, args.seed, policy)
     tally = LogTally(ensemble, args.significance)
     if args.out is None:
-        for log in rounds:
-            tally.add(log)
+        for _, ids in blocks:
+            tally.add_block(ids)
     else:
-        # the log goes to disk round by round and is never held
+        # the log goes to disk a block at a time and is never held
         logs_path = Path(args.out) / "logs.ndjson"
+        # each cell's ndjson_line, cut at a round id no round has, joined with the ids
+        cut = [ndjson_line(_stamp(-1, cell)).split("-1", 1) for cell in tally.honest_cells]
         with _writing(logs_path) as handle:
-            for log in rounds:
-                tally.add(log)
-                handle.write(ndjson_line(log))
+            for start, ids in blocks:
+                tally.add_block(ids)
+                handle.write("".join([f"{cut[c][0]}{r}{cut[c][1]}"
+                                      for r, c in zip(count(start), ids.tolist())]))
     report = tally.report(args.seed, policy)
     _emit(args.out, {"report.json": simulation_report_to_json(report)})
     if args.out is not None:
@@ -230,11 +236,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.passed else EXIT_CHECKS_FAILED
 
 
+# an argv value in argparse's message: quoted whole, or bare and long
+_ARGV_VALUE = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S{41,}""")
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors, its subcommands' too, are bad input; --help still exits 0."""
 
     def error(self, message: str) -> NoReturn:
-        raise ValidationError(message)
+        # argparse puts an argv value in whole: clip each as other messages
+        # do, and the message to one error line of at most 200 bytes
+        clipped = _ARGV_VALUE.sub(lambda m: _clipped(m[0]), message)
+        raise ValidationError(_clipped(clipped, 190))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -45,7 +45,7 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .reports import VerificationReport
-from .simulate import AuditVerdict, InputPolicy, RoundLog, SimulationReport
+from .simulate import AuditVerdict, InputPolicy, RoundLog, SimulationReport, _stamp
 
 
 def fraction_to_json(value: Fraction) -> str:
@@ -120,8 +120,11 @@ def bipartite_box_from_json(obj: Any) -> BipartiteBox:
             raise ValidationError(
                 f"each row must have {_quoted(entries)} entries (a*B + b order)"
             )
+    if not rows:  # before X or Y empty blocks are built
+        raise ValidationError("bipartite table must be non-empty")
     blocks = [[fraction_from_json(p) for p in row] for row in flat]
-    return BipartiteBox([[[blocks[x * ny + y][a * nb:(a + 1) * nb] for a in range(na)]
+    a_blocks = range(na if nb else 0)  # with B = 0, none: every (x, y) sums to 0
+    return BipartiteBox([[[blocks[x * ny + y][a * nb:(a + 1) * nb] for a in a_blocks]
                           for y in range(ny)] for x in range(nx)])
 
 
@@ -248,21 +251,31 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+_ID, _ROUND_ID = '"round_id": ', re.compile("0|[1-9][0-9]*")
+
+
 def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
-    """Round logs parsed line by line from a text's or an open file's lines."""
+    """Round logs parsed line by line from a text's or an open file's lines:
+    a line that is an earlier canonical line but for its round id is read by
+    its cell, and any other line by ``_CANONICAL_LINE`` or as general JSON."""
     lines = (line for chunk in chunks for line in chunk.splitlines())
+    seen: dict[str, tuple] = {}  # a canonical line with its round id cut out -> its cell
     for lineno, line in enumerate(lines, start=1):
-        canonical = _CANONICAL_LINE.fullmatch(line)
-        if canonical:
-            a, actual, b, member_id, inference, round_id, x, y = canonical.groups()
-            try:
-                ids = int(round_id), int(member_id)
-            except ValueError as exc:  # more digits than Python's int-string limit
-                raise ValidationError(f"log line {lineno}: {exc}") from exc
-            yield RoundLog(
-                *ids, int(x), int(y), int(a), int(b),
-                _SBOXES[inference], _SBOXES[actual],
-            )
+        start = line.find(_ID) + len(_ID)
+        end = line.find(",", start)
+        key = line[:start] + line[end:] if len(_ID) <= start < end else None
+        cell = seen.get(key)
+        try:
+            if cell is None and (canonical := _CANONICAL_LINE.fullmatch(line)):
+                a, actual, b, member_id, inference, _, x, y = canonical.groups()
+                cell = seen[key] = (int(member_id), int(x), int(y), int(a), int(b),
+                                    _SBOXES[inference], _SBOXES[actual])
+            valid = cell and _ROUND_ID.fullmatch(line, start, end)
+            round_id = int(line[start:end]) if valid else None
+        except ValueError as exc:  # more digits than Python's int-string limit
+            raise ValidationError(f"log line {lineno}: {exc}") from exc
+        if round_id is not None:
+            yield _stamp(round_id, cell)
             continue
         if not line.strip():
             continue

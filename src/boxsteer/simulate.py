@@ -30,15 +30,17 @@ and the report and the Referee audit both come from those counts
 member's rounds in the same table, and tests Alice's constituent
 frequencies per Bob input against :func:`posterior_alice_reduction`,
 with scipy's two-sided exact binomial test (:func:`_binom_pvalue`).
-Rounds are drawn (:func:`sample_rounds`) and counted one at a time, so a
-log can be streamed without being held.
+Rounds are drawn and counted as cell ids a block at a time, and a
+:class:`RoundLog` is stamped from its cell only where a caller asks for
+one, so a log can be streamed without being held.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import count
 from math import ceil, floor
 from operator import attrgetter, itemgetter
 
@@ -69,7 +71,7 @@ class InputPolicy:
         return cls(((quarter, quarter), (quarter, quarter)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundLog:
     """One protocol round as the Referee records it."""
 
@@ -123,13 +125,11 @@ class SimulationReport:
     verdict: AuditVerdict
 
 
-def sample_rounds(
+def _cell_blocks(
     ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
-) -> Iterator[RoundLog]:
-    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time, after the arguments are checked.  The outcome is entry
-    k * n >> 53 of the member's n rounds on (x, y) in its round table:
-    u < i/n iff k < i * 2**53 / n, exact as n, 1 or 2, divides 2**53."""
+) -> Iterator:
+    """The rounds of a seeded run as (first round id, ids into
+    ``_cells(ensemble)``) blocks, after the arguments are checked."""
     if not _is_index(rounds):
         raise ValidationError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
@@ -138,18 +138,46 @@ def sample_rounds(
 
     from . import _stream  # numpy loads only when rounds are drawn
 
-    members = [m.weight for m in ensemble.members]
-    pairs = [policy.table[x][y] for x, y in PAIRS]
-    table = ensemble._round_table
+    sizes = [[len(outcomes) for outcomes in rows] for rows in ensemble._round_table]
+    return _stream.blocks(seed, rounds, [m.weight for m in ensemble.members],
+                          [policy.table[x][y] for x, y in PAIRS], sizes)
 
-    def draw() -> Iterator[RoundLog]:
-        for block in _stream.blocks(seed, rounds, members, pairs):
-            for round_id, member_id, pair, k_outcome in block:
-                outcomes = table[member_id][pair]
-                x, y, a, b, sbox = outcomes[k_outcome * len(outcomes) >> 53]
-                yield RoundLog(round_id, member_id, x, y, a, b, sbox, sbox)
 
-    return draw()
+def _cells(ensemble: NonlocalEnsemble) -> list[tuple]:
+    """The honest cells (m, x, y, a, b, c, c), one per round (x, y, a, b, c)
+    of member m in the ensemble's round table, in table order."""
+    return [(m, *entry, entry[-1]) for m, rows in enumerate(ensemble._round_table)
+            for outcomes in rows for entry in outcomes]
+
+
+_SETTERS = tuple(getattr(RoundLog, f.name).__set__ for f in fields(RoundLog))
+
+
+def _stamp(round_id: int, cell: tuple) -> RoundLog:
+    """The RoundLog of a round and its cell, valid by construction as in
+    ``boxes._built``: no ``__init__`` runs, each slot is set directly."""
+    log = object.__new__(RoundLog)
+    s0, s1, s2, s3, s4, s5, s6, s7 = _SETTERS
+    member_id, x, y, a, b, inference, actual = cell
+    s0(log, round_id)
+    s1(log, member_id)
+    s2(log, x)
+    s3(log, y)
+    s4(log, a)
+    s5(log, b)
+    s6(log, inference)
+    s7(log, actual)
+    return log
+
+
+def sample_rounds(
+    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
+) -> Iterator[RoundLog]:
+    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
+    one at a time, after the arguments are checked."""
+    blocks, cells = _cell_blocks(ensemble, rounds, seed, policy), _cells(ensemble)
+    return (_stamp(r, cells[c])
+            for start, ids in blocks for r, c in enumerate(ids.tolist(), start))
 
 
 def run_protocol(
@@ -159,15 +187,15 @@ def run_protocol(
     policy: InputPolicy | None = None,
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> tuple[SimulationReport, list[RoundLog]]:
-    """Run ``rounds`` protocol rounds, tallying the log as it is built,
-    and return the report with the log."""
+    """Run ``rounds`` protocol rounds, tallying the log a block at a time
+    as it is built, and return the report with the log."""
     policy = policy or InputPolicy.uniform()
-    draws = sample_rounds(ensemble, rounds, seed, policy)
+    blocks = _cell_blocks(ensemble, rounds, seed, policy)
     tally = LogTally(ensemble, significance)
     logs: list[RoundLog] = []
-    for log in draws:
-        tally.add(log)
-        logs.append(log)
+    for start, ids in blocks:
+        tally.add_block(ids)
+        logs += map(_stamp, count(start), map(tally.honest_cells.__getitem__, ids.tolist()))
     return tally.report(seed, policy), logs
 
 
@@ -207,13 +235,14 @@ def _well_typed(cell: tuple) -> bool:
 
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
-    alice_actual)`` as [rounds, breaks the rule].  The per-round rule is
-    membership in the honest cells: (m, x, y, a, b, c, c) for each round
-    (x, y, a, b, c) of member m in the ensemble's round table.  It runs
+    alice_actual)`` as [rounds, breaks the rule, well-typed], in the order
+    the log first shows each cell.  The per-round rule is membership in
+    the honest cells (:func:`_cells`).  The rule and the types are decided
     once per distinct cell; the round loop makes one lookup, counts, and
     keeps the first 20 offending round ids in log order.  A cell that is
     not well-typed is a mismatch and stays out of the frequency tests and
-    the report's tables."""
+    the report's tables.  Drawn rounds, honest by construction, are
+    counted a block of cell ids at a time (:meth:`add_block`)."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -222,10 +251,8 @@ class LogTally:
             raise ValidationError(f"significance must be in (0, 1), got {significance}")
         self.ensemble = ensemble
         self.significance = significance
-        self._honest = {
-            (m, *entry, entry[-1]) for m, rows in enumerate(ensemble._round_table)
-            for outcomes in rows for entry in outcomes
-        }
+        self.honest_cells = _cells(ensemble)
+        self._honest = set(self.honest_cells)
         self.cells: dict[tuple, list] = {}
         self.mismatch_rounds: list[int] = []
 
@@ -236,10 +263,25 @@ class LogTally:
         except TypeError:  # an unhashable field
             entry = self.cells.get(cell := _UNHASHABLE)
         if entry is None:
-            entry = self.cells[cell] = [0, self._breaks_rule(cell)]
+            entry = self._entry(cell)
         entry[0] += 1
         if entry[1] and len(self.mismatch_rounds) < 20:
             self.mismatch_rounds.append(log.round_id)
+
+    def add_block(self, ids) -> None:
+        """Count a block of drawn rounds, ids into ``honest_cells``, with one
+        bincount; new cells enter in the order the block first shows them."""
+        import numpy as np  # loaded already, with the draws
+
+        counts = np.bincount(ids).tolist()
+        for i in sorted((i for i, n in enumerate(counts) if n), key=ids.tolist().index):
+            cell = self.honest_cells[i]
+            entry = self.cells.get(cell) or self._entry(cell)
+            entry[0] += counts[i]
+
+    def _entry(self, cell: tuple) -> list:
+        entry = self.cells[cell] = [0, self._breaks_rule(cell), _well_typed(cell)]
+        return entry
 
     def _breaks_rule(self, cell: tuple) -> bool:
         # the types first: True == 1 and 1.0 == 1 would find an honest cell
@@ -251,11 +293,11 @@ class LogTally:
         them."""
         by_group, by_value = itemgetter(*group), itemgetter(*value)
         out: dict = {}
-        for cell, (count, _) in self.cells.items():
-            if not _well_typed(cell):
+        for cell, (n, _, typed) in self.cells.items():
+            if not typed:
                 continue
             counts = out.setdefault(by_group(cell), {})
-            counts[by_value(cell)] = counts.get(by_value(cell), 0) + count
+            counts[by_value(cell)] = counts.get(by_value(cell), 0) + n
         return dict(sorted(out.items()))
 
     def verdict(self) -> AuditVerdict:
@@ -272,7 +314,7 @@ class LogTally:
                     pvalue = _binom_pvalue(seen, total, float(weight))
                     ok = pvalue >= self.significance
                 cells.append(FrequencyCell(y, sbox, weight, seen, total, pvalue, ok))
-        mismatches = sum(n for n, breaks in self.cells.values() if breaks)
+        mismatches = sum(n for n, breaks, _ in self.cells.values() if breaks)
         return AuditVerdict(
             passed=bool(self.cells) and not mismatches and all(c.ok for c in cells),
             mismatch_count=mismatches,
@@ -286,7 +328,7 @@ class LogTally:
         joint = _relative(self._grouped((_X, _Y), (_A, _B)))
         undrawn = dict.fromkeys(PAIRS)
         return SimulationReport(
-            rounds=sum(n for n, _ in self.cells.values()),
+            rounds=sum(n for n, *_ in self.cells.values()),
             rng_seed=seed,
             policy=policy,
             empirical_joint=tuple(

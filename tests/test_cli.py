@@ -84,6 +84,25 @@ class TestUsageErrors:
         assert exit_.value.code == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "e.json", "--significance", "é" * 300],
+        ["check", "box.json", "9" * 300],  # unrecognized: bare, not quoted
+        ["simulate", "e.json", "--s=" + "9" * 300],  # ambiguous, with its value
+        ["bogus'" + "9" * 300],  # quoted with double quotes
+        ["check", "box.json", *["x"] * 300],
+    ])
+    def test_long_argv_values_clipped(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 200, err
+
+    def test_quoted_value_clipped(self, capsys):
+        assert cli.main(["simulate", "e.json", "--rounds", "9" * 300 + "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --rounds: invalid int value: '9999999999999999999...99999999x'\n"
+        )
+
     def test_console_script(self):
         result = run_cli("simulate", "e.json", "--policy", "-Infinity")
         assert result.returncode == 2
@@ -372,7 +391,38 @@ class TestCheck:
         assert json.loads(result.stdout) == {"ns": False, "local": None}
 
 
+    @pytest.mark.parametrize("shape", [(10**12, 0, 2, 2), (0, 10**12, 2, 2), (1, 1, 10**12, 0)])
+    def test_empty_dimension_exits_at_once(self, tmp_path, shape):
+        # no empty block is built per x, y or a: the child neither hangs
+        # nor runs out of its 1 GiB
+        doc = dict(zip("XYAB", shape), table=[] if 0 in shape[:2] else [[]])
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from boxsteer import cli\n"
+            f"sys.exit(cli.main(['check', {write(tmp_path / 'box.json', doc)!r}]))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == ("error: bipartite table must be non-empty\n" if 0 in shape[:2]
+                                 else "error: entries for (x=0, y=0) sum to 0, expected 1\n")
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("policy", [
+        bx.InputPolicy.uniform(), bx.InputPolicy(((F(1, 3), F(0)), (F(1, 2), F(1, 6))))])
+    def test_log_file_is_logs_to_ndjson(self, tmp_path, policy, capsys):
+        # the writer's per-cell text is ndjson_line's, across a block edge
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        ensemble = serialize.nonlocal_ensemble_from_json(CANONICAL_ENSEMBLE_DOC)
+        doc = json.dumps(serialize.input_policy_to_json(policy))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", path, "--rounds", "2049", "--seed", "5",
+                         "--policy", doc, "--out", str(out)]) == 0
+        _, logs = bx.run_protocol(ensemble, 2049, 5, policy)
+        assert (out / "logs.ndjson").read_text() == serialize.logs_to_ndjson(logs)
+
     def test_deterministic_logs(self, tmp_path):
         path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
         first, second = tmp_path / "a", tmp_path / "b"

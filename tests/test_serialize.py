@@ -347,6 +347,59 @@ class TestNdjsonCodec:
             serialize.logs_from_ndjson(first + line)
 
 
+# a canonical line rewritten around its round id; each must read as _reference_logs reads it
+LINE_MUTATIONS = {
+    "same-cell": lambda head, digits, tail: f"{head}{digits}{tail}",
+    "leading-zero": lambda head, digits, tail: f"{head}0{digits}{tail}",
+    "arabic-indic-digits": lambda head, digits, tail: head + digits.translate(
+        str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")) + tail,
+    "superscript": lambda head, digits, tail: f"{head}{digits}\u00b2{tail}",  # str.isdigit
+    "past-int-string-limit": lambda head, digits, tail: f"{head}{'1' * 5000}{tail}",
+    "key-twice": lambda head, digits, tail: f'{head}{digits}, "round_id": 7{tail}',
+    "key-twice-same-id": lambda head, digits, tail: f'{head}{digits}, "round_id": {digits}{tail}',
+    "negative": lambda head, digits, tail: f"{head}-{digits}{tail}",
+    "space": lambda head, digits, tail: f"{head} {digits}{tail}",
+    "empty": lambda head, digits, tail: f"{head}{tail}",
+    "float": lambda head, digits, tail: f"{head}{digits}.0{tail}",
+    "trailing-space": lambda head, digits, tail: f"{head}{digits}{tail} ",
+    "trailing-tab": lambda head, digits, tail: f"{head}{digits}{tail}\t",
+    "trailing-text": lambda head, digits, tail: f"{head}{digits}{tail}x",
+}
+
+
+class TestCellLookup:
+    # a line that is an earlier canonical line but for its round id is
+    # read by its cell, without the pattern; any other line as before
+    @pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
+    @settings(max_examples=30, deadline=None)
+    @given(round_logs, st.integers(0, 2**70))
+    def test_agrees_with_reference(self, mutation, log, round_id):
+        first = serialize.ndjson_line(log)
+        head, tail = first[:-1].split(f'"round_id": {log.round_id}', 1)
+        line = LINE_MUTATIONS[mutation](f'{head}"round_id": ', str(round_id), tail)
+        text = f"{first}{line}\n"
+        try:
+            expected = _outcome(_reference_logs, text)
+        except ValueError as exc:  # past the int-string limit, which the reader names
+            expected = f"ValidationError: log line 2: {exc}"
+        assert _outcome(serialize.logs_from_ndjson, text) == expected
+
+    def test_canonical_line_read_by_its_cell(self, monkeypatch):
+        logs = [bx.RoundLog(i, 3, 1, 0, 1, 1, bx.SBox(1, 0), bx.SBox(1, 0)) for i in (0, 9, 10, 10**30)]
+        text = serialize.logs_to_ndjson(logs)
+        matched = []
+        pattern = serialize._CANONICAL_LINE
+
+        class Counted:
+            def fullmatch(self, line):
+                matched.append(line)
+                return pattern.fullmatch(line)
+
+        monkeypatch.setattr(serialize, "_CANONICAL_LINE", Counted())
+        assert serialize.logs_from_ndjson(text) == logs
+        assert matched == [text.splitlines()[0]]
+
+
 class TestTargets:
     def test_round_trip(self):
         doc = reload(serialize.target_to_json(CANONICAL))

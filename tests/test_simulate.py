@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -476,6 +477,11 @@ class TestRefereeAudit:
         }
         assert 0 < len(calls) <= len(cells) < 100
 
+    def test_sbox_hash_is_the_dataclass_hash(self):
+        # computed once per S box, the same value, so no set or dict order moves
+        for alpha, beta in itertools.product(BITS, BITS):
+            assert hash(bx.SBox(alpha, beta)) == hash((alpha, beta))
+
     def test_seen_cell_hashes_its_sboxes_once(self, monkeypatch):
         e = canonical_ensemble()
         _, logs = bx.run_protocol(e, rounds=10, seed=4)
@@ -561,6 +567,43 @@ class TestReportFromCounts:
             }
         assert list(report.alice_frequencies) == [0, 1]
         assert report.rounds == 700
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nonlocal_ensembles(),
+        weight_vectors(4),
+        st.sampled_from(ORACLE_SEEDS) | st.integers(0, 2**70),
+        st.integers(1, 40) | st.integers(_stream._BLOCK - 3, _stream._BLOCK + 40),
+    )
+    def test_block_tally_matches_per_round_tally(self, ensemble, weights, seed, rounds):
+        # counted a block at a time, the cells enter in the order the log
+        # first shows them, so the report's dicts keep their key order
+        policy = bx.InputPolicy(((weights[0], weights[1]), (weights[2], weights[3])))
+        report, logs = bx.run_protocol(ensemble, rounds, seed, policy)
+        assert logs == _reference_rounds(ensemble, rounds, seed, policy)
+        per_round = simulate.LogTally(ensemble)
+        for log in logs:
+            per_round.add(log)
+        expected = per_round.report(seed, policy)
+        assert report == expected and repr(report) == repr(expected)
+        by_block = simulate.LogTally(ensemble)
+        for _, ids in simulate._cell_blocks(ensemble, rounds, seed, policy):
+            by_block.add_block(ids)
+        assert list(by_block.cells.items()) == list(per_round.cells.items())
+
+    def test_held_log_size(self):
+        # a RoundLog has slots: held, it takes 136 bytes with its round id
+        # and its place in the list, where one with a __dict__ took 184
+        _, logs = bx.run_protocol(canonical_ensemble(), rounds=10, seed=0)
+        tracemalloc.start()
+        try:
+            held = list(itertools.starmap(simulate._stamp, zip(
+                range(10**6, 10**6 + 10**4), map(simulate._cell, itertools.cycle(logs)))))
+            size = tracemalloc.get_traced_memory()[0] / len(held)
+        finally:
+            tracemalloc.stop()
+        assert size <= 184
+        assert not hasattr(held[0], "__dict__")
 
 
 # each child's code, and the modules it must not load
