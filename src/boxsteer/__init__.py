@@ -75,7 +75,7 @@ from .steering import (
     verify_steering_state,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "AuditVerdict",

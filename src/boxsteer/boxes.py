@@ -89,8 +89,21 @@ def _sums_to_one(probs: tuple[Fraction, ...] | list[Fraction], what: str) -> Non
 
 
 def _clipped(text: str, width: int = 40) -> str:
-    """``text`` for a message: past ``width`` characters, its ends only."""
-    return text if len(text) <= width else text[:width - 20] + "..." + text[-10:]
+    """``text`` for a message: past ``width`` bytes as stderr writes them,
+    its ends only, of at most ``width - 20`` and 10 bytes."""
+    if len(text) <= width and _size(text) <= width:
+        return text
+    head, tail = text[:width - 20], text[-10:]
+    while _size(head) > width - 20:
+        head = head[:-1]
+    while _size(tail) > 10:
+        tail = tail[1:]
+    return head + "..." + tail
+
+
+def _size(text: str) -> int:
+    """Bytes on stderr: UTF-8, a lone surrogate as its 6-byte ``\\udcXX`` escape."""
+    return len(text.encode("utf-8", "backslashreplace"))
 
 
 def _quoted(value: object) -> str:

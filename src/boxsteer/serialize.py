@@ -45,7 +45,7 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .reports import VerificationReport
-from .simulate import AuditVerdict, InputPolicy, RoundLog, SimulationReport, _stamp
+from .simulate import AuditVerdict, InputPolicy, RoundLog, SimulationReport, _cell, _stamp
 
 
 def fraction_to_json(value: Fraction) -> str:
@@ -214,23 +214,17 @@ def sbox_from_json(value: Any) -> SBox:
 
 
 def round_log_from_json(obj: Any) -> RoundLog:
-    return RoundLog(
-        round_id=_require_natural("round_id", _field(obj, "round_id")),
-        member_id=_require_natural("member_id", _field(obj, "member_id")),
-        x=_require_index("x", _field(obj, "x"), 2),
-        y=_require_index("y", _field(obj, "y"), 2),
-        a=_require_index("a", _field(obj, "a"), 2),
-        b=_require_index("b", _field(obj, "b"), 2),
-        referee_inference=sbox_from_json(_field(obj, "referee_inference")),
-        alice_actual=sbox_from_json(_field(obj, "alice_actual")),
-    )
+    """The round an object names, its fields read in order; the round checks them."""
+    ints = [_field(obj, key) for key in ("round_id", "member_id", "x", "y", "a", "b")]
+    inference = sbox_from_json(_field(obj, "referee_inference"))
+    return RoundLog(*ints, inference, sbox_from_json(_field(obj, "alice_actual")))
 
 
 def ndjson_line(log: RoundLog) -> str:
-    """One round as an NDJSON line: its eight fields as a JSON object with
-    sorted keys and S boxes by label, then a newline.  Its oracle is
-    ``json.dumps(round_log_to_json(log), sort_keys=True)`` and a newline,
-    with ``round_log_to_json`` in ``tests/strategies.py``."""
+    """One round as the log's canonical NDJSON line: its eight fields as a
+    JSON object with sorted keys and S boxes by label, then a newline.
+    Its oracle is ``json.dumps(round_log_to_json(log), sort_keys=True)``
+    and a newline, with ``round_log_to_json`` in ``tests/strategies.py``."""
     return (
         f'{{"a": {log.a}, "alice_actual": "{log.alice_actual.label}", '
         f'"b": {log.b}, "member_id": {log.member_id}, '
@@ -243,21 +237,13 @@ def logs_to_ndjson(logs: Iterable[RoundLog]) -> str:
     return "".join(map(ndjson_line, logs))
 
 
-# the line ndjson_line writes; any other line is read as general JSON
-_CANONICAL_LINE = re.compile(
-    r'\{"a": ([01]), "alice_actual": "(S[01][01])", "b": ([01]), '
-    r'"member_id": (0|[1-9][0-9]*), "referee_inference": "(S[01][01])", '
-    r'"round_id": (0|[1-9][0-9]*), "x": ([01]), "y": ([01])\}'
-)
-
-
 _ID, _ROUND_ID = '"round_id": ', re.compile("0|[1-9][0-9]*")
 
 
 def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
     """Round logs parsed line by line from a text's or an open file's lines:
-    a line that is an earlier canonical line but for its round id is read by
-    its cell, and any other line by ``_CANONICAL_LINE`` or as general JSON."""
+    a line that is an earlier canonical line (:func:`ndjson_line`) but for
+    its round id is read by that line's cell, and any other line as JSON."""
     lines = (line for chunk in chunks for line in chunk.splitlines())
     seen: dict[str, tuple] = {}  # a canonical line with its round id cut out -> its cell
     for lineno, line in enumerate(lines, start=1):
@@ -265,16 +251,11 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
         end = line.find(",", start)
         key = line[:start] + line[end:] if len(_ID) <= start < end else None
         cell = seen.get(key)
-        try:
-            if cell is None and (canonical := _CANONICAL_LINE.fullmatch(line)):
-                a, actual, b, member_id, inference, _, x, y = canonical.groups()
-                cell = seen[key] = (int(member_id), int(x), int(y), int(a), int(b),
-                                    _SBOXES[inference], _SBOXES[actual])
-            valid = cell and _ROUND_ID.fullmatch(line, start, end)
-            round_id = int(line[start:end]) if valid else None
-        except ValueError as exc:  # more digits than Python's int-string limit
-            raise ValidationError(f"log line {lineno}: {exc}") from exc
-        if round_id is not None:
+        if cell is not None and _ROUND_ID.fullmatch(line, start, end):
+            try:
+                round_id = int(line[start:end])
+            except ValueError as exc:  # more digits than Python's int-string limit
+                raise ValidationError(f"log line {lineno}: {exc}") from exc
             yield _stamp(round_id, cell)
             continue
         if not line.strip():
@@ -286,7 +267,10 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
         # an int past the int-string limit, or nesting past the recursion limit
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"log line {lineno}: {exc}") from exc
-        yield round_log_from_json(obj)
+        log = round_log_from_json(obj)
+        if key is not None and ndjson_line(log) == line + "\n":
+            seen[key] = _cell(log)
+        yield log
 
 
 def logs_from_ndjson(text: str) -> list[RoundLog]:

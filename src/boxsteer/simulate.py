@@ -24,7 +24,8 @@ k < ceil(num * 2**53 / den); the outcome, one of n equally likely rounds,
 is entry k * n >> 53 (u < i/n iff k < i * 2**53 / n, an integer as n
 divides 2**53).  Floats appear only in frequencies and test statistics.
 
-A log is counted once, by cell (member, x, y, a, b, inference, actual),
+A :class:`RoundLog` checks its fields, and no count re-checks them.  A
+log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
 (:class:`LogTally`); the audit flags each round that is not one of its
 member's rounds in the same table, and tests Alice's constituent
@@ -44,7 +45,9 @@ from itertools import count
 from math import ceil, floor
 from operator import attrgetter, itemgetter
 
-from .boxes import SBox, _is_index, _require_natural, _sums_to_one, as_prob
+from .boxes import (
+    SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
+)
 from .ensembles import PAIRS, NonlocalEnsemble, posterior_alice_reduction
 from .errors import ValidationError
 
@@ -73,7 +76,8 @@ class InputPolicy:
 
 @dataclass(frozen=True, slots=True)
 class RoundLog:
-    """One protocol round as the Referee records it."""
+    """One protocol round as the Referee records it, its fields checked when
+    built (``dataclasses.replace`` too) with the NDJSON reader's rules."""
 
     round_id: int
     member_id: int
@@ -83,6 +87,15 @@ class RoundLog:
     b: int
     referee_inference: SBox
     alice_actual: SBox
+
+    def __post_init__(self) -> None:
+        _require_natural("round_id", self.round_id)
+        _require_natural("member_id", self.member_id)
+        for name in "xyab":
+            _require_index(name, getattr(self, name), 2)
+        for name in ("referee_inference", "alice_actual"):
+            if not isinstance(sbox := getattr(self, name), SBox):
+                raise ValidationError(f"{name} must be an SBox, got {_quoted(sbox)}")
 
 
 @dataclass(frozen=True)
@@ -206,13 +219,11 @@ def referee_audit(
 ) -> AuditVerdict:
     """Audit a log against the declared ensemble, in one pass over it.
 
-    A round is a mismatch unless its member exists, its x, y, a and b
-    are bits, and it is one of the member's rounds, its inference and
-    actual constituent included (:meth:`LogTally._breaks_rule`).  For
-    each Bob input, the constituent frequencies of the well-typed rounds
-    must also pass a two-sided exact binomial test against the declared
-    reduction weights.  The log passes if it is non-empty, has no
-    mismatch and fails no test.
+    A round is a mismatch unless its cell is one of :func:`_cells`, one
+    of its member's rounds with its constituent.  For each Bob input, the
+    constituent frequencies must also pass a two-sided exact binomial test
+    against the declared reduction weights.  The log passes if it is
+    non-empty, has no mismatch and fails no test.
     """
     tally = LogTally(ensemble, significance)
     for log in logs:
@@ -222,27 +233,17 @@ def referee_audit(
 
 _cell = attrgetter("member_id", "x", "y", "a", "b", "referee_inference", "alice_actual")
 _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
-_UNHASHABLE = (None,) * 7  # the ill-typed cell of every round with an unhashable field
-
-
-def _well_typed(cell: tuple) -> bool:
-    """x, y, a and b are bits, and the inference and the actual
-    constituent are S boxes."""
-    return all(_is_index(v) and 0 <= v < 2 for v in cell[_X:_B + 1]) and all(
-        isinstance(sbox, SBox) for sbox in cell[_B + 1:]
-    )
 
 
 class LogTally:
     """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
-    alice_actual)`` as [rounds, breaks the rule, well-typed], in the order
-    the log first shows each cell.  The per-round rule is membership in
-    the honest cells (:func:`_cells`).  The rule and the types are decided
-    once per distinct cell; the round loop makes one lookup, counts, and
-    keeps the first 20 offending round ids in log order.  A cell that is
-    not well-typed is a mismatch and stays out of the frequency tests and
-    the report's tables.  Drawn rounds, honest by construction, are
-    counted a block of cell ids at a time (:meth:`add_block`)."""
+    alice_actual)`` as [rounds, breaks the rule], in the order the log
+    first shows each cell.  The per-round rule is membership in the honest
+    cells (:func:`_cells`), decided once per distinct cell; the round loop
+    makes one lookup, counts, and keeps the first 20 offending round ids
+    in log order.  A round's types are its :class:`RoundLog`'s to check.
+    Drawn rounds, honest by construction, are counted a block of cell ids
+    at a time (:meth:`add_block`)."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -258,12 +259,7 @@ class LogTally:
 
     def add(self, log: RoundLog) -> None:
         cell = _cell(log)
-        try:
-            entry = self.cells.get(cell)
-        except TypeError:  # an unhashable field
-            entry = self.cells.get(cell := _UNHASHABLE)
-        if entry is None:
-            entry = self._entry(cell)
+        entry = self.cells.get(cell) or self._entry(cell)
         entry[0] += 1
         if entry[1] and len(self.mismatch_rounds) < 20:
             self.mismatch_rounds.append(log.round_id)
@@ -280,22 +276,14 @@ class LogTally:
             entry[0] += counts[i]
 
     def _entry(self, cell: tuple) -> list:
-        entry = self.cells[cell] = [0, self._breaks_rule(cell), _well_typed(cell)]
-        return entry
-
-    def _breaks_rule(self, cell: tuple) -> bool:
-        # the types first: True == 1 and 1.0 == 1 would find an honest cell
-        return not (_is_index(cell[0]) and _well_typed(cell) and cell in self._honest)
+        return self.cells.setdefault(cell, [0, cell not in self._honest])
 
     def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
-        """Rounds of the well-typed cells by the fields at ``group``, then at
-        ``value``: groups sorted, values in the order the log first shows
-        them."""
+        """Rounds by the fields at ``group``, then at ``value``: groups
+        sorted, values in the order the log first shows them."""
         by_group, by_value = itemgetter(*group), itemgetter(*value)
         out: dict = {}
-        for cell, (n, _, typed) in self.cells.items():
-            if not typed:
-                continue
+        for cell, (n, _) in self.cells.items():
             counts = out.setdefault(by_group(cell), {})
             counts[by_value(cell)] = counts.get(by_value(cell), 0) + n
         return dict(sorted(out.items()))
@@ -314,7 +302,7 @@ class LogTally:
                     pvalue = _binom_pvalue(seen, total, float(weight))
                     ok = pvalue >= self.significance
                 cells.append(FrequencyCell(y, sbox, weight, seen, total, pvalue, ok))
-        mismatches = sum(n for n, breaks, _ in self.cells.values() if breaks)
+        mismatches = sum(n for n, breaks in self.cells.values() if breaks)
         return AuditVerdict(
             passed=bool(self.cells) and not mismatches and all(c.ok for c in cells),
             mismatch_count=mismatches,
@@ -328,7 +316,7 @@ class LogTally:
         joint = _relative(self._grouped((_X, _Y), (_A, _B)))
         undrawn = dict.fromkeys(PAIRS)
         return SimulationReport(
-            rounds=sum(n for n, *_ in self.cells.values()),
+            rounds=sum(n for n, _ in self.cells.values()),
             rng_seed=seed,
             policy=policy,
             empirical_joint=tuple(

@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.7.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.7.1 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -90,6 +90,8 @@ class TestUsageErrors:
         ["simulate", "e.json", "--s=" + "9" * 300],  # ambiguous, with its value
         ["bogus'" + "9" * 300],  # quoted with double quotes
         ["check", "box.json", *["x"] * 300],
+        ["check", "box.json", *["😀" * 30] * 10],  # bytes, not characters
+        ["check", "box.json", *["é"] * 300],
     ])
     def test_long_argv_values_clipped(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -107,6 +109,16 @@ class TestUsageErrors:
         result = run_cli("simulate", "e.json", "--policy", "-Infinity")
         assert result.returncode == 2
         assert result.stderr == "error: argument --policy: expected one argument\n"
+
+    def test_undecodable_argv_clipped(self):
+        # an argv byte that is not UTF-8 reaches stderr as a 6-byte escape
+        result = subprocess.run(
+            [sys.executable, "-m", "boxsteer", "check", "box.json", b"\xff" * 300],
+            capture_output=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+        assert len(result.stderr) <= 200, result.stderr
 
 
 class TestBlind:
@@ -697,9 +709,10 @@ NESTED = "[" * 900 + "]" * 900  # parses: under the recursion limit
         ("audit", (0, "member_id"), NESTED),
         ("audit", (0, "alice_actual"), NESTED),
         ("audit", (0, "alice_actual"), json.dumps("S" * 5000)),
+        ("check", ("table", 0, 0), json.dumps("😀" * 300)),
     ],
     ids=["box-X", "box-entry", "w", "ij", "policy", "x", "member_id",
-         "alice_actual", "long-label"],
+         "alice_actual", "long-label", "emoji-entry"],
 )
 def test_quoted_value_clipped(tmp_path, command, path, raw):
     # an ill-typed value is quoted by its ends only, however long its repr
@@ -722,7 +735,7 @@ def test_quoted_value_clipped(tmp_path, command, path, raw):
     else:
         result = run_cli("audit", str(bad), ensemble)
     assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "..." in result.stderr
     assert len(result.stderr.encode()) <= 200
 

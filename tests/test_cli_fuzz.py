@@ -40,7 +40,7 @@ REPLACEMENTS = [
     '"1/2"', '"0"', '"-1/4"', '"1/0"', '" 1/2"', '"S01"', '"PR000"', '""',
     "1" * 5000, "9" * 4300, str(10**2999), '"1e5000"', '"1/' + "3" * 5000 + '"',
     '"' + "S" * 5000 + '"', "[" * 600 + "]" * 600, "[" * 900 + "]" * 900,
-    "[" * 5000 + "]" * 5000,
+    "[" * 5000 + "]" * 5000, '"' + "😀" * 300 + '"', '"' + "é" * 300 + '"',
 ]
 
 

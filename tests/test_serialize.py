@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,15 @@ def _outcome(parse, text):
         return f"ValidationError: {exc}"
 
 
+def _reference_outcome(text):
+    """``_reference_logs``'s outcome, with an int past the int-string limit
+    on line 2 named as the reader names it."""
+    try:
+        return _outcome(_reference_logs, text)
+    except ValueError as exc:
+        return f"ValidationError: log line 2: {exc}"
+
+
 bits = st.sampled_from(BITS)
 sboxes = st.builds(bx.SBox, bits, bits)
 round_logs = st.builds(
@@ -297,9 +308,14 @@ class TestNdjsonCodec:
     @settings(max_examples=200, deadline=None)
     @given(round_logs)
     def test_canonical_line_parses_as_json(self, log):
+        # the first line of a cell goes through json.loads, the next is read by its cell
         line = serialize.ndjson_line(log)
-        assert serialize._CANONICAL_LINE.fullmatch(line.rstrip("\n"))
-        assert serialize.logs_from_ndjson(line) == _reference_logs(line) == [log]
+        later = dataclasses.replace(log, round_id=log.round_id + 1)
+        text = line + serialize.ndjson_line(later)
+        assert _reference_logs(text) == [log, later]
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            assert serialize.logs_from_ndjson(text) == [log, later]
+        loads.assert_called_once_with(line.rstrip("\n"))
 
     def test_other_lines_read_as_before(self):
         line = serialize.ndjson_line(
@@ -334,17 +350,18 @@ class TestNdjsonCodec:
     @pytest.mark.parametrize("field", ["round_id", "member_id"])
     @pytest.mark.parametrize("spacing", [": ", ":  "])  # canonical line, json.loads
     def test_integer_past_int_string_limit_names_the_line(self, field, spacing):
-        # Python refuses to read an int of more than 4,300 digits
+        # Python refuses to read an int of more than 4,300 digits, whether
+        # the line is the first line's cell (int) or not (json.loads)
         first = serialize.ndjson_line(
             bx.RoundLog(0, 0, 0, 0, 0, 0, bx.SBox(0, 0), bx.SBox(0, 0))
         )
         line = first.replace(f'"{field}": 0', f'"{field}": {"1" * 5000}')
         line = line.replace(": ", spacing)
-        assert bool(serialize._CANONICAL_LINE.fullmatch(line.rstrip())) == (
-            spacing == ": "
-        )
-        with pytest.raises(bx.ValidationError, match="^log line 2: Exceeds the limit"):
-            serialize.logs_from_ndjson(first + line)
+        by_cell = (field, spacing) == ("round_id", ": ")
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            with pytest.raises(bx.ValidationError, match="^log line 2: Exceeds the limit"):
+                serialize.logs_from_ndjson(first + line)
+        assert loads.call_count == (1 if by_cell else 2)
 
 
 # a canonical line rewritten around its round id; each must read as _reference_logs reads it
@@ -369,7 +386,7 @@ LINE_MUTATIONS = {
 
 class TestCellLookup:
     # a line that is an earlier canonical line but for its round id is
-    # read by its cell, without the pattern; any other line as before
+    # read by its cell, without json.loads; any other line as before
     @pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
     @settings(max_examples=30, deadline=None)
     @given(round_logs, st.integers(0, 2**70))
@@ -378,26 +395,28 @@ class TestCellLookup:
         head, tail = first[:-1].split(f'"round_id": {log.round_id}', 1)
         line = LINE_MUTATIONS[mutation](f'{head}"round_id": ', str(round_id), tail)
         text = f"{first}{line}\n"
-        try:
-            expected = _outcome(_reference_logs, text)
-        except ValueError as exc:  # past the int-string limit, which the reader names
-            expected = f"ValidationError: log line 2: {exc}"
-        assert _outcome(serialize.logs_from_ndjson, text) == expected
+        assert _outcome(serialize.logs_from_ndjson, text) == _reference_outcome(text)
 
-    def test_canonical_line_read_by_its_cell(self, monkeypatch):
-        logs = [bx.RoundLog(i, 3, 1, 0, 1, 1, bx.SBox(1, 0), bx.SBox(1, 0)) for i in (0, 9, 10, 10**30)]
-        text = serialize.logs_to_ndjson(logs)
-        matched = []
-        pattern = serialize._CANONICAL_LINE
-
-        class Counted:
-            def fullmatch(self, line):
-                matched.append(line)
-                return pattern.fullmatch(line)
-
-        monkeypatch.setattr(serialize, "_CANONICAL_LINE", Counted())
-        assert serialize.logs_from_ndjson(text) == logs
-        assert matched == [text.splitlines()[0]]
+    def test_canonical_line_read_by_its_cell(self):
+        cell = (3, 1, 0, 1, 1, bx.SBox(1, 0), bx.SBox(1, 0))
+        logs = [bx.RoundLog(i, *cell) for i in (0, 9, 10, 10**30)]
+        other = bx.RoundLog(11, 3, 1, 0, 1, 0, bx.SBox(1, 0), bx.SBox(1, 0))
+        text = serialize.logs_to_ndjson(logs[:2] + [other] + logs[2:])
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            assert serialize.logs_from_ndjson(text) == logs[:2] + [other] + logs[2:]
+        lines = text.splitlines()
+        assert [c.args[0] for c in loads.call_args_list] == [lines[0], lines[2]]
+        # a line whose round id is digits without a leading zero is read by
+        # its cell, any other reaches json.loads; each reads as the reference
+        key = '"round_id": '
+        head, tail = lines[0].split(f"{key}0", 1)
+        by_cell = {"same-cell", "past-int-string-limit"}
+        for mutation, mutate in LINE_MUTATIONS.items():
+            text = f"{lines[0]}\n{mutate(head + key, '12', tail)}"
+            with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+                outcome = _outcome(serialize.logs_from_ndjson, text)
+            assert outcome == _reference_outcome(text), mutation
+            assert loads.call_count == (1 if mutation in by_cell else 2), mutation
 
 
 class TestTargets:
