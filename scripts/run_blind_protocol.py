@@ -8,6 +8,7 @@ floats.
 """
 
 import argparse
+import math
 from fractions import Fraction
 
 import boxsteer as bx
@@ -60,8 +61,8 @@ def main() -> int:
     print(
         f"audit: {'pass' if verdict.passed else 'FAIL'} "
         f"({verdict.mismatch_count} mismatched rounds, "
-        f"{len(verdict.frequency_cells)} frequency cells at "
-        f"significance {verdict.significance})"
+        f"log e-value {verdict.log_e_value:.2f} against "
+        f"log(1/{verdict.significance}) = {math.log(1 / verdict.significance):.2f})"
     )
     return 0 if plan.report.passed and verdict.passed else 1
 

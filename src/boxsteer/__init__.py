@@ -3,7 +3,7 @@ hidden-constituent (blind) steering, exact vertex decomposition, and a
 seeded protocol simulator with a verifying Referee.
 
 All probabilities are exact rationals (`fractions.Fraction`); floats
-only ever appear in empirical frequencies and test statistics.  The
+only ever appear in empirical frequencies and the audit's e-value.  The
 JSON and NDJSON formats live in :mod:`boxsteer.serialize`.
 """
 
@@ -61,7 +61,6 @@ from .polytope import (
 from .reports import CheckResult, VerificationReport
 from .simulate import (
     AuditVerdict,
-    FrequencyCell,
     InputPolicy,
     RoundLog,
     SimulationReport,
@@ -75,7 +74,7 @@ from .steering import (
     verify_steering_state,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 __all__ = [
     "AuditVerdict",
@@ -86,7 +85,6 @@ __all__ = [
     "CheckResult",
     "DegenerateRegionWarning",
     "Ensemble",
-    "FrequencyCell",
     "IncompatibleEnsemblesError",
     "InputPolicy",
     "LocalBox",

@@ -340,18 +340,9 @@ def audit_verdict_to_json(verdict: AuditVerdict) -> dict:
         "mismatch_count": verdict.mismatch_count,
         "mismatch_rounds": list(verdict.mismatch_rounds),
         "significance": verdict.significance,
-        "frequency_cells": [
-            {
-                "y": cell.input_choice,
-                "constituent": sbox_to_json(cell.constituent),
-                "expected": fraction_to_json(cell.expected),
-                "observed": cell.observed,
-                "total": cell.total,
-                "pvalue": cell.pvalue,
-                "ok": cell.ok,
-            }
-            for cell in verdict.frequency_cells
-        ],
+        # to 6 decimals, so that a last bit of a platform's lgamma moves no
+        # document; + 0.0 writes -0.0 as 0.0
+        "log_e_value": round(verdict.log_e_value, 6) + 0.0,
     }
 
 

@@ -22,15 +22,15 @@ only one that imports numpy, and it is loaded when rounds are drawn.
 Draws are exact: a cumulative weight c = num/den picks iff u < c, iff
 k < ceil(num * 2**53 / den); the outcome, one of n equally likely rounds,
 is entry k * n >> 53 (u < i/n iff k < i * 2**53 / n, an integer as n
-divides 2**53).  Floats appear only in frequencies and test statistics.
+divides 2**53).  Floats appear only in frequencies and the audit's e-value.
 
 A :class:`RoundLog` checks its fields, and no count re-checks them.  A
 log is counted once, by cell (member, x, y, a, b, inference, actual),
 and the report and the Referee audit both come from those counts
 (:class:`LogTally`); the audit flags each round that is not one of its
-member's rounds in the same table, and tests Alice's constituent
-frequencies per Bob input against :func:`posterior_alice_reduction`,
-with scipy's two-sided exact binomial test (:func:`_binom_pvalue`).
+member's rounds in the same table, and scores the honest cells' counts
+with one Krichevsky–Trofimov e-value against the exact cell law given
+each round's inputs (:meth:`LogTally.log_e_value`), in :mod:`math` alone.
 Rounds are drawn and counted as cell ids a block at a time, and a
 :class:`RoundLog` is stamped from its cell only where a caller asks for
 one, so a log can be streamed without being held.
@@ -42,13 +42,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import count
-from math import ceil, floor
+from math import lgamma, log
 from operator import attrgetter, itemgetter
 
 from .boxes import (
     SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
 )
-from .ensembles import PAIRS, NonlocalEnsemble, posterior_alice_reduction
+from .ensembles import PAIRS, NonlocalEnsemble
 from .errors import ValidationError
 
 DEFAULT_SIGNIFICANCE = 1e-3
@@ -99,31 +99,19 @@ class RoundLog:
 
 
 @dataclass(frozen=True)
-class FrequencyCell:
-    """Binomial comparison of one constituent's empirical frequency
-    against its exact weight, at a fixed Bob input."""
-
-    input_choice: int
-    constituent: SBox
-    expected: Fraction
-    observed: int
-    total: int
-    pvalue: float | None
-    ok: bool
-
-
-@dataclass(frozen=True)
 class AuditVerdict:
     """Outcome of the Referee's log audit.
 
     ``mismatch_rounds`` lists at most the first 20 offending rounds, in
-    log order; ``mismatch_count`` is the full count.  An empty log fails.
+    log order; ``mismatch_count`` is the full count.  ``log_e_value`` is
+    the log of the honest cells' e-value, which fails the log at
+    ``log(1 / significance)`` or above.  An empty log fails.
     """
 
     passed: bool
     mismatch_count: int
     mismatch_rounds: tuple[int, ...]
-    frequency_cells: tuple[FrequencyCell, ...]
+    log_e_value: float
     significance: float
 
 
@@ -220,10 +208,12 @@ def referee_audit(
     """Audit a log against the declared ensemble, in one pass over it.
 
     A round is a mismatch unless its cell is one of :func:`_cells`, one
-    of its member's rounds with its constituent.  For each Bob input, the
-    constituent frequencies must also pass a two-sided exact binomial test
-    against the declared reduction weights.  The log passes if it is
-    non-empty, has no mismatch and fails no test.
+    of its member's rounds with its constituent.  The counts of the
+    honest cells are scored by :meth:`LogTally.log_e_value`, an e-value
+    against the declared ensemble's cell law given the logged inputs, so
+    an honest log fails with probability at most ``significance``.  The
+    log passes if it is non-empty, has no mismatch and its log e-value is
+    below ``log(1 / significance)``.
     """
     tally = LogTally(ensemble, significance)
     for log in logs:
@@ -233,6 +223,7 @@ def referee_audit(
 
 _cell = attrgetter("member_id", "x", "y", "a", "b", "referee_inference", "alice_actual")
 _X, _Y, _A, _B, _ACTUAL = 1, 2, 3, 4, 6  # positions in a cell
+_LGAMMA_HALF = lgamma(0.5)
 
 
 class LogTally:
@@ -243,7 +234,8 @@ class LogTally:
     makes one lookup, counts, and keeps the first 20 offending round ids
     in log order.  A round's types are its :class:`RoundLog`'s to check.
     Drawn rounds, honest by construction, are counted a block of cell ids
-    at a time (:meth:`add_block`)."""
+    at a time (:meth:`add_block`).  The verdict adds the honest cells'
+    e-value (:meth:`log_e_value`) to the rule."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -288,26 +280,45 @@ class LogTally:
             counts[by_value(cell)] = counts.get(by_value(cell), 0) + n
         return dict(sorted(out.items()))
 
+    def log_e_value(self) -> float:
+        """The log of the Krichevsky–Trofimov e-value of the honest cells'
+        counts.  Given its inputs (x, y), a round of an honest log is one
+        of the K rounds of the round table on (x, y), member m's each with
+        probability q = w_m / n_m(x, y); the N rounds on (x, y) score
+
+            lgamma(K/2) - lgamma(N + K/2) + sum_i [lgamma(n_i + 1/2)
+                                                   - lgamma(1/2) - n_i log q_i]
+
+        and the log e-value is the sum over the four input pairs.  Its
+        e-value has mean 1 under any input policy, so it reaches 1/alpha
+        with probability at most alpha (Markov; Ville for a log cut at a
+        data-dependent length).  Mismatched cells stay out: the rule fails
+        them.  The terms are summed in table order, whatever the log's."""
+        total = 0.0
+        for pair in range(len(PAIRS)):
+            k = rounds = 0
+            for m, (member, table) in enumerate(zip(self.ensemble.members,
+                                                    self.ensemble._round_table)):
+                outcomes = table[pair]
+                k += len(outcomes)
+                q = member.weight / len(outcomes)  # as a float, it may underflow
+                log_q = log(q.numerator) - log(q.denominator)
+                for entry in outcomes:
+                    n = self.cells.get((m, *entry, entry[-1]), (0,))[0]
+                    if n:
+                        rounds += n
+                        total += lgamma(n + 0.5) - _LGAMMA_HALF - n * log_q
+            total += lgamma(k / 2) - lgamma(rounds + k / 2)
+        return total
+
     def verdict(self) -> AuditVerdict:
-        cells: list[FrequencyCell] = []
-        for y, counts in self._grouped((_Y,), (_ACTUAL,)).items():
-            total = sum(counts.values())
-            weights = posterior_alice_reduction(self.ensemble, y)
-            for sbox in sorted(set(weights) | set(counts), key=lambda s: s.index):
-                weight = weights.get(sbox, Fraction(0))
-                seen = counts.get(sbox, 0)
-                if weight == 0:
-                    pvalue, ok = None, seen == 0
-                else:
-                    pvalue = _binom_pvalue(seen, total, float(weight))
-                    ok = pvalue >= self.significance
-                cells.append(FrequencyCell(y, sbox, weight, seen, total, pvalue, ok))
         mismatches = sum(n for n, breaks in self.cells.values() if breaks)
+        log_e = self.log_e_value()
         return AuditVerdict(
-            passed=bool(self.cells) and not mismatches and all(c.ok for c in cells),
+            passed=bool(self.cells) and not mismatches and log_e < -log(self.significance),
             mismatch_count=mismatches,
             mismatch_rounds=tuple(self.mismatch_rounds),
-            frequency_cells=tuple(cells),
+            log_e_value=log_e,
             significance=self.significance,
         )
 
@@ -333,54 +344,6 @@ class LogTally:
             alice_frequencies_by_outcome=_relative(self._grouped((_Y, _B), (_ACTUAL,))),
             verdict=self.verdict(),
         )
-
-
-def _binom_pvalue(k: int, n: int, p: float) -> float:
-    """The two-sided p-value of scipy's ``binomtest(k, n, p)``, for
-    0 <= k <= n and n >= 1: its algorithm on the binomial ufuncs that
-    scipy's ``binom`` distribution reads, with its clamps outside the
-    support, so the value is the same float.  The outcomes at most as
-    likely as k (up to a relative 1e-7) are those out to k on its side
-    of the mode and, found by bisection, the tail beyond it on the other
-    side."""
-    # loaded by the audit alone; scipy's stats package would add about 0.6 s
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
-
-    def pmf(i: int) -> float:
-        return float(_binom_pmf(i, n, p)) if 0 <= i <= n else 0.0
-
-    def cdf(i: int) -> float:
-        return 1.0 if i >= n else float(_binom_cdf(i, n, p)) if i >= 0 else 0.0
-
-    def sf(i: int) -> float:
-        return 0.0 if i >= n else float(_binom_sf(i, n, p)) if i >= 0 else 1.0
-
-    def last_at_most(value, bound: float, lo: int, hi: int) -> int:
-        """The i in [lo - 1, hi] with value(i) <= bound < value(i + 1), for
-        ``value`` ascending on [lo, hi] (scipy's
-        ``_binary_search_for_binom_tst``)."""
-        while lo < hi:
-            mid = lo + (hi - lo) // 2
-            at = value(mid)
-            if at < bound:
-                lo = mid + 1
-            elif at > bound:
-                hi = mid - 1
-            else:
-                return mid
-        return lo if value(lo) <= bound else lo - 1
-
-    if k == p * n:
-        return 1.0
-    d = pmf(k) * (1 + 1e-7)
-    if k < p * n:
-        i = last_at_most(lambda j: -pmf(j), -d, ceil(p * n), n)
-        beyond = n - i + int(d == pmf(i))
-        pvalue = cdf(k) + sf(n - beyond)
-    else:
-        i = last_at_most(pmf, d, 0, floor(p * n))
-        pvalue = cdf(i) + sf(k - 1)
-    return min(1.0, pvalue)
 
 
 def _relative(grouped: dict) -> dict:

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # boxsteer.serialize and the steering checks in boxsteer.steering
 PUBLIC_NAMES = """
 AuditVerdict BipartiteBox BlindReport BlindSteeringPlan
-BoxWorldError CheckResult DegenerateRegionWarning Ensemble FrequencyCell
+BoxWorldError CheckResult DegenerateRegionWarning Ensemble
 IncompatibleEnsemblesError InputPolicy LocalBox Member NonlocalEnsemble PRBox
 PRMember ProductMember RegionError Relabeling RoundLog SBox
 SignallingError SimulationReport SteeringState TargetState ValidationError

@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.7.1 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.8.0 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -604,7 +604,7 @@ class TestAudit:
         assert result.returncode == 5
         doc = json.loads(result.stdout)["verdict"]
         assert doc["passed"] is False
-        assert doc["mismatch_count"] == 0 and doc["frequency_cells"] == []
+        assert doc["mismatch_count"] == 0 and doc["log_e_value"] == 0.0
 
     def test_non_utf8_byte_on_line_300(self, tmp_path):
         logs, ensemble = self.run_simulation(tmp_path)

@@ -15,7 +15,9 @@ def test_run_blind_protocol():
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert any(line.startswith("audit: pass") for line in result.stdout.splitlines())
+    audit = re.search(r"^audit: pass \(0 mismatched rounds, log e-value (-?[\d.]+) "
+                      r"against log\(1/0\.001\) = 6\.91\)$", result.stdout, re.M)
+    assert audit and float(audit[1]) < 6.91
     assert "empirical weights at y = 1" in result.stdout
 
 

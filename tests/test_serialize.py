@@ -458,10 +458,9 @@ class TestReports:
         assert doc["rounds"] == 300
         assert doc["rng_seed"] == 21
         assert doc["verdict"]["passed"] is True
-        # ok flags must arrive as honest JSON booleans, not numpy scalars
-        for cell in doc["verdict"]["frequency_cells"]:
-            assert cell["ok"] in (True, False)
-            assert cell["expected"].count("/") <= 1
+        # a plain JSON number, rounded to 6 decimals, not a numpy scalar
+        log_e = doc["verdict"]["log_e_value"]
+        assert type(log_e) is float and log_e == round(report.verdict.log_e_value, 6) < 0
 
     def test_undrawn_input_pair_is_null(self):
         # the policy never draws (x, y) = (1, 1), so its four cells are null,

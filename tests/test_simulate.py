@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import math
 import random
 import re
 import subprocess
@@ -301,6 +303,95 @@ def test_numpy_stream_canary():
         )
 
 
+def reweighted_canonical():
+    """The canonical plan's members with other weights."""
+    return bx.NonlocalEnsemble.from_weights(
+        products={((0, 1), (0, 0)): F(1, 2), ((1, 1), (0, 0)): F(1, 4)},
+        prs={(0, 0, 0): F(1, 4)},
+    )
+
+
+def kt_e_value(counts, q):
+    """One stratum's Krichevsky–Trofimov e-value against its cell law q,
+    as the exact rational prod_i prod_{j<n_i} (j + 1/2) / prod_{j<N}
+    (K/2 + j) / prod_i q_i**n_i."""
+    e = F(1)
+    for n, p in zip(counts, q):
+        for j in range(n):
+            e *= (j + F(1, 2)) / p
+    for j in range(sum(counts)):
+        e /= F(len(q), 2) + j
+    return e
+
+
+def log_e_oracle(logs, ensemble):
+    """The log of the product over input pairs of each stratum's exact
+    e-value, for honest rounds; the cells on (x, y) are each member's
+    outcomes there, read off its box, with q = w_m / n_m(x, y)."""
+    e = F(1)
+    for x, y in itertools.product(BITS, BITS):
+        law = {}
+        for m, member in enumerate(ensemble.members):
+            box = member_box(member)
+            outcomes = [ab for ab in itertools.product(BITS, BITS) if box.prob(x, y, *ab)]
+            law.update({(m, *ab): member.weight / len(outcomes) for ab in outcomes})
+        counts = collections.Counter(
+            (log.member_id, log.a, log.b) for log in logs if (log.x, log.y) == (x, y))
+        e *= kt_e_value([counts[cell] for cell in law], list(law.values()))
+    return math.log(e.numerator) - math.log(e.denominator)
+
+
+class TestEValue:
+    @pytest.mark.parametrize("q", [
+        (F(1, 2), F(1, 4), F(1, 4)),
+        (F(1, 3), F(1, 3), F(1, 3)),
+        (F(1, 8), F(3, 8), F(1, 4), F(1, 4)),
+        (F(1, 16), F(1, 16), F(3, 8), F(1, 2)),
+    ])
+    def test_mean_one_under_the_cell_law(self, q):
+        # at every length, E averages exactly 1 over the counts an honest
+        # stratum draws: the bound P(E >= 1/alpha) <= alpha rests on it
+        for total in range(5):
+            mean = F(0)
+            for counts in itertools.product(range(total + 1), repeat=len(q)):
+                if sum(counts) == total:
+                    ways = math.factorial(total) // math.prod(map(math.factorial, counts))
+                    chance = math.prod(p**n for p, n in zip(q, counts))
+                    mean += ways * chance * kt_e_value(counts, q)
+            assert mean == 1, (q, total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ensemble=nonlocal_ensembles(), picks=st.lists(st.integers(0, 10**6), max_size=40))
+    def test_log_e_value_is_the_exact_rational(self, ensemble, picks):
+        # any honest counts, however unlikely, from any mixture of the 24 vertices
+        cells = simulate._cells(ensemble)
+        logs = [simulate._stamp(r, cells[i % len(cells)]) for r, i in enumerate(picks)]
+        verdict = bx.referee_audit(logs, ensemble)
+        assert verdict.mismatch_count == 0
+        # E is exactly 1 for one round of a uniform stratum, hence the abs_tol
+        assert math.isclose(verdict.log_e_value, log_e_oracle(logs, ensemble),
+                            rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("declared", [canonical_ensemble, reweighted_canonical])
+    def test_shuffled_log_same_verdict(self, declared):
+        _, logs = bx.run_protocol(canonical_ensemble(), rounds=3000, seed=8)
+        shuffled = random.Random(3).sample(logs, len(logs))
+        verdict = bx.referee_audit(logs, declared())
+        assert bx.referee_audit(shuffled, declared()) == verdict
+        assert verdict.passed == (declared is canonical_ensemble)
+
+    def test_weight_below_the_float_range(self):
+        # q = w / n underflows as a float; its log does not
+        tiny = F(1, 10**400)
+        e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): tiny, (0, 0, 1): 1 - tiny})
+        logs = [simulate._stamp(0, simulate._cells(e)[0])]
+        verdict = bx.referee_audit(logs, e)
+        assert verdict.mismatch_count == 0 and not verdict.passed
+        # E = 1 / (K q) with K = 4 and q = tiny / 2
+        assert math.isclose(verdict.log_e_value, log_e_oracle(logs, e), rel_tol=1e-9)
+        assert math.isclose(verdict.log_e_value, 400 * math.log(10) - math.log(2))
+
+
 class TestRefereeAudit:
     def test_honest_log_passes(self):
         e = canonical_ensemble()
@@ -308,8 +399,7 @@ class TestRefereeAudit:
         verdict = bx.referee_audit(logs, e)
         assert verdict.passed
         assert verdict.mismatch_count == 0
-        nonzero = [c for c in verdict.frequency_cells if c.expected > 0]
-        assert all(c.pvalue is not None and c.ok for c in nonzero)
+        assert verdict.log_e_value < 0 < math.log(1 / verdict.significance)
 
     def test_corrupted_pr_outcome_detected(self):
         e = canonical_ensemble()
@@ -416,33 +506,27 @@ class TestRefereeAudit:
 
     def test_wrong_weights_fail_frequency_check(self):
         # same members, different weights: per-round recomputation is
-        # consistent, so only the binomial prong can flag it
+        # consistent, so only the e-value can flag it
         honest = canonical_ensemble()
         _, logs = bx.run_protocol(honest, rounds=4000, seed=8)
-        declared = bx.NonlocalEnsemble.from_weights(
-            products={((0, 1), (0, 0)): F(1, 2), ((1, 1), (0, 0)): F(1, 4)},
-            prs={(0, 0, 0): F(1, 4)},
-        )
-        verdict = bx.referee_audit(logs, declared)
+        verdict = bx.referee_audit(logs, reweighted_canonical())
         assert verdict.mismatch_count == 0
         assert not verdict.passed
-        assert any(not cell.ok for cell in verdict.frequency_cells)
+        assert verdict.log_e_value >= math.log(1000)
 
     def test_zero_weight_cell_requires_zero_counts(self):
         e = pr_singleton()
         _, logs = bx.run_protocol(e, rounds=50, seed=0)
         # flipping alpha moves the constituent into the other input's
-        # support, where the declared weight at this y is exactly zero
+        # support, where the declared weight at this y is exactly zero:
+        # the round is a mismatch, and its cell stays out of the e-value
         old = logs[0].alice_actual
         foreign = bx.SBox(old.alpha ^ 1, old.beta)
         logs[0] = dataclasses.replace(logs[0], alice_actual=foreign)
         verdict = bx.referee_audit(logs, e)
-        bad = [
-            c
-            for c in verdict.frequency_cells
-            if c.expected == 0 and c.observed > 0
-        ]
-        assert bad and all(not c.ok and c.pvalue is None for c in bad)
+        assert not verdict.passed
+        assert verdict.mismatch_count == 1 and verdict.mismatch_rounds == (0,)
+        assert verdict.log_e_value == bx.referee_audit(logs[1:], e).log_e_value
 
     def test_significance_validated(self):
         _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
@@ -453,7 +537,7 @@ class TestRefereeAudit:
         verdict = bx.referee_audit([], canonical_ensemble())
         assert not verdict.passed
         assert verdict.mismatch_count == 0
-        assert verdict.frequency_cells == ()
+        assert verdict.log_e_value == 0.0
 
     def test_one_shot_iterator(self):
         e = canonical_ensemble()
@@ -462,7 +546,7 @@ class TestRefereeAudit:
         logs[3] = dataclasses.replace(logs[3], alice_actual=bx.SBox(old.alpha ^ 1, old.beta))
         expected = bx.referee_audit(logs, e)
         assert bx.referee_audit((log for log in logs), e) == expected
-        assert expected.mismatch_count == 1 and len(expected.frequency_cells) > 4
+        assert expected.mismatch_count == 1 and expected.log_e_value < 0
 
     def test_rule_runs_once_per_distinct_cell(self, monkeypatch):
         e = canonical_ensemble()
@@ -543,13 +627,8 @@ class TestRefereeAudit:
         verdict = bx.referee_audit(logs, e)
         assert verdict.mismatch_count == len(offending) > 20
         assert verdict.mismatch_rounds == tuple(offending[:20])
-        for cell in verdict.frequency_cells:
-            at_y = [
-                log for log in logs
-                if log.y == cell.input_choice and {log.x, log.a, log.b} <= {0, 1}
-            ]
-            assert cell.total == len(at_y)
-            assert cell.observed == sum(log.alice_actual == cell.constituent for log in at_y)
+        honest = [log for log in logs if not offends(log)]
+        assert math.isclose(verdict.log_e_value, log_e_oracle(honest, e), rel_tol=1e-9)
 
 
 class TestReportFromCounts:
@@ -613,53 +692,46 @@ class TestReportFromCounts:
         assert not hasattr(held[0], "__dict__")
 
 
+# four rounds of the (1/4, 1/2) plan, seed 0, as simulate --out writes them
+FIXED_LOG = (
+    '{"a": 0, "alice_actual": "S10", "b": 0, "member_id": 2, '
+    '"referee_inference": "S10", "round_id": 0, "x": 0, "y": 1}\n'
+    '{"a": 1, "alice_actual": "S01", "b": 1, "member_id": 2, '
+    '"referee_inference": "S01", "round_id": 1, "x": 1, "y": 0}\n'
+    '{"a": 1, "alice_actual": "S01", "b": 0, "member_id": 0, '
+    '"referee_inference": "S01", "round_id": 2, "x": 0, "y": 1}\n'
+    '{"a": 0, "alice_actual": "S11", "b": 1, "member_id": 2, '
+    '"referee_inference": "S11", "round_id": 3, "x": 1, "y": 1}\n'
+)
+
 # each child's code, and the modules it must not load
 LIGHT_IMPORTS = {
     "import": ("import boxsteer", ("numpy", "scipy")),
     "blind": ("from boxsteer import cli; cli.main(['blind', '1/4', '1/2'])", ("numpy",)),
     "audit": (
         "import boxsteer as bx\n"
+        "from boxsteer import serialize\n"
         "e = bx.plan_blind_steering(bx.TargetState('1/4', '1/2')).ensemble\n"
-        "verdict = bx.referee_audit(bx.run_protocol(e, 200, 0)[1], e)\n"
-        "assert verdict.passed and verdict.frequency_cells[0].pvalue is not None",
-        ("scipy.stats",),
+        f"verdict = bx.referee_audit(serialize.logs_from_ndjson({FIXED_LOG!r}), e)\n"
+        "assert verdict.passed and verdict.log_e_value < 0",
+        ("numpy", "scipy"),
+    ),
+    "simulate": (
+        "import boxsteer as bx\n"
+        "e = bx.plan_blind_steering(bx.TargetState('1/4', '1/2')).ensemble\n"
+        "report, _ = bx.run_protocol(e, 200, 0)\n"
+        "assert report.verdict.passed",
+        ("scipy",),
     ),
 }
 
 
 @pytest.mark.parametrize("child", sorted(LIGHT_IMPORTS))
 def test_child_loads_only_what_it_runs(child):
-    # numpy loads only when rounds are drawn, and scipy.stats never
+    # numpy loads only when rounds are drawn, and scipy never
     code, unloaded = LIGHT_IMPORTS[child]
     check = f"import sys\nloaded = [m for m in {unloaded!r} if m in sys.modules]\nassert not loaded, loaded"
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{check}"], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-
-
-def _binomtest_cases():
-    """(k, n, p): every k for n < 40 on the 1/8 grid and at 1/3 and 2/3;
-    for n up to 2 * 10**4, the ends, the mean and random k on the 1/64
-    grid, which holds the 1/2 ... 1/32 grids, p = 1 and k = p * n; and
-    k whose tail on the far side of the mode starts within a relative
-    1e-6 of pmf(k), which pin the 1e-7 slack."""
-    yield from [(44, 118, 0.25), (33, 213, 23 / 64), (180, 213, 41 / 64), (69, 230, 9 / 32)]
-    small = [i / 8 for i in range(1, 9)] + [1 / 3, 2 / 3]
-    for p, n in itertools.product(small, range(1, 40)):
-        yield from ((k, n, p) for k in range(n + 1))
-    rng = random.Random(25)
-    for p, n in itertools.product([i / 64 for i in range(1, 65)], [40, 99, 1000, 4096, 20000]):
-        ks = {0, 1, n - 1, n, round(p * n), *(rng.randint(0, n) for _ in range(3))}
-        yield from ((k, n, p) for k in sorted(ks))
-
-
-def test_binom_pvalue_is_binomtest():
-    # the audit's port of scipy's two-sided exact test, against scipy itself
-    from scipy.stats import binomtest
-
-    differ = [
-        (k, n, p) for k, n, p in _binomtest_cases()
-        if simulate._binom_pvalue(k, n, p) != binomtest(k, n, p).pvalue
-    ]
-    assert not differ, differ[:5]
