@@ -240,11 +240,12 @@ def logs_to_ndjson(logs: Iterable[RoundLog]) -> str:
 _ID, _ROUND_ID = '"round_id": ', re.compile("0|[1-9][0-9]*")
 
 
-def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
-    """Round logs parsed line by line from a text's or an open file's lines:
-    a line that is an earlier canonical line (:func:`ndjson_line`) but for
-    its round id is read by that line's cell, and any other line as JSON."""
-    lines = (line for chunk in chunks for line in chunk.splitlines())
+def ndjson_logs(lines: Iterable[str]) -> Iterator[RoundLog]:
+    """Round logs parsed from lines split at universal newlines (``\\n``,
+    ``\\r\\n``, ``\\r``) alone, as a text-mode file yields them, each
+    with or without its ``\\n``: a line that is an earlier canonical line
+    (:func:`ndjson_line`) but for its round id is read by that line's cell,
+    a line of spaces and tabs is skipped, and any other line is read as JSON."""
     seen: dict[str, tuple] = {}  # a canonical line with its round id cut out -> its cell
     for lineno, line in enumerate(lines, start=1):
         start = line.find(_ID) + len(_ID)
@@ -258,7 +259,8 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
                 raise ValidationError(f"log line {lineno}: {exc}") from exc
             yield _stamp(round_id, cell)
             continue
-        if not line.strip():
+        line = line.rstrip("\n")
+        if not line.strip(" \t"):
             continue
         try:
             obj = json.loads(line)
@@ -274,7 +276,9 @@ def ndjson_logs(chunks: Iterable[str]) -> Iterator[RoundLog]:
 
 
 def logs_from_ndjson(text: str) -> list[RoundLog]:
-    return list(ndjson_logs([text]))
+    if "\r" in text:  # split as a text-mode file splits, and at no other break
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return list(ndjson_logs(text.split("\n")))
 
 
 def verification_report_to_json(report: VerificationReport) -> dict:

@@ -25,10 +25,11 @@ is entry k * n >> 53 (u < i/n iff k < i * 2**53 / n, an integer as n
 divides 2**53).  Floats appear only in frequencies and the audit's e-value.
 
 A :class:`RoundLog` checks its fields, and no count re-checks them.  A
-log is counted once, by cell (member, x, y, a, b, inference, actual),
-and the report and the Referee audit both come from those counts
-(:class:`LogTally`); the audit flags each round that is not one of its
-member's rounds in the same table, and scores the honest cells' counts
+log is counted as one list of rounds by honest-cell id, a cell (member,
+x, y, a, b, inference, actual) for each round of the round table, in
+table order (:class:`LogTally`); a round of any other cell is a
+mismatch.  The report and the Referee audit both come from those
+counts: the audit flags the mismatches, and scores the honest counts
 with one Krichevsky–Trofimov e-value against the exact cell law given
 each round's inputs (:meth:`LogTally.log_e_value`), in :mod:`math` alone.
 Rounds are drawn and counted as cell ids a block at a time, and a
@@ -41,12 +42,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import lgamma, log
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from .boxes import (
-    SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
+    SBOXES, SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
 )
 from .ensembles import PAIRS, NonlocalEnsemble
 from .errors import ValidationError
@@ -146,9 +147,11 @@ def _cell_blocks(
 
 def _cells(ensemble: NonlocalEnsemble) -> list[tuple]:
     """The honest cells (m, x, y, a, b, c, c), one per round (x, y, a, b, c)
-    of member m in the ensemble's round table, in table order."""
-    return [(m, *entry, entry[-1]) for m, rows in enumerate(ensemble._round_table)
-            for outcomes in rows for entry in outcomes]
+    of member m in the ensemble's round table, in table order, each cell's
+    id its index.  Each holds c as its ``SBOXES`` instance, the one the
+    NDJSON reader returns, so a read cell matches by identity."""
+    return [(m, x, y, a, b, s, s) for m, rows in enumerate(ensemble._round_table)
+            for outcomes in rows for x, y, a, b, c in outcomes for s in [SBOXES[c.index]]]
 
 
 _SETTERS = tuple(getattr(RoundLog, f.name).__set__ for f in fields(RoundLog))
@@ -169,16 +172,6 @@ def _stamp(round_id: int, cell: tuple) -> RoundLog:
     s6(log, inference)
     s7(log, actual)
     return log
-
-
-def sample_rounds(
-    ensemble: NonlocalEnsemble, rounds: int, seed: int, policy: InputPolicy
-) -> Iterator[RoundLog]:
-    """The ``rounds`` rounds of a seeded run, drawn in blocks and yielded
-    one at a time, after the arguments are checked."""
-    blocks, cells = _cell_blocks(ensemble, rounds, seed, policy), _cells(ensemble)
-    return (_stamp(r, cells[c])
-            for start, ids in blocks for r, c in enumerate(ids.tolist(), start))
 
 
 def run_protocol(
@@ -208,8 +201,9 @@ def referee_audit(
     """Audit a log against the declared ensemble, in one pass over it.
 
     A round is a mismatch unless its cell is one of :func:`_cells`, one
-    of its member's rounds with its constituent.  The counts of the
-    honest cells are scored by :meth:`LogTally.log_e_value`, an e-value
+    of its member's rounds with its constituent, found with one dict
+    lookup per round (:meth:`LogTally.add`).  The counts of the honest
+    cells are scored by :meth:`LogTally.log_e_value`, an e-value
     against the declared ensemble's cell law given the logged inputs, so
     an honest log fails with probability at most ``significance``.  The
     log passes if it is non-empty, has no mismatch and its log e-value is
@@ -227,15 +221,15 @@ _LGAMMA_HALF = lgamma(0.5)
 
 
 class LogTally:
-    """A log counted by cell ``(member_id, x, y, a, b, referee_inference,
-    alice_actual)`` as [rounds, breaks the rule], in the order the log
-    first shows each cell.  The per-round rule is membership in the honest
-    cells (:func:`_cells`), decided once per distinct cell; the round loop
-    makes one lookup, counts, and keeps the first 20 offending round ids
-    in log order.  A round's types are its :class:`RoundLog`'s to check.
-    Drawn rounds, honest by construction, are counted a block of cell ids
-    at a time (:meth:`add_block`).  The verdict adds the honest cells'
-    e-value (:meth:`log_e_value`) to the rule."""
+    """A log as the rounds of each honest cell, ``counts[i]`` for cell i of
+    ``honest_cells`` (:func:`_cells`), and the rounds of any other cell as
+    mismatches: ``mismatch_count`` of them, the first 20 round ids in log
+    order in ``mismatch_rounds``.  A round is counted with one lookup of its
+    cell ``(member_id, x, y, a, b, referee_inference, alice_actual)``; its
+    types are its :class:`RoundLog`'s to check.  Drawn rounds, honest by
+    construction, are counted a block of cell ids at a time
+    (:meth:`add_block`).  The verdict adds the honest cells' e-value
+    (:meth:`log_e_value`) to the rule."""
 
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
@@ -245,40 +239,39 @@ class LogTally:
         self.ensemble = ensemble
         self.significance = significance
         self.honest_cells = _cells(ensemble)
-        self._honest = set(self.honest_cells)
-        self.cells: dict[tuple, list] = {}
+        # distinct: members differ in m, a member's rounds on (x, y) in (a, b)
+        self._ids = {cell: i for i, cell in enumerate(self.honest_cells)}
+        self.counts = [0] * len(self.honest_cells)
+        self.mismatch_count = 0
         self.mismatch_rounds: list[int] = []
 
     def add(self, log: RoundLog) -> None:
-        cell = _cell(log)
-        entry = self.cells.get(cell) or self._entry(cell)
-        entry[0] += 1
-        if entry[1] and len(self.mismatch_rounds) < 20:
+        i = self._ids.get(_cell(log))
+        if i is not None:
+            self.counts[i] += 1
+            return
+        self.mismatch_count += 1
+        if len(self.mismatch_rounds) < 20:
             self.mismatch_rounds.append(log.round_id)
 
     def add_block(self, ids) -> None:
-        """Count a block of drawn rounds, ids into ``honest_cells``, with one
-        bincount; new cells enter in the order the block first shows them."""
+        """Count a block of drawn rounds, ids into ``honest_cells``, with one bincount."""
         import numpy as np  # loaded already, with the draws
 
-        counts = np.bincount(ids).tolist()
-        for i in sorted((i for i, n in enumerate(counts) if n), key=ids.tolist().index):
-            cell = self.honest_cells[i]
-            entry = self.cells.get(cell) or self._entry(cell)
-            entry[0] += counts[i]
+        drawn = np.bincount(ids, minlength=len(self.counts)).tolist()
+        self.counts = list(map(add, self.counts, drawn))
 
-    def _entry(self, cell: tuple) -> list:
-        return self.cells.setdefault(cell, [0, cell not in self._honest])
-
-    def _grouped(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
-        """Rounds by the fields at ``group``, then at ``value``: groups
-        sorted, values in the order the log first shows them."""
+    def _frequencies(self, group: tuple[int, ...], value: tuple[int, ...]) -> dict:
+        """The honest rounds' relative frequencies of the fields at ``value``
+        given those at ``group``: groups sorted, values in the order of their
+        first cell in the table, and a group or value with no rounds left out."""
         by_group, by_value = itemgetter(*group), itemgetter(*value)
         out: dict = {}
-        for cell, (n, _) in self.cells.items():
+        for cell, n in zip(self.honest_cells, self.counts):
             counts = out.setdefault(by_group(cell), {})
             counts[by_value(cell)] = counts.get(by_value(cell), 0) + n
-        return dict(sorted(out.items()))
+        return {key: {value: n / total for value, n in counts.items() if n}
+                for key, counts in sorted(out.items()) if (total := sum(counts.values()))}
 
     def log_e_value(self) -> float:
         """The log of the Krichevsky–Trofimov e-value of the honest cells'
@@ -294,17 +287,17 @@ class LogTally:
         with probability at most alpha (Markov; Ville for a log cut at a
         data-dependent length).  Mismatched cells stay out: the rule fails
         them.  The terms are summed in table order, whatever the log's."""
+        counts = iter(self.counts)  # in the round table's shape, [member][pair]
+        table = [[list(islice(counts, len(outcomes))) for outcomes in rows]
+                 for rows in self.ensemble._round_table]
         total = 0.0
         for pair in range(len(PAIRS)):
             k = rounds = 0
-            for m, (member, table) in enumerate(zip(self.ensemble.members,
-                                                    self.ensemble._round_table)):
-                outcomes = table[pair]
-                k += len(outcomes)
-                q = member.weight / len(outcomes)  # as a float, it may underflow
+            for member, rows in zip(self.ensemble.members, table):
+                k += len(rows[pair])
+                q = member.weight / len(rows[pair])  # as a float, it may underflow
                 log_q = log(q.numerator) - log(q.denominator)
-                for entry in outcomes:
-                    n = self.cells.get((m, *entry, entry[-1]), (0,))[0]
+                for n in rows[pair]:
                     if n:
                         rounds += n
                         total += lgamma(n + 0.5) - _LGAMMA_HALF - n * log_q
@@ -312,22 +305,23 @@ class LogTally:
         return total
 
     def verdict(self) -> AuditVerdict:
-        mismatches = sum(n for n, breaks in self.cells.values() if breaks)
         log_e = self.log_e_value()
         return AuditVerdict(
-            passed=bool(self.cells) and not mismatches and log_e < -log(self.significance),
-            mismatch_count=mismatches,
+            passed=(any(self.counts) and not self.mismatch_count
+                    and log_e < -log(self.significance)),
+            mismatch_count=self.mismatch_count,
             mismatch_rounds=tuple(self.mismatch_rounds),
             log_e_value=log_e,
             significance=self.significance,
         )
 
     def report(self, seed: int, policy: InputPolicy) -> SimulationReport:
-        """The run's report; the joint cells of input pairs never drawn are None."""
-        joint = _relative(self._grouped((_X, _Y), (_A, _B)))
+        """The report of a run's drawn rounds, every one of them an honest
+        cell's; the joint cells of input pairs never drawn are None."""
+        joint = self._frequencies((_X, _Y), (_A, _B))
         undrawn = dict.fromkeys(PAIRS)
         return SimulationReport(
-            rounds=sum(n for n, _ in self.cells.values()),
+            rounds=sum(self.counts),
             rng_seed=seed,
             policy=policy,
             empirical_joint=tuple(
@@ -340,14 +334,7 @@ class LogTally:
                 )
                 for x in BITS
             ),
-            alice_frequencies=_relative(self._grouped((_Y,), (_ACTUAL,))),
-            alice_frequencies_by_outcome=_relative(self._grouped((_Y, _B), (_ACTUAL,))),
+            alice_frequencies=self._frequencies((_Y,), (_ACTUAL,)),
+            alice_frequencies_by_outcome=self._frequencies((_Y, _B), (_ACTUAL,)),
             verdict=self.verdict(),
         )
-
-
-def _relative(grouped: dict) -> dict:
-    return {
-        key: {value: n / sum(counts.values()) for value, n in counts.items()}
-        for key, counts in grouped.items()
-    }

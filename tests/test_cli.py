@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.8.0 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.8.1 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -639,6 +639,17 @@ class TestAudit:
         result = run_cli("audit", str(logs), ensemble)
         assert result.returncode == 2
         assert result.stderr == "error: x=True outside range(0, 2)\n"
+        assert result.stdout == ""
+
+    def test_rounds_joined_by_a_non_newline_break(self, tmp_path):
+        # str.splitlines would break at \x1c and \x0c; a log line does not
+        logs, ensemble = self.run_simulation(tmp_path)
+        lines = logs.read_text().splitlines()
+        text = f"{lines[0]}\x1c{lines[1]}\n\x0c\n{lines[2]}\n{lines[3]}\n"
+        logs.write_bytes(text.encode())
+        result = run_cli("audit", str(logs), ensemble)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: bad JSON on log line 1: ")
         assert result.stdout == ""
 
     def test_non_utf8_log_file(self, tmp_path):

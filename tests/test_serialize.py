@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -252,6 +253,35 @@ class TestRoundLogs:
             serialize.logs_from_ndjson(mangled)
         assert "line 2" in str(err.value)
 
+    # str.splitlines breaks lines at these too; a log line does not
+    NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_only_universal_newlines_end_a_line(self, char):
+        lines = serialize.logs_to_ndjson(self.logs(3)).splitlines(keepends=True)
+        joined = lines[0][:-1] + char + lines[1] + lines[2]
+        alone = lines[0] + char + "\n" + lines[1] + lines[2]
+        for text, lineno in [(joined, 1), (alone, 2)]:
+            with pytest.raises(bx.ValidationError, match=f"^bad JSON on log line {lineno}:"):
+                serialize.logs_from_ndjson(text)
+            assert _outcome(serialize.logs_from_ndjson, text) == _reference_outcome(text)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_newlines_read_by_cell(self, newline):
+        # a line ended by CRLF or CR is the same canonical line
+        logs = self.logs(40)
+        text = serialize.logs_to_ndjson(logs).replace("\n", newline)
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            assert serialize.logs_from_ndjson(text) == logs
+        assert loads.call_count == len(set(map(serialize._cell, logs))) < len(logs)
+
+    def test_only_spaces_and_tabs_make_a_blank_line(self):
+        logs = self.logs(2)
+        lines = serialize.logs_to_ndjson(logs).splitlines(keepends=True)
+        assert serialize.logs_from_ndjson(lines[0] + " \t \n\r\n" + lines[1]) == logs
+        with pytest.raises(bx.ValidationError, match="^bad JSON on log line 2:"):
+            serialize.logs_from_ndjson(lines[0] + " \xa0\n" + lines[1])
+
     def test_field_validation(self):
         doc = round_log_to_json(self.logs(1)[0])
         doc["a"] = 2
@@ -260,11 +290,12 @@ class TestRoundLogs:
 
 
 def _reference_logs(text):
-    """The log parser's first form, kept as the oracle: every line through
-    ``json.loads`` and ``round_log_from_json``."""
+    """The log parser's first form, kept as the oracle: the text split at
+    universal newlines, lines of spaces and tabs skipped, and every other
+    line through ``json.loads`` and ``round_log_from_json``."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
+        if not line.strip(" \t"):
             continue
         try:
             obj = json.loads(line)

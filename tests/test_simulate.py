@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import boxsteer as bx
 from boxsteer import _stream, simulate
-from boxsteer.simulate import sample_rounds
 from strategies import (
     catalog_ensembles,
     member_box,
@@ -145,12 +144,20 @@ class TestEmpiricalJoint:
                         )
 
 
+def _drawn_rounds(ensemble, rounds, seed, policy):
+    return bx.run_protocol(ensemble, rounds, seed, policy)[1]
+
+
 class TestSampleRounds:
     def test_same_rounds_as_run_protocol(self):
         e = canonical_ensemble()
         policy = bx.InputPolicy(((F(1, 8), F(3, 8)), (F(1, 3), F(1, 6))))
         _, logs = bx.run_protocol(e, rounds=200, seed=2**32, policy=policy)
-        assert list(sample_rounds(e, 200, 2**32, policy)) == logs
+        cells = simulate._cells(e)
+        stamped = [simulate._stamp(r, cells[c])
+                   for start, ids in simulate._cell_blocks(e, 200, 2**32, policy)
+                   for r, c in enumerate(ids.tolist(), start)]
+        assert stamped == logs
 
     @pytest.mark.parametrize(
         "rounds,seed",
@@ -159,7 +166,7 @@ class TestSampleRounds:
     def test_arguments_checked_on_call(self, rounds, seed):
         # before the first next(), so a CLI run can fail before writing
         with pytest.raises(bx.ValidationError):
-            sample_rounds(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
+            simulate._cell_blocks(pr_singleton(), rounds, seed, bx.InputPolicy.uniform())
 
     def test_builds_no_box(self, monkeypatch):
         # the tables come from the vertex formulas: no validated table,
@@ -171,7 +178,7 @@ class TestSampleRounds:
 
         refuse_boxes(monkeypatch)
         monkeypatch.setattr(bx.LocalBox, "__post_init__", refuse)
-        logs = list(sample_rounds(e, 50, 0, bx.InputPolicy.uniform()))
+        logs = _drawn_rounds(e, 50, 0, bx.InputPolicy.uniform())
         monkeypatch.undo()
         assert logs == _reference_rounds(e, 50, 0, bx.InputPolicy.uniform())
         assert not hasattr(simulate, "condition_on_bob")
@@ -219,7 +226,7 @@ class TestBlockSampler:
     def test_matches_reference(self, ensemble, policy_weights, seed, rounds):
         w = policy_weights
         policy = bx.InputPolicy(((w[0], w[1]), (w[2], w[3])))
-        assert list(sample_rounds(ensemble, rounds, seed, policy)) == _reference_rounds(
+        assert _drawn_rounds(ensemble, rounds, seed, policy) == _reference_rounds(
             ensemble, rounds, seed, policy
         )
 
@@ -237,14 +244,14 @@ class TestBlockSampler:
         # the formula thresholds against the reference's table of the
         # vertex's own box, on every input pair
         policy = bx.InputPolicy.uniform()
-        logs = list(sample_rounds(ensemble, 100, 3, policy))
+        logs = _drawn_rounds(ensemble, 100, 3, policy)
         assert logs == _reference_rounds(ensemble, 100, 3, policy)
         assert {(log.x, log.y) for log in logs} == set(itertools.product(BITS, BITS))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 2**53 - 1), max_size=6))
     def test_outcome_rule_at_its_boundaries(self, drawn):
-        # sample_rounds' own code on chosen k, on every vertex and input
+        # the sampler's own code on chosen k, on every vertex and input
         # pair, against the thresholds of the table member_box writes;
         # under the uniform policy, k = p * 2**51 draws input pair p
         pairs = list(itertools.product(BITS, BITS))
@@ -254,7 +261,7 @@ class TestBlockSampler:
         with mock.patch.object(_stream, "_round_ints", lambda _, i, j: ints[i:j]):
             for ensemble in catalog_ensembles():
                 table = member_box(ensemble.members[0]).table
-                logs = sample_rounds(ensemble, len(ints), 0, policy)
+                logs = _drawn_rounds(ensemble, len(ints), 0, policy)
                 for log, (_, k_pair, k) in zip(logs, ints.tolist(), strict=True):
                     x, y = pairs[k_pair >> 51]
                     row = [table[x][y][a][b] for a, b in pairs]
@@ -267,7 +274,7 @@ class TestBlockSampler:
         policy = bx.InputPolicy(((F(1, 3), F(0)), (F(1, 2), F(1, 6))))
         ensemble = canonical_ensemble()
         rounds = _stream._BLOCK + 3
-        assert list(sample_rounds(ensemble, rounds, seed, policy)) == _reference_rounds(
+        assert _drawn_rounds(ensemble, rounds, seed, policy) == _reference_rounds(
             ensemble, rounds, seed, policy
         )
 
@@ -548,26 +555,6 @@ class TestRefereeAudit:
         assert bx.referee_audit((log for log in logs), e) == expected
         assert expected.mismatch_count == 1 and expected.log_e_value < 0
 
-    def test_rule_runs_once_per_distinct_cell(self, monkeypatch):
-        e = canonical_ensemble()
-        _, logs = bx.run_protocol(e, rounds=4000, seed=4)
-        calls = []
-        entry = simulate.LogTally._entry
-
-        def counted(tally, cell):
-            calls.append(cell)
-            return entry(tally, cell)
-
-        monkeypatch.setattr(simulate.LogTally, "_entry", counted)
-        verdict = bx.referee_audit(logs, e)
-        assert verdict.passed
-        cells = {
-            (log.member_id, log.x, log.y, log.a, log.b,
-             log.referee_inference, log.alice_actual)
-            for log in logs
-        }
-        assert len(calls) == len(cells) < 100
-
     def test_sbox_hash_is_the_dataclass_hash(self):
         # computed once per S box, the same value, so no set or dict order moves
         for alpha, beta in itertools.product(BITS, BITS):
@@ -662,8 +649,8 @@ class TestReportFromCounts:
         st.integers(1, 40) | st.integers(_stream._BLOCK - 3, _stream._BLOCK + 40),
     )
     def test_block_tally_matches_per_round_tally(self, ensemble, weights, seed, rounds):
-        # counted a block at a time, the cells enter in the order the log
-        # first shows them, so the report's dicts keep their key order
+        # counted a block of cell ids at a time or a round at a time, the
+        # counts by cell id, and so the report, are the same
         policy = bx.InputPolicy(((weights[0], weights[1]), (weights[2], weights[3])))
         report, logs = bx.run_protocol(ensemble, rounds, seed, policy)
         assert logs == _reference_rounds(ensemble, rounds, seed, policy)
@@ -675,7 +662,42 @@ class TestReportFromCounts:
         by_block = simulate.LogTally(ensemble)
         for _, ids in simulate._cell_blocks(ensemble, rounds, seed, policy):
             by_block.add_block(ids)
-        assert list(by_block.cells.items()) == list(per_round.cells.items())
+        assert by_block.counts == per_round.counts
+        assert per_round.mismatch_count == 0 and sum(per_round.counts) == rounds
+        cells = simulate._cells(ensemble)
+        assert per_round.counts == [
+            sum(simulate._cell(log) == cell for log in logs) for cell in cells
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nonlocal_ensembles(),
+        weight_vectors(4),
+        st.sampled_from(ORACLE_SEEDS) | st.integers(0, 2**70),
+        st.integers(1, 40),
+    )
+    def test_key_order_is_the_ensembles(self, ensemble, weights, seed, rounds):
+        # groups sorted, values in the order of their first cell in the
+        # table: the order depends on the ensemble alone, not on the draws
+        policy = bx.InputPolicy(((weights[0], weights[1]), (weights[2], weights[3])))
+        report, _ = bx.run_protocol(ensemble, rounds, seed, policy)
+        cells = simulate._cells(ensemble)
+        assert len(set(cells)) == len(cells)  # a cell's id is its only index
+
+        def table_order(group, value):
+            order = {}
+            for cell in cells:
+                order.setdefault(group(cell), {}).setdefault(value(cell))
+            return order
+
+        for frequencies, group, value in [
+            (report.alice_frequencies, lambda c: c[2], lambda c: c[6]),
+            (report.alice_frequencies_by_outcome, lambda c: (c[2], c[4]), lambda c: c[6]),
+        ]:
+            order = table_order(group, value)
+            assert list(frequencies) == sorted(frequencies)
+            for key, by_value in frequencies.items():
+                assert list(by_value) == [v for v in order[key] if v in by_value]
 
     def test_held_log_size(self):
         # a RoundLog has slots: held, it takes 136 bytes with its round id
