@@ -39,9 +39,11 @@ the whole ``beta = 1`` PR sector.  What is left is unique:
 
 :func:`plan_blind_steering` builds these as PR000, S01xS00 and S11xS00
 and relabels them into the target's coordinates.  How the aggregates
-split over individual members is free, and every valid split produces
-identical reductions, which is what keeps Bob blind.  The tests check
-with an exact simplex that no other aggregates are feasible.
+split over individual members is free: the reductions depend on the
+aggregates alone, so every split with these aggregates gives the same
+ones, which is what keeps Bob blind.  A caller's split is therefore
+accepted iff it verifies; the tests check with an exact simplex that
+no other aggregates give both triangles, on the boundary too.
 
 Verification reads the joint law after each of Bob's inputs (per
 member and outcome b, the share w / n and Alice's constituent), built
@@ -57,9 +59,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .boxes import SBOXES, PRBox, SBox, _require_index, as_prob
+from .boxes import SBOXES, PRBox, SBox, _clipped, _require_index, as_prob
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
@@ -239,11 +240,13 @@ def _verify(
     if marginal == ((s, 1 - s), (t, 1 - t)):
         checks.append(CheckResult("alice_marginal", True))
     else:
+        rows = ", ".join(f"({_shown_weight(p0)}, {_shown_weight(p1)})" for p0, p1 in marginal)
         checks.append(
             CheckResult(
                 "alice_marginal",
                 False,
-                f"mixture marginal is {marginal}, expected (s={s}, t={t})",
+                f"mixture marginal is ({rows}), expected "
+                f"(s={_shown_weight(s)}, t={_shown_weight(t)})",
             )
         )
 
@@ -294,7 +297,15 @@ def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
 
 
 def _describe(weights: dict[SBox, Fraction]) -> str:
-    return " + ".join(f"{w}*{sbox.label}" for sbox, w in weights.items())
+    return " + ".join(f"{_shown_weight(w)}*{sbox.label}" for sbox, w in weights.items())
+
+
+def _shown_weight(w: Fraction) -> str:
+    """``w`` as ``1/4``; past the int-string limit, named as ``steering._shown_rows`` does."""
+    try:
+        return str(w)
+    except ValueError:
+        return "(too long to print)"
 
 
 def bob_posterior(
@@ -331,30 +342,11 @@ def bob_posterior(
 @dataclass(frozen=True)
 class BlindSteeringPlan:
     """The ensemble that blind-steers a target, in the target's own
-    coordinates, and its verification report; the report also names the
-    canonical target and the relabeling used."""
+    coordinates, and its verification report, which passed; the report
+    also names the canonical target and the relabeling used."""
 
     ensemble: NonlocalEnsemble
     report: BlindReport
-
-
-def _check_split(split: NonlocalEnsemble, ensemble: NonlocalEnsemble) -> None:
-    """Reject a split whose aggregates differ from the closed form's:
-    product weight per Alice S box, PR weight per beta."""
-    for kind, totals, name in (
-        ("product", NonlocalEnsemble.product_totals, lambda key: SBox(*key).label),
-        ("PR", NonlocalEnsemble.pr_totals, lambda beta: f"beta={beta}"),
-    ):
-        found, required = totals(split), totals(ensemble)
-        if found != required:
-            raise ValidationError(
-                f"split {kind} aggregates {_describe_totals(found, name)} "
-                f"do not match required {_describe_totals(required, name)}"
-            )
-
-
-def _describe_totals(totals: dict, name: Callable) -> str:
-    return "{" + ", ".join(f"{name(k)}: {w}" for k, w in sorted(totals.items())) + "}"
 
 
 def plan_blind_steering(
@@ -364,9 +356,10 @@ def plan_blind_steering(
 
     Without ``split`` the ensemble is the canonical closed form relabeled
     into the target's coordinates.  A ``split``, given in the target's
-    own coordinates, is used as it is if its aggregates equal that
-    ensemble's; relabeling maps Alice's S boxes one to one and keeps
-    every PR's beta, so the comparison needs no canonical frame.
+    own coordinates, is used as it is if it verifies: that is, iff its
+    aggregates equal the closed form's, the only ones whose reductions
+    are the target's triangles.  Otherwise a :class:`ValidationError`
+    names the failed checks' witnesses, clipped to one line.
     """
     canonical_target, relabeling = canonicalize(target)
     if canonical_target.on_boundary:
@@ -376,22 +369,22 @@ def plan_blind_steering(
             DegenerateRegionWarning,
             stacklevel=2,
         )
-    # the closed form, all PR weight on PR000 and every Bob factor S00:
-    # S01xS00 with weight 1-s-t, S11xS00 with t-s and PR000 with 2s,
-    # zero weights dropped and Alice's side relabeled
-    s, t = canonical_target.s, canonical_target.t
-    products = ((1 - s - t, _S01), (t - s, _S11))
-    ensemble = NonlocalEnsemble(
-        tuple(
-            ProductMember(w, relabeling.on_sbox(alice), _S00)
-            for w, alice in products
-            if w != 0
-        ),
-        (PRMember(2 * s, relabeling.on_prbox(_PR000)),) if s != 0 else (),
-    )
-    if split is not None:
-        _check_split(split, ensemble)
-        ensemble = split
-    return BlindSteeringPlan(
-        ensemble, _verify(ensemble, target, canonical_target, relabeling)
-    )
+    if split is None:
+        # the canonical split, all PR weight on PR000 and every Bob factor S00:
+        # S01xS00 with weight 1-s-t, S11xS00 with t-s and PR000 with 2s,
+        # zero weights dropped and Alice's side relabeled
+        s, t = canonical_target.s, canonical_target.t
+        products = ((1 - s - t, _S01), (t - s, _S11))
+        split = NonlocalEnsemble(
+            tuple(
+                ProductMember(w, relabeling.on_sbox(alice), _S00)
+                for w, alice in products
+                if w != 0
+            ),
+            (PRMember(2 * s, relabeling.on_prbox(_PR000)),) if s != 0 else (),
+        )
+    report = _verify(split, target, canonical_target, relabeling)
+    if not report.passed:  # only a caller's split: the tests verify the closed form
+        failed = "; ".join(check.witness for check in report.checks if not check.passed)
+        raise ValidationError(_clipped(f"split rejected: {failed}", 190))
+    return BlindSteeringPlan(split, report)

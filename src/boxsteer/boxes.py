@@ -81,10 +81,11 @@ def _shown(value: Fraction, reference: Fraction, name: str) -> str:
 
 def _sums_to_one(probs: tuple[Fraction, ...] | list[Fraction], what: str) -> None:
     """Exact normalization on integers: the numerators over the lcm of the
-    denominators must sum to that lcm; if not, ``what`` names the total."""
+    denominators must sum to that lcm; if not, ``what`` names the total,
+    clipped to 60 bytes, the longest total a pinned message prints."""
     den = math.lcm(*(p.denominator for p in probs))
     if sum(p.numerator * (den // p.denominator) for p in probs) != den:
-        total = _shown(sum(probs, Fraction(0)), Fraction(1), "1")
+        total = _clipped(_shown(sum(probs, Fraction(0)), Fraction(1), "1"), 60)
         raise ValidationError(f"{what} {total}, expected 1")
 
 
@@ -303,11 +304,8 @@ class BipartiteBox:
                 if len(block_a) != a_dim or any(len(r) != b_dim for r in block_a):
                     raise ValidationError("ragged table: outcome dimensions vary")
                 start = (x * y_dim + y) * size  # the blocks before it passed
-                if sum(flat[start:start + size]) != den:
-                    total = _shown(sum(map(sum, block_a), Fraction(0)), Fraction(1), "1")
-                    raise ValidationError(
-                        f"entries for (x={x}, y={y}) sum to {total}, expected 1"
-                    )
+                if sum(flat[start:start + size]) != den:  # raises, naming the total
+                    _sums_to_one(sum(block_a, ()), f"entries for (x={x}, y={y}) sum to")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "numerators", _grouped(flat, (len(cells), y_dim, a_dim, b_dim)))
         # the validated Fractions are the view, so it is never rebuilt

@@ -11,12 +11,13 @@ ones without changing anything observable.
 
 A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
-extremal PR correlations.  Its round table, built once, lists each
-member's equally likely rounds per input pair, one per outcome its
-``cells`` allow, with the S box Alice is left in.  Its rows at x = 0
-give the joint law after each of Bob's inputs (``_joints``, built once
-too), of which Alice's reduction, Bob's outcomes and his posterior are
-sums; the sampler and the audit read the table.
+extremal PR correlations.  A vertex's rounds, its equally likely
+outcomes per input pair with the S box Alice is left in, are worked out
+once (:func:`_vertex_rounds`); the mixture, the measurement update and
+the round table read them.  The table's rows at x = 0 give the joint
+law after each of Bob's inputs (``_joints``, built once), of which
+Alice's reduction, Bob's outcomes and his posterior are sums; the
+sampler and the audit read the table.
 
 Duplicate members are merged and zero weights dropped on construction,
 so equality of member tuples is canonical up to ordering.
@@ -32,6 +33,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 from .boxes import (
+    SBOXES,
     BipartiteBox,
     LocalBox,
     PRBox,
@@ -48,6 +50,7 @@ from .errors import ValidationError
 _K = TypeVar("_K", bound=Hashable)
 
 Strategy = tuple[int, ...]
+_Round = tuple[int, int, int, int, SBox]  # (x, y, a, b, Alice's S box after b on y)
 # an entry of the joint after Bob's input: (share, b, drew, constituent)
 _Entry = tuple[Fraction, int, bool, SBox]
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # input pairs (x, y), in round-table order
@@ -206,9 +209,9 @@ class ProductMember:
     def label(self) -> str:
         return f"{self.alice.label}x{self.bob.label}"
 
-    def cells(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
-        """The one outcome (a, b) the two S boxes give on (x, y)."""
-        return ((self.alice.output(x), self.bob.output(y)),)
+    @property
+    def vertex(self) -> tuple[int, ...]:  # its rounds' key: Alice's bits, then Bob's
+        return self.alice.alpha, self.alice.beta, self.bob.alpha, self.bob.beta
 
 
 @dataclass(frozen=True)
@@ -227,8 +230,9 @@ class PRMember:
     def label(self) -> str:
         return self.box.label
 
-    def cells(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
-        return self.box.cells(x, y)
+    @property
+    def vertex(self) -> tuple[int, ...]:  # its rounds' key: (alpha, beta, delta)
+        return self.box.alpha, self.box.beta, self.box.delta
 
 
 Member = Union[ProductMember, PRMember]
@@ -309,21 +313,11 @@ class NonlocalEnsemble:
         return {k: v for k, v in totals.items() if v != 0}
 
     @functools.cached_property
-    def _round_table(self) -> tuple[tuple[tuple[tuple, ...], ...], ...]:
-        """``[member][index of (x, y) in PAIRS]``: the member's rounds on
-        (x, y), as (x, y, a, b, constituent), one per outcome of its
-        ``cells``, in that order, equally likely.  Built once; the
-        sampler, the audit and the joints after Bob's input read it."""
-        table = []
-        for m in self.members:
-            # the constituent depends on (y, b) alone, not on x
-            after = [[constituent_after_measurement(m, y, b) for b in (0, 1)]
-                     for y in (0, 1)]
-            table.append(tuple(
-                tuple((x, y, a, b, after[y][b]) for a, b in m.cells(x, y))
-                for x, y in PAIRS
-            ))
-        return tuple(table)
+    def _round_table(self) -> tuple[tuple[tuple[_Round, ...], ...], ...]:
+        """``[member][index of (x, y) in PAIRS]``: its vertex's rounds on
+        (x, y), shared by every ensemble over the vertex.  The sampler, the
+        audit and the joints after Bob's input read it."""
+        return tuple(_vertex_rounds(m.vertex) for m in self.members)
 
     @functools.cached_property
     def _joints(self) -> tuple[tuple[_Entry, ...], tuple[_Entry, ...]]:
@@ -342,32 +336,39 @@ class NonlocalEnsemble:
         )
 
 
-# vertex -> its spread; there are 24 vertices
-_SPREADS: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+@functools.cache
+def _vertex_rounds(vertex: tuple[int, ...]) -> tuple[tuple[_Round, ...], ...]:
+    """Per (x, y) of PAIRS, the equally likely rounds (x, y, a, b, c) of the
+    vertex with bits ``vertex`` (ints, quick to hash), c the ``SBOXES`` S box
+    Alice holds once Bob has seen b on y: a product's one outcome and Alice's
+    factor; a PR box's ``cells`` in order, c giving on each x the a paired with b."""
+    if len(vertex) == 3:
+        pr = PRBox(*vertex)
+        def after(y: int, b: int) -> SBox:
+            f0, f1 = (b ^ pr.parity(x, y) for x in (0, 1))
+            return SBOXES[2 * (f0 ^ f1) + f0]  # outputs f0 on x = 0, f1 on 1
+        return tuple(tuple((x, y, a, b, after(y, b)) for a, b in pr.cells(x, y))
+                     for x, y in PAIRS)
+    alice, bob = SBox(*vertex[:2]), SBox(*vertex[2:])
+    return tuple(((x, y, alice.output(x), bob.output(y), SBOXES[alice.index]),)
+                 for x, y in PAIRS)
 
 
-def _spread(member: Member) -> tuple[tuple[int, int], ...]:
-    """(8x + 4y + 2a + b, 2 / n) per outcome (a, b) of the n in ``member.cells(x, y)``,
-    per (x, y) of PAIRS: read once per vertex, so that no loop checks an index."""
-    if isinstance(member, PRMember):
-        key: tuple[int, ...] = (member.box.alpha, member.box.beta, member.box.delta)
-    else:
-        key = (member.alice.alpha, member.alice.beta, member.bob.alpha, member.bob.beta)
-    spread = _SPREADS.get(key)
-    if spread is None:
-        spread = _SPREADS[key] = tuple(
-            (8 * x + 4 * y + 2 * a + b, 2 // len(cells))
-            for x, y in PAIRS for cells in [member.cells(x, y)] for a, b in cells)
-    return spread
+@functools.cache
+def _vertex_spread(vertex: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(8x + 4y + 2a + b, 2 / n) per round of the vertex's n on (x, y), read
+    off its rounds once per vertex, so that no loop checks an index."""
+    return tuple((8 * x + 4 * y + 2 * a + b, 2 // len(rounds))
+                 for rounds in _vertex_rounds(vertex) for x, y, a, b, _ in rounds)
 
 
 def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     """The two-party box realized by the ensemble.
 
     Built from the vertex formula: on every input pair (x, y) each
-    member spreads its weight evenly over the outcomes its ``cells``
-    allow, one for a product and two for a PR member.  The sums are the
-    box's numerators, valid by construction, so no table is checked.
+    member spreads its weight evenly over its vertex's rounds, one for a
+    product and two for a PR member.  The sums are the box's numerators,
+    valid by construction, so no table is checked.
     """
     weights = [m.weight for m in ensemble.members]
     lcm = math.lcm(*[w.denominator for w in weights])
@@ -375,26 +376,19 @@ def mix_nonlocal(ensemble: NonlocalEnsemble) -> BipartiteBox:
     acc = [0] * 16
     for m, w in zip(ensemble.members, weights):
         share = w.numerator * (lcm // w.denominator)
-        for cell, times in _spread(m):
+        for cell, times in _vertex_spread(m.vertex):
             acc[cell] += times * share
     return BipartiteBox._of_numerators(2 * lcm, acc, (2, 2, 2, 2))
 
 
 def constituent_after_measurement(member: Member, y: int, b: int) -> SBox:
-    """Alice's definite S box once Bob has measured ``y`` and seen ``b``.
-
-    For a product member the answer is just Alice's factor.  For a PR
-    member, Alice's output on each x is the ``a`` that the member's
-    ``cells(x, y)`` pair with ``b``.
-    """
+    """Alice's definite S box once Bob has measured ``y`` and seen ``b``:
+    that of the member's round on (0, y) giving b.  A product's one round
+    may give the other b; its constituent, Alice's factor, is the answer."""
     _require_index("y", y, 2)
     _require_index("b", b, 2)
-    if isinstance(member, ProductMember):
-        return member.alice
-    if isinstance(member, PRMember):
-        f0, f1 = (a for x in (0, 1) for a, seen in member.cells(x, y) if seen == b)
-        return SBox(f0 ^ f1, f0)  # outputs beta on x = 0, alpha XOR beta on 1
-    raise ValidationError(f"unknown member type {member!r}")
+    rounds = _vertex_rounds(member.vertex)[y]  # (0, y) is pair y
+    return next((c for *_, seen, c in rounds if seen == b), rounds[0][4])
 
 
 def _reduction(entries: Iterable[_Entry]) -> dict[SBox, Fraction]:

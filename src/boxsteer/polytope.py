@@ -63,7 +63,7 @@ import itertools
 from fractions import Fraction
 
 from .boxes import SBOXES, BipartiteBox, PRBox, SBox, _built, _require_no_signalling
-from .ensembles import NonlocalEnsemble, PRMember, ProductMember, _spread
+from .ensembles import PAIRS, NonlocalEnsemble, PRMember, ProductMember
 from .errors import ValidationError
 
 __all__ = [
@@ -153,11 +153,11 @@ def decompose(box: BipartiteBox) -> NonlocalEnsemble:
     prs, peel = (), [0] * 4
     if half:
         # catalog_prs() is in (alpha, beta, delta) order; delta = 1 iff C < 0
-        prs = (_built(PRMember, weight=Fraction(2 * half, 4 * den),
-                      box=catalog_prs()[4 * alpha + 2 * beta + (chsh < 0)]),)
-        # the PR vertex has uniform marginals, and p(00|xy) = 1/2 where it
-        # spreads to cell (x, y, 0, 0), 4(2x + y); peel is by 2x + y
-        peel = [half if (4 * k, 1) in _spread(prs[0]) else 0 for k in range(4)]
+        pr = catalog_prs()[4 * alpha + 2 * beta + (chsh < 0)]
+        prs = (_built(PRMember, weight=Fraction(2 * half, 4 * den), box=pr),)
+        # the PR vertex has uniform marginals, and p(00|xy) = 1/2 where its
+        # parity on (x, y) is 0; peel is by 2x + y, the order of PAIRS
+        peel = [0 if pr.parity(x, y) else half for x, y in PAIRS]
     # the local remainder, unnormalized, by the numbers that fix it: its
     # mass, p(a_x=0), p(b_y=0) and p(a_x=0, b_y=0)
     t0, t1 = _glued_triangles(

@@ -3,7 +3,7 @@
 Each round the Referee draws a member of the declared ensemble, the
 players draw inputs (x, y) from the input policy, and the round is one
 of the member's equally likely rounds on (x, y) in the ensemble's round
-table: an outcome (a, b) its ``cells`` allow, with the constituent Alice
+table: an outcome (a, b) its vertex allows, with the constituent Alice
 is left in, logged as both the Referee's inference and Alice's actual
 constituent.
 
@@ -47,7 +47,7 @@ from math import lgamma, log
 from operator import add, attrgetter, itemgetter
 
 from .boxes import (
-    SBOXES, SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
+    SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
 )
 from .ensembles import PAIRS, NonlocalEnsemble
 from .errors import ValidationError
@@ -148,10 +148,10 @@ def _cell_blocks(
 def _cells(ensemble: NonlocalEnsemble) -> list[tuple]:
     """The honest cells (m, x, y, a, b, c, c), one per round (x, y, a, b, c)
     of member m in the ensemble's round table, in table order, each cell's
-    id its index.  Each holds c as its ``SBOXES`` instance, the one the
-    NDJSON reader returns, so a read cell matches by identity."""
-    return [(m, x, y, a, b, s, s) for m, rows in enumerate(ensemble._round_table)
-            for outcomes in rows for x, y, a, b, c in outcomes for s in [SBOXES[c.index]]]
+    id its index.  The table holds c as its ``SBOXES`` instance, the one
+    the NDJSON reader returns, so a read cell matches by identity."""
+    return [(m, x, y, a, b, c, c) for m, rows in enumerate(ensemble._round_table)
+            for outcomes in rows for x, y, a, b, c in outcomes]
 
 
 _SETTERS = tuple(getattr(RoundLog, f.name).__set__ for f in fields(RoundLog))

@@ -166,6 +166,25 @@ def random_blind_split(rng: random.Random, ensemble: bx.NonlocalEnsemble) -> bx.
     return bx.NonlocalEnsemble.from_weights(products=products, prs=prs)
 
 
+# coprime denominators of 4,291 digits, each under the int-string limit
+LONG_D1, LONG_D2 = 10**4290 + 1, 10**4290 + 3
+
+
+def long_split() -> bx.NonlocalEnsemble:
+    """A split over the (1/4, 1/2) plan's support with the wrong aggregates:
+    S01xS00 at 1/D1, S01xS01 at 1/D2, S11xS00 at 1/2 - 1/D1 and PR000 at
+    1/2 - 1/D2.  Each weight prints; a sum over both denominators does not."""
+    half = Fraction(1, 2)
+    return bx.NonlocalEnsemble.from_weights(
+        products={
+            ((0, 1), (0, 0)): Fraction(1, LONG_D1),
+            ((0, 1), (0, 1)): Fraction(1, LONG_D2),
+            ((1, 1), (0, 0)): half - Fraction(1, LONG_D1),
+        },
+        prs={(0, 0, 0): half - Fraction(1, LONG_D2)},
+    )
+
+
 def product_box(alice: bx.LocalBox, bob: bx.LocalBox) -> bx.BipartiteBox:
     """Uncorrelated pair: p(ab|xy) = p(a|x) * p(b|y)."""
     return bx.BipartiteBox(tuple(

@@ -13,7 +13,10 @@ from simplex_oracle import solve_nonneg_exact
 from strategies import (
     catalog_boxes,
     condition_on_bob,
+    LONG_D1,
+    LONG_D2,
     interior_targets,
+    long_split,
     nonlocal_ensembles,
     product_only_ensembles,
     random_blind_split,
@@ -291,7 +294,7 @@ class TestAggregatesForced:
 
     @staticmethod
     def closed_form(target):
-        products, prs = aggregates(bx.plan_blind_steering(target))
+        products, prs = aggregates(quiet_plan(target))
         products = [
             (tuple(int(alice == bx.SBox(i, j)) for alice, _ in bx.catalog_products())
              + (0,) * 8, products.get((i, j), F(0)))
@@ -313,10 +316,28 @@ class TestAggregatesForced:
         indicator, g_star = self.closed_form(CANONICAL)[4]  # PR beta=0 total
         assert not aggregates_forced(CANONICAL, [(indicator, g_star + F(1, 24))])
 
+    # the 11 points of the 1/8 grid on the canonical triangle's two closed
+    # edges, s = 0 and t = s; canonical, as the oracle takes the upper
+    # triangle unrelabeled
+    @pytest.mark.parametrize(
+        "s,t", [(0, t) for t in range(8)] + [(s, s) for s in (1, 2, 3)]
+    )
+    def test_forced_on_boundary(self, s, t):
+        # a split is accepted iff it verifies: that the aggregates are
+        # unique there too, and raising any of them by 1/24 is refuted,
+        # so the feasible set is not empty
+        target = bx.TargetState(F(s, 8), F(t, 8))
+        assert target.on_boundary
+        closed_form = self.closed_form(target)
+        assert aggregates_forced(target, closed_form)
+        for indicator, g_star in closed_form:
+            assert not aggregates_forced(target, [(indicator, g_star + F(1, 24))])
+
 
 class TestBuildEnsemble:
     """The plan's ensemble: the canonical split by default, or a caller's
-    split accepted as it is when its aggregates match."""
+    split accepted as it is iff it verifies, which is iff its aggregates
+    match (``TestAggregatesForced``)."""
 
     def test_canonical_split(self):
         ensemble = bx.plan_blind_steering(CANONICAL).ensemble
@@ -343,9 +364,11 @@ class TestBuildEnsemble:
         )
         with pytest.raises(bx.ValidationError) as raised:
             bx.plan_blind_steering(CANONICAL, wrong)
+        # the three failed checks' witnesses, clipped to 190 bytes
         assert str(raised.value) == (
-            "split product aggregates {S01: 1/2} do not match required "
-            "{S01: 1/4, S11: 1/4}"
+            "split rejected: Bob input 0 prepares 3/4*S01 + 1/4*S00, "
+            "expected 1/4*S00 + 1/2*S01 + 1/4*S11; Bob input 1 prepares "
+            "1/2*S01 + 1/4*S10 + 1/4*S11, expected 1/4*S01 + 1/4*S10.../4, t=1/2)"
         )
 
     def test_beta1_pr_split_rejected(self):
@@ -355,9 +378,34 @@ class TestBuildEnsemble:
         )
         with pytest.raises(bx.ValidationError) as raised:
             bx.plan_blind_steering(CANONICAL, wrong)
+        # its marginal is the target's, so only the two reductions fail
         assert str(raised.value) == (
-            "split PR aggregates {beta=1: 1/2} do not match required {beta=0: 1/2}"
+            "split rejected: Bob input 0 prepares 1/4*S01 + 1/2*S11 + 1/4*S10, "
+            "expected 1/4*S00 + 1/2*S01 + 1/4*S11; Bob input 1 prepares "
+            "1/2*S01 + 1/4*S11 + 1/4*S00, expected 1/4*S01 + 1/4*S10 + 1/2*S11"
         )
+
+    def test_split_past_int_string_limit(self):
+        # the reductions' and the marginal's sums over both denominators
+        # are too long to print, and are named so
+        split = long_split()
+        report = bx.verify_blind_steering(split, CANONICAL)
+        tail = F(1, 2 * LONG_D2)
+        assert [c.witness for c in report.checks] == [
+            f"Bob input 0 prepares (too long to print)*S01 + {HALF - F(1, LONG_D1)}*S11 "
+            f"+ {QUARTER - tail}*S00, expected 1/4*S00 + 1/2*S01 + 1/4*S11",
+            "Bob input 1 prepares (too long to print)*S01 + (too long to print)*S11 "
+            f"+ {QUARTER - tail}*S10, expected 1/4*S01 + 1/4*S10 + 1/2*S11",
+            f"mixture marginal is (({QUARTER - tail}, {F(3, 4) + tail}), "
+            "((too long to print), (too long to print))), expected (s=1/4, t=1/2)",
+        ]
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.plan_blind_steering(CANONICAL, split)
+        message = str(raised.value)
+        assert message.startswith(
+            "split rejected: Bob input 0 prepares (too long to print)*S01 + 9999"
+        )
+        assert message.endswith(".../4, t=1/2)") and len(message.encode()) == 183
 
 
 class TestVerifyBlindSteering:
@@ -545,11 +593,11 @@ class TestClosedFormOracles:
         if marginal == target_box(target):
             expected = bx.CheckResult("alice_marginal", True)
         else:
+            rows = ", ".join(f"({p0}, {p1})" for p0, p1 in marginal.table)
             expected = bx.CheckResult(
                 "alice_marginal",
                 False,
-                f"mixture marginal is {marginal.table}, expected "
-                f"(s={target.s}, t={target.t})",
+                f"mixture marginal is ({rows}), expected (s={target.s}, t={target.t})",
             )
         report = bx.verify_blind_steering(ensemble, target)
         assert report.check("alice_marginal") == expected

@@ -9,7 +9,7 @@ import pytest
 
 import boxsteer as bx
 from boxsteer import cli, serialize
-from strategies import mutated, pr_bipartite_box, product_box
+from strategies import long_split, mutated, pr_bipartite_box, product_box
 
 CANONICAL_ENSEMBLE_DOC = {
     "products": [
@@ -181,6 +181,18 @@ class TestBlind:
         path = write(tmp_path / "split.json", split)
         result = run_cli("blind", "1/4", "1/2", "--split", path)
         assert result.returncode == 2
+
+    def test_split_past_int_string_limit(self, tmp_path):
+        # the wrong aggregates' witnesses name the sums too long to print,
+        # and the message is clipped to one line
+        split = serialize.nonlocal_ensemble_to_json(long_split())
+        result = run_cli("blind", "1/4", "1/2", "--split", write(tmp_path / "split.json", split))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            "error: split rejected: Bob input 0 prepares (too long to print)*S01 + "
+        )
+        assert result.stderr.endswith(".../4, t=1/2)\n")
+        assert len(result.stderr.encode()) <= 200
 
     def test_bad_rational_argument(self):
         result = run_cli("blind", "abc", "1/2")
@@ -360,6 +372,36 @@ def test_unprintable_sum_is_bad_input(tmp_path, command):
     result = run_cli(command, long_box_path(tmp_path, signalling=False))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: entries for (x=0, y=0) sum to below 1, expected 1\n"
+
+
+LONG = "1/" + "3" * 300  # readable, but a total with it has about 600 digits
+
+
+@pytest.mark.parametrize(
+    "argv,doc,stderr",
+    [
+        (
+            ["check"],
+            {"X": 2, "Y": 2, "A": 2, "B": 2,
+             "table": [[LONG, "1/4", "1/4", "1/4"]] + [["1/4"] * 4] * 3},
+            "error: entries for (x=0, y=0) sum to "
+            "1000000000000000000000000000000000000000...3333333332, expected 1\n",
+        ),
+        (
+            ["blind", "1/4", "1/2", "--split"],
+            {"products": [{"w": "1/4", "ij": [0, 1], "kl": [0, 0]}],
+             "prs": [{"w": LONG, "abd": [0, 0, 0]}]},
+            "error: member weights sum to "
+            "3333333333333333333333333333333333333333...3333333332, expected 1\n",
+        ),
+    ],
+    ids=["box", "split"],
+)
+def test_long_total_clipped(tmp_path, argv, doc, stderr):
+    # the total is clipped to 60 bytes, so the error line is short
+    result = run_cli(*argv, write(tmp_path / "doc.json", doc))
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", stderr)
+    assert len(result.stderr.encode()) <= 200
 
 
 def test_unprintable_marginals_named_by_side(tmp_path):

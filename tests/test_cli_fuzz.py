@@ -4,7 +4,8 @@ Valid documents for ``steer``, ``verify``, ``check``, ``decompose``,
 ``blind --split``, ``simulate`` and ``audit`` are mutated one way each:
 a key dropped, duplicated with a retyped value, or a value (or the
 whole document) replaced by another JSON type, a number or bool where a
-rational or a bit belongs, a huge literal or deep nesting; or the file
+rational or a bit belongs, a huge literal, a long readable rational or
+deep nesting; or the file
 is emptied, given a byte-order mark or a non-UTF-8 byte, or replaced by
 a directory.  Whatever the input, ``cli.main`` returns 0, 2, 3 or 5
 without raising; bad input (2) is one short ``error:`` line; and every
@@ -39,6 +40,7 @@ REPLACEMENTS = [
     "true", "false", "null", "[]", "{}", "[0, 1]", '{"w": "1"}',
     '"1/2"', '"0"', '"-1/4"', '"1/0"', '" 1/2"', '"S01"', '"PR000"', '""',
     "1" * 5000, "9" * 4300, str(10**2999), '"1e5000"', '"1/' + "3" * 5000 + '"',
+    '"1/' + "3" * 300 + '"',
     '"' + "S" * 5000 + '"', "[" * 600 + "]" * 600, "[" * 900 + "]" * 900,
     "[" * 5000 + "]" * 5000, '"' + "😀" * 300 + '"', '"' + "é" * 300 + '"',
 ]

@@ -222,19 +222,19 @@ class TestVertexCells:
         "ensemble", catalog_ensembles(), ids=lambda e: e.members[0].label
     )
     def test_cells_row_and_mix_match_written_table(self, ensemble):
-        # every reader of ``cells`` against the table written in the
-        # tests, on all four (x, y): the round table's row on (x, y)
-        # holds the outcomes the table allows, each with Alice's
-        # conditional box as its constituent
+        # the vertex's rounds and every reader of them against the table
+        # written in the tests, on all four (x, y): the round table's row
+        # on (x, y) holds the outcomes the table allows, in (a, b) order,
+        # each with Alice's conditional box as its constituent
         member = ensemble.members[0]
         box = member_box(member)
         table = box.table
         mixed = bx.mix_nonlocal(ensemble)
         pairs = list(itertools.product(BITS, BITS))
         (rows,) = ensemble._round_table
+        assert rows is bx.ensembles._vertex_rounds(member.vertex)
         for (x, y), row in zip(pairs, rows):
             allowed = tuple((a, b) for a, b in pairs if table[x][y][a][b])
-            assert member.cells(x, y) == allowed
             assert [entry[:4] for entry in row] == [(x, y, a, b) for a, b in allowed]
             for _, _, _, b, constituent in row:
                 assert constituent.as_local_box() == condition_on_bob(box, y, b)
@@ -344,6 +344,21 @@ class TestJointAfterInput:
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         assert e._round_table is e._round_table
         assert e._joints is e._joints
+
+    def test_ensembles_sharing_a_vertex_share_its_rounds(self):
+        # a vertex's rounds are worked out once, whatever the weights, the
+        # member's position or the S box instances that name the vertex
+        first = bx.NonlocalEnsemble.from_weights(
+            products={((0, 1), (0, 0)): F(1, 4)}, prs={(0, 0, 0): F(3, 4)}
+        )
+        second = bx.NonlocalEnsemble(
+            (bx.ProductMember(F(1, 3), bx.SBox(1, 1), bx.SBox(0, 1)),
+             bx.ProductMember(F(1, 3), bx.SBox(0, 1), bx.SBox(0, 0))),
+            (bx.PRMember(F(1, 3), bx.PRBox(0, 0, 0)),),
+        )
+        assert first._round_table[0] is second._round_table[1]  # S01xS00
+        assert first._round_table[1] is second._round_table[2]  # PR000
+        assert first._round_table[0] is not second._round_table[0]
 
 
 class TestPosteriorAliceEnsemble:
