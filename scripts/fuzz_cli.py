@@ -5,8 +5,9 @@
 
 Runs the contract of ``tests/test_cli_fuzz.py`` on ``--examples``
 mutated inputs drawn from ``--seed``, where the test runs a fixed 800:
-``cli.main`` returns 0, 2, 3 or 5 without raising, bad input is one
-``error:`` line of at most 200 bytes, and stdout is strict JSON.  The
+``cli.main`` returns 0, 2, 3 or 5 without raising, bad input is an
+``error:`` line, stderr holds only ``error:`` lines of at most 200 bytes
+whatever the exit code, and stdout is strict JSON.  The
 inputs come from the mutation helpers in ``tests/strategies.py``.  On
 success it prints how many runs of each subcommand ended with each exit
 code; a broken contract is reported with its shrunk example, and the

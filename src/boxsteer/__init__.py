@@ -74,7 +74,7 @@ from .steering import (
     verify_steering_state,
 )
 
-__version__ = "0.8.1"
+__version__ = "0.8.2"
 
 __all__ = [
     "AuditVerdict",

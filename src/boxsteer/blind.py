@@ -60,7 +60,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import SBOXES, PRBox, SBox, _clipped, _require_index, as_prob
+from .boxes import SBOXES, PRBox, SBox, _clipped, _require_index, _shown, as_prob
 from .ensembles import (
     Ensemble,
     NonlocalEnsemble,
@@ -95,11 +95,6 @@ class TargetState:
     @property
     def in_canonical_region(self) -> bool:
         return self.t >= self.s and self.s + self.t < 1
-
-    @property
-    def is_interior(self) -> bool:
-        """Strictly inside the canonical triangle (all constructed weights positive)."""
-        return self.s > 0 and self.t > self.s and self.s + self.t < 1
 
     @property
     def on_boundary(self) -> bool:
@@ -154,7 +149,7 @@ def canonicalize(target: TargetState) -> tuple[TargetState, Relabeling]:
     s, t = target.s, target.t
     if s + t == 1:
         raise RegionError(
-            f"target (s={s}, t={t}) lies on a diagonal of the local square; "
+            f"target (s={_shown(s)}, t={_shown(t)}) lies on a diagonal of the local square; "
             "no pair of decomposition triangles exists there"
         )
     if s + t < 1:
@@ -240,13 +235,12 @@ def _verify(
     if marginal == ((s, 1 - s), (t, 1 - t)):
         checks.append(CheckResult("alice_marginal", True))
     else:
-        rows = ", ".join(f"({_shown_weight(p0)}, {_shown_weight(p1)})" for p0, p1 in marginal)
+        rows = ", ".join(f"({_shown(p0)}, {_shown(p1)})" for p0, p1 in marginal)
         checks.append(
             CheckResult(
                 "alice_marginal",
                 False,
-                f"mixture marginal is ({rows}), expected "
-                f"(s={_shown_weight(s)}, t={_shown_weight(t)})",
+                f"mixture marginal is ({rows}), expected (s={_shown(s)}, t={_shown(t)})",
             )
         )
 
@@ -297,15 +291,7 @@ def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
 
 
 def _describe(weights: dict[SBox, Fraction]) -> str:
-    return " + ".join(f"{_shown_weight(w)}*{sbox.label}" for sbox, w in weights.items())
-
-
-def _shown_weight(w: Fraction) -> str:
-    """``w`` as ``1/4``; past the int-string limit, named as ``steering._shown_rows`` does."""
-    try:
-        return str(w)
-    except ValueError:
-        return "(too long to print)"
+    return " + ".join(f"{_shown(w)}*{sbox.label}" for sbox, w in weights.items())
 
 
 def bob_posterior(
@@ -359,12 +345,12 @@ def plan_blind_steering(
     own coordinates, is used as it is if it verifies: that is, iff its
     aggregates equal the closed form's, the only ones whose reductions
     are the target's triangles.  Otherwise a :class:`ValidationError`
-    names the failed checks' witnesses, clipped to one line.
+    names the failed checks, then their witnesses, clipped to 190 bytes.
     """
     canonical_target, relabeling = canonicalize(target)
     if canonical_target.on_boundary:
         warnings.warn(
-            f"target (s={target.s}, t={target.t}) sits on the triangle "
+            f"target (s={_shown(target.s)}, t={_shown(target.t)}) sits on the triangle "
             "boundary: construction degenerates and blindness may fail",
             DegenerateRegionWarning,
             stacklevel=2,
@@ -385,6 +371,8 @@ def plan_blind_steering(
         )
     report = _verify(split, target, canonical_target, relabeling)
     if not report.passed:  # only a caller's split: the tests verify the closed form
-        failed = "; ".join(check.witness for check in report.checks if not check.passed)
-        raise ValidationError(_clipped(f"split rejected: {failed}", 190))
+        failed = [check for check in report.checks if not check.passed]
+        names = ", ".join(check.name for check in failed)
+        witnesses = "; ".join(check.witness for check in failed)
+        raise ValidationError(_clipped(f"split rejected ({names}): {witnesses}", 190))
     return BlindSteeringPlan(split, report)

@@ -14,6 +14,8 @@ denominators sum to that lcm.  A :class:`BipartiteBox` is integers over
 one denominator D: its state, which equality and hashing compare and the
 no-signalling scan and the marginals add, building a ``Fraction`` only
 to print one.  A box computed from valid data (a remix) skips the checks.
+Every exact value a message or a witness prints, here or in any module,
+goes through :func:`_shown`, so none is longer than 60 bytes.
 
 Special families used throughout the package:
 
@@ -61,32 +63,26 @@ def as_prob(value: Fraction | int | str) -> Fraction:
     else:
         raise ValidationError(f"cannot interpret {_quoted(value)} as a probability")
     if not 0 <= frac.numerator <= frac.denominator:
-        # str() raises on a numerator or denominator past the int-string
-        # limit, so a long value is named by its side of the interval
-        if max(abs(frac.numerator), frac.denominator).bit_length() > 128:
-            side = "below 0" if frac < 0 else "above 1"
-            raise ValidationError(f"probability {side}, outside [0, 1]")
-        raise ValidationError(f"probability {frac} outside [0, 1]")
+        raise ValidationError(f"probability {_shown(frac)} outside [0, 1]")
     return frac
 
 
-def _shown(value: Fraction, reference: Fraction, name: str) -> str:
-    """``value`` for a message; past the int-string limit, its side of
-    ``reference``, which the message calls ``name``."""
+def _shown(value: object) -> str:
+    """An exact value for a message or a witness: ``str(value)``, such as
+    ``1/4``, clipped to its ends past 60 bytes; past the int-string limit,
+    where ``str`` raises, ``(too long to print)``."""
     try:
-        return str(value)
+        return _clipped(str(value), 60)
     except ValueError:
-        return f"{'below' if value < reference else 'above'} {name}"
+        return "(too long to print)"
 
 
 def _sums_to_one(probs: tuple[Fraction, ...] | list[Fraction], what: str) -> None:
     """Exact normalization on integers: the numerators over the lcm of the
-    denominators must sum to that lcm; if not, ``what`` names the total,
-    clipped to 60 bytes, the longest total a pinned message prints."""
+    denominators must sum to that lcm; if not, ``what`` names the total."""
     den = math.lcm(*(p.denominator for p in probs))
     if sum(p.numerator * (den // p.denominator) for p in probs) != den:
-        total = _clipped(_shown(sum(probs, Fraction(0)), Fraction(1), "1"), 60)
-        raise ValidationError(f"{what} {total}, expected 1")
+        raise ValidationError(f"{what} {_shown(sum(probs, Fraction(0)))}, expected 1")
 
 
 def _clipped(text: str, width: int = 40) -> str:
@@ -411,12 +407,8 @@ class PRBox:
 
 
 def _marginals(name: str, sums: Sequence[int], den: int) -> str:
-    """``name=k: p`` per input k, for marginals ``sums`` over ``den``; one
-    too long to print is named by its side of the first that differs."""
-    def shown(s: int) -> str:
-        j = next(j for j, other in enumerate(sums) if other != s)
-        return _shown(Fraction(s, den), Fraction(sums[j], den), f"{name}={j}'s")
-    return ", ".join(f"{name}={k}: {shown(s)}" for k, s in enumerate(sums))
+    """``name=k: p`` per input k, for marginals ``sums`` over ``den``."""
+    return ", ".join(f"{name}={k}: {_shown(Fraction(s, den))}" for k, s in enumerate(sums))
 
 
 def _no_signalling_scan(box: BipartiteBox) -> tuple[str, ...]:

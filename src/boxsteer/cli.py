@@ -73,6 +73,12 @@ EXIT_REGION = 3
 EXIT_CHECKS_FAILED = 5
 
 
+def _say(kind: str, message: object) -> None:
+    """One ``kind: message`` line on stderr, of at most 200 bytes with its
+    newline: a longer one keeps its ends."""
+    print(_clipped(f"{kind}: {message}", 199), file=sys.stderr)
+
+
 def _named(path: str | Path, exc: Exception) -> str:
     """``path`` once, clipped, and what went wrong with it: an OSError's
     text names the path in full, so its ``strerror`` stands in for it."""
@@ -162,7 +168,7 @@ def cmd_blind(args: argparse.Namespace) -> int:
         warnings.simplefilter("always", DegenerateRegionWarning)
         plan = plan_blind_steering(target, split)
     for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
+        _say("warning", item.message)
     report_doc = blind_report_to_json(plan.report)
     report_doc["degenerate"] = bool(caught)
     _emit(
@@ -244,10 +250,8 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors, its subcommands' too, are bad input; --help still exits 0."""
 
     def error(self, message: str) -> NoReturn:
-        # argparse puts an argv value in whole: clip each as other messages
-        # do, and the message to one error line of at most 200 bytes
-        clipped = _ARGV_VALUE.sub(lambda m: _clipped(m[0]), message)
-        raise ValidationError(_clipped(clipped, 190))
+        # argparse puts an argv value in whole: clip each as other messages do
+        raise ValidationError(_ARGV_VALUE.sub(lambda m: _clipped(m[0]), message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except BoxWorldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say("error", exc)
         return EXIT_REGION if isinstance(exc, RegionError) else EXIT_VALIDATION
 
 

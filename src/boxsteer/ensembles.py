@@ -103,7 +103,7 @@ class Ensemble:
                     "ensemble members must be (weight, box) pairs"
                 ) from exc
             if not isinstance(box, LocalBox):
-                raise ValidationError(f"ensemble member {box!r} is not a LocalBox")
+                raise ValidationError(f"ensemble member {_quoted(box)} is not a LocalBox")
             pairs.append((as_prob(weight), box))
         if not pairs:
             raise ValidationError("ensemble needs at least one member")
@@ -296,21 +296,6 @@ class NonlocalEnsemble:
         members = self.members
         _require_index("member_id", member_id, len(members))
         return members[member_id]
-
-    def product_totals(self) -> dict[tuple[int, int], Fraction]:
-        """Aggregate product weight per Alice factor (alpha, beta)."""
-        totals: dict[tuple[int, int], Fraction] = {}
-        for m in self.products:
-            key = (m.alice.alpha, m.alice.beta)
-            totals[key] = totals.get(key, Fraction(0)) + m.weight
-        return {k: v for k, v in totals.items() if v != 0}
-
-    def pr_totals(self) -> dict[int, Fraction]:
-        """Aggregate PR weight per beta parameter."""
-        totals: dict[int, Fraction] = {}
-        for m in self.prs:
-            totals[m.box.beta] = totals.get(m.box.beta, Fraction(0)) + m.weight
-        return {k: v for k, v in totals.items() if v != 0}
 
     @functools.cached_property
     def _round_table(self) -> tuple[tuple[tuple[_Round, ...], ...], ...]:

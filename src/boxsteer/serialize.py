@@ -200,10 +200,6 @@ def nonlocal_ensemble_from_json(obj: Any) -> NonlocalEnsemble:
     return NonlocalEnsemble(products, prs)
 
 
-def sbox_to_json(sbox: SBox) -> str:
-    return sbox.label
-
-
 _SBOXES = {sbox.label: sbox for sbox in SBOXES}
 
 

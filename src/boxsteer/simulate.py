@@ -47,7 +47,8 @@ from math import lgamma, log
 from operator import add, attrgetter, itemgetter
 
 from .boxes import (
-    SBox, _is_index, _quoted, _require_index, _require_natural, _sums_to_one, as_prob,
+    SBox, _is_index, _quoted, _require_index, _require_natural, _shown, _sums_to_one,
+    as_prob,
 )
 from .ensembles import PAIRS, NonlocalEnsemble
 from .errors import ValidationError
@@ -63,7 +64,10 @@ class InputPolicy:
     table: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        table = tuple(tuple(as_prob(p) for p in row) for row in self.table)
+        try:
+            table = tuple(tuple(as_prob(p) for p in row) for row in self.table)
+        except TypeError as exc:
+            raise ValidationError("input policy must be a 2x2 table") from exc
         if len(table) != 2 or any(len(row) != 2 for row in table):
             raise ValidationError("input policy must be a 2x2 table")
         _sums_to_one([p for row in table for p in row], "input policy sums to")
@@ -133,9 +137,9 @@ def _cell_blocks(
     """The rounds of a seeded run as (first round id, ids into
     ``_cells(ensemble)``) blocks, after the arguments are checked."""
     if not _is_index(rounds):
-        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
+        raise ValidationError(f"rounds must be an integer, got {_quoted(rounds)}")
     if rounds < 1:
-        raise ValidationError(f"rounds must be positive, got {rounds}")
+        raise ValidationError(f"rounds must be positive, got {_shown(rounds)}")
     _require_natural("seed", seed)
 
     from . import _stream  # numpy loads only when rounds are drawn

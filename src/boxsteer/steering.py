@@ -17,7 +17,8 @@ tells him exactly which constituent Alice holds.
 and :func:`verify_steering_state` runs the three proof obligations
 behind it, one ``check_*`` function each.  The conditioning check
 compares the box with the formula entry by entry, so it needs no
-no-signalling precondition and builds no conditional box.
+no-signalling precondition and builds no conditional box.  A witness
+prints tables as rows such as ``((1/2, 1/2), (1, 0))``, clipped.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Sequence
 
 from .boxes import (
     BipartiteBox,
-    LocalBox,
     _clipped,
+    _shown,
     bob_outcome_distribution,
     deterministic_table,
     no_signalling_violations,
@@ -114,13 +115,10 @@ def steered_ensemble(state: SteeringState, y: int) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def _shown_rows(box: LocalBox) -> str:
-    """The rows p(a|x) of ``box`` for a message, as ``((1/2, 1/2), ...)``
-    clipped; rows with an entry too long to print, by their shape."""
-    try:
-        text = ", ".join("(" + ", ".join(map(str, row)) + ")" for row in box.table)
-    except ValueError:  # a numerator or denominator past the int-string limit
-        return f"a {box.num_inputs}x{box.num_outputs} table too long to print"
+def _shown_rows(table: Sequence[Sequence[Fraction]]) -> str:
+    """Rows p(a|x) for a message, as ``((1/2, 1/2), ...)``, each entry as
+    :func:`boxes._shown` prints it, the whole clipped past 40 bytes."""
+    text = ", ".join("(" + ", ".join(map(_shown, row)) + ")" for row in table)
     return _clipped(f"({text})")
 
 
@@ -134,8 +132,8 @@ def check_common_mixture(ensembles: Sequence[Ensemble]) -> CheckResult:
             return CheckResult(
                 "mixture_consistency",
                 False,
-                f"ensemble {position} mixes to {_shown_rows(other)}, "
-                f"expected {_shown_rows(common)}",
+                f"ensemble {position} mixes to {_shown_rows(other.table)}, "
+                f"expected {_shown_rows(common.table)}",
             )
     return CheckResult("mixture_consistency", True)
 
@@ -163,7 +161,7 @@ def check_conditioning(state: SteeringState) -> CheckResult:
                 return CheckResult(
                     "conditioning",
                     False,
-                    f"p(b={b}|y={y}) = {observed}, expected weight {weight}",
+                    f"p(b={b}|y={y}) = {_shown(observed)}, expected weight {_shown(weight)}",
                 )
             if weight > 0 and not (
                 (ensemble.num_inputs, ensemble.num_outputs) == (X, A)
@@ -181,8 +179,8 @@ def check_conditioning(state: SteeringState) -> CheckResult:
                 return CheckResult(
                     "conditioning",
                     False,
-                    f"conditional at (y={y}, b={b}) is {conditional}, "
-                    f"expected constituent {constituent}",
+                    f"conditional at (y={y}, b={b}) is {_shown_rows(conditional)}, "
+                    f"expected constituent {_shown_rows(constituent)}",
                 )
     return CheckResult("conditioning", True)
 

@@ -151,13 +151,13 @@ def random_blind_split(rng: random.Random, ensemble: bx.NonlocalEnsemble) -> bx.
     each Alice factor's product weight spread over the four Bob factors,
     the PR weight over the four beta=0 PR boxes."""
     products = {}
-    for (i, j), total in ensemble.product_totals().items():
+    for (i, j), total in product_totals(ensemble).items():
         shares = random_weights(rng, 4)
         for (k, l), share in zip(itertools.product(BITS, BITS), shares):
             if share != 0:
                 products[((i, j), (k, l))] = total * share
     prs = {}
-    pr_weight = ensemble.pr_totals().get(0, Fraction(0))
+    pr_weight = pr_totals(ensemble).get(0, Fraction(0))
     if pr_weight != 0:
         shares = random_weights(rng, 4)
         for (alpha, delta), share in zip(itertools.product(BITS, BITS), shares):
@@ -404,19 +404,46 @@ def round_log_to_json(log: bx.RoundLog) -> dict:
     }
 
 
+def sbox_to_json(sbox: bx.SBox) -> str:
+    """An S box as the log and split documents write it: its label."""
+    return sbox.label
+
+
+def product_totals(ensemble: bx.NonlocalEnsemble) -> dict[tuple[int, int], Fraction]:
+    """Aggregate product weight per Alice factor (alpha, beta), zero totals
+    left out."""
+    totals: dict[tuple[int, int], Fraction] = {}
+    for m in ensemble.products:
+        key = (m.alice.alpha, m.alice.beta)
+        totals[key] = totals.get(key, Fraction(0)) + m.weight
+    return {k: v for k, v in totals.items() if v != 0}
+
+
+def pr_totals(ensemble: bx.NonlocalEnsemble) -> dict[int, Fraction]:
+    """Aggregate PR weight per beta parameter, zero totals left out."""
+    totals: dict[int, Fraction] = {}
+    for m in ensemble.prs:
+        totals[m.box.beta] = totals.get(m.box.beta, Fraction(0)) + m.weight
+    return {k: v for k, v in totals.items() if v != 0}
+
+
+def is_interior(target: bx.TargetState) -> bool:
+    """Strictly inside the canonical triangle (all constructed weights positive)."""
+    return target.s > 0 and target.t > target.s and target.s + target.t < 1
+
+
 def closed_form_reduction(
     ensemble: bx.NonlocalEnsemble, y: int
 ) -> dict[bx.SBox, Fraction]:
     """Alice's reduction computed from aggregates only: the S_ij weight
     is (product total on (i,j)) + half the PR total with beta = i XOR y."""
-    product_totals = ensemble.product_totals()
-    pr_totals = ensemble.pr_totals()
+    products, prs = product_totals(ensemble), pr_totals(ensemble)
     out = {}
     for i in BITS:
         for j in BITS:
             w = (
-                product_totals.get((i, j), Fraction(0))
-                + pr_totals.get(i ^ y, Fraction(0)) / 2
+                products.get((i, j), Fraction(0))
+                + prs.get(i ^ y, Fraction(0)) / 2
             )
             if w != 0:
                 out[bx.SBox(i, j)] = w

@@ -15,6 +15,8 @@ from strategies import (
     chsh_values,
     ensembles_equal,
     pr_bipartite_box,
+    pr_totals,
+    product_totals,
     random_blind_split,
     random_nonlocal_ensemble,
     random_same_mixture_case,
@@ -86,8 +88,8 @@ def test_criterion_3_blind_grid():
         s, t = target.s, target.t
         plan = bx.plan_blind_steering(target)
         # the closed-form aggregates; no S00 or S10 product, no beta=1 PR
-        assert plan.ensemble.pr_totals() == {0: 2 * s}
-        assert plan.ensemble.product_totals() == {(0, 1): 1 - s - t, (1, 1): t - s}
+        assert pr_totals(plan.ensemble) == {0: 2 * s}
+        assert product_totals(plan.ensemble) == {(0, 1): 1 - s - t, (1, 1): t - s}
         assert plan.report.passed
         for y, b in itertools.product(BITS, BITS):
             assert len(bx.bob_posterior(plan.ensemble, y, b)) >= 2

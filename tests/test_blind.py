@@ -13,12 +13,13 @@ from simplex_oracle import solve_nonneg_exact
 from strategies import (
     catalog_boxes,
     condition_on_bob,
-    LONG_D1,
-    LONG_D2,
     interior_targets,
+    is_interior,
     long_split,
     nonlocal_ensembles,
+    pr_totals,
     product_only_ensembles,
+    product_totals,
     random_blind_split,
     realizes,
     refuse_boxes,
@@ -41,7 +42,7 @@ def weights_of(ensemble):
 class TestTargetState:
     def test_region_predicates(self):
         assert CANONICAL.in_canonical_region
-        assert CANONICAL.is_interior
+        assert is_interior(CANONICAL)
         assert not CANONICAL.on_boundary
         edge = bx.TargetState(F(0), HALF)
         assert edge.in_canonical_region and edge.on_boundary
@@ -194,7 +195,7 @@ class TestTriangles:
 def aggregates(plan):
     """(product weight per Alice S box, PR weight per beta) of a plan's
     ensemble, zero totals left out."""
-    return plan.ensemble.product_totals(), plan.ensemble.pr_totals()
+    return product_totals(plan.ensemble), pr_totals(plan.ensemble)
 
 
 class TestSolveConstraints:
@@ -364,11 +365,11 @@ class TestBuildEnsemble:
         )
         with pytest.raises(bx.ValidationError) as raised:
             bx.plan_blind_steering(CANONICAL, wrong)
-        # the three failed checks' witnesses, clipped to 190 bytes
+        # the three failed checks' names, then their witnesses, clipped to 190 bytes
         assert str(raised.value) == (
-            "split rejected: Bob input 0 prepares 3/4*S01 + 1/4*S00, "
-            "expected 1/4*S00 + 1/2*S01 + 1/4*S11; Bob input 1 prepares "
-            "1/2*S01 + 1/4*S10 + 1/4*S11, expected 1/4*S01 + 1/4*S10.../4, t=1/2)"
+            "split rejected (reduction_y0, reduction_y1, alice_marginal): Bob input 0 "
+            "prepares 3/4*S01 + 1/4*S00, expected 1/4*S00 + 1/2*S01 + 1/4*S11; "
+            "Bob input 1 prepares 1/2*S01 + .../4, t=1/2)"
         )
 
     def test_beta1_pr_split_rejected(self):
@@ -380,32 +381,35 @@ class TestBuildEnsemble:
             bx.plan_blind_steering(CANONICAL, wrong)
         # its marginal is the target's, so only the two reductions fail
         assert str(raised.value) == (
-            "split rejected: Bob input 0 prepares 1/4*S01 + 1/2*S11 + 1/4*S10, "
-            "expected 1/4*S00 + 1/2*S01 + 1/4*S11; Bob input 1 prepares "
-            "1/2*S01 + 1/4*S11 + 1/4*S00, expected 1/4*S01 + 1/4*S10 + 1/2*S11"
+            "split rejected (reduction_y0, reduction_y1): Bob input 0 prepares "
+            "1/4*S01 + 1/2*S11 + 1/4*S10, expected 1/4*S00 + 1/2*S01 + 1/4*S11; "
+            "Bob input 1 prepares 1/2*S01 + 1/4*S1... + 1/2*S11"
         )
 
     def test_split_past_int_string_limit(self):
         # the reductions' and the marginal's sums over both denominators
-        # are too long to print, and are named so
+        # are too long to print, and are named so; a weight of 4,291-digit
+        # terms keeps its ends, 40 and 10 bytes
         split = long_split()
         report = bx.verify_blind_steering(split, CANONICAL)
-        tail = F(1, 2 * LONG_D2)
+        # 1/2 - 1/d1, 1/4 - 1/(2 d2) and 3/4 + 1/(2 d2), by their ends
+        half, quarter = "9" * 40 + "...0000000002", "1" + "0" * 39 + "...0000000012"
+        three_quarters = "3" + "0" * 39 + "...0000000012"
         assert [c.witness for c in report.checks] == [
-            f"Bob input 0 prepares (too long to print)*S01 + {HALF - F(1, LONG_D1)}*S11 "
-            f"+ {QUARTER - tail}*S00, expected 1/4*S00 + 1/2*S01 + 1/4*S11",
+            f"Bob input 0 prepares (too long to print)*S01 + {half}*S11 "
+            f"+ {quarter}*S00, expected 1/4*S00 + 1/2*S01 + 1/4*S11",
             "Bob input 1 prepares (too long to print)*S01 + (too long to print)*S11 "
-            f"+ {QUARTER - tail}*S10, expected 1/4*S01 + 1/4*S10 + 1/2*S11",
-            f"mixture marginal is (({QUARTER - tail}, {F(3, 4) + tail}), "
+            f"+ {quarter}*S10, expected 1/4*S01 + 1/4*S10 + 1/2*S11",
+            f"mixture marginal is (({quarter}, {three_quarters}), "
             "((too long to print), (too long to print))), expected (s=1/4, t=1/2)",
         ]
         with pytest.raises(bx.ValidationError) as raised:
             bx.plan_blind_steering(CANONICAL, split)
-        message = str(raised.value)
-        assert message.startswith(
-            "split rejected: Bob input 0 prepares (too long to print)*S01 + 9999"
+        # every failed check is named, however long its witness
+        assert str(raised.value) == (
+            "split rejected (reduction_y0, reduction_y1, alice_marginal): Bob input 0 "
+            f"prepares (too long to print)*S01 + {half}*S11 + 10.../4, t=1/2)"
         )
-        assert message.endswith(".../4, t=1/2)") and len(message.encode()) == 183
 
 
 class TestVerifyBlindSteering:

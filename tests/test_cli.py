@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.8.1 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.8.2 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -184,14 +184,14 @@ class TestBlind:
 
     def test_split_past_int_string_limit(self, tmp_path):
         # the wrong aggregates' witnesses name the sums too long to print,
-        # and the message is clipped to one line
+        # and the message, its failed checks first, is clipped to one line
         split = serialize.nonlocal_ensemble_to_json(long_split())
         result = run_cli("blind", "1/4", "1/2", "--split", write(tmp_path / "split.json", split))
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith(
-            "error: split rejected: Bob input 0 prepares (too long to print)*S01 + "
+        assert result.stderr == (
+            "error: split rejected (reduction_y0, reduction_y1, alice_marginal): Bob input 0 "
+            f"prepares (too long to print)*S01 + {'9' * 40}...0000000002*S11 + 10.../4, t=1/2)\n"
         )
-        assert result.stderr.endswith(".../4, t=1/2)\n")
         assert len(result.stderr.encode()) <= 200
 
     def test_bad_rational_argument(self):
@@ -371,7 +371,9 @@ def long_box_path(tmp_path, signalling):
 def test_unprintable_sum_is_bad_input(tmp_path, command):
     result = run_cli(command, long_box_path(tmp_path, signalling=False))
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: entries for (x=0, y=0) sum to below 1, expected 1\n"
+    assert result.stderr == (
+        "error: entries for (x=0, y=0) sum to (too long to print), expected 1\n"
+    )
 
 
 LONG = "1/" + "3" * 300  # readable, but a total with it has about 600 digits
@@ -411,10 +413,79 @@ def test_unprintable_marginals_named_by_side(tmp_path):
     assert json.loads(result.stdout) == {"ns": False, "local": None}
     result = run_cli("decompose", path)
     assert result.returncode == 2
-    assert result.stderr.startswith(
+    # both violations, clipped to one error line
+    assert result.stderr == (
         "error: decompose needs a no-signalling box: Alice marginal "
-        "p(a=0|x=0) depends on Bob's input: y=0: below y=1's, y=1: 1/2; "
+        "p(a=0|x=0) depends on Bob's input: y=0: (too long to print), y=1: 1/2; "
+        "Alice marginal p(a=1|x=0) depends on Bob's input:..., y=1: 1/2\n"
     )
+
+
+def test_verify_weight_past_int_string_limit(tmp_path):
+    # Bob's outcome weight at (x=0, y=0) is 1/d1 + 1/d2, of 6,001 digits:
+    # the witnesses name it, where printing it raised ValueError
+    d1, d2 = 10**3000 + 1, 10**3000 + 3
+    row = [F(1, d1), F(1, 2) - F(1, d1), F(1, d2), F(1, 2) - F(1, d2)]
+    table = [[str(p) for p in row]] + [["1/2", "0", "0", "1/2"]] * 3
+    box = write(tmp_path / "box.json", {"X": 2, "Y": 2, "A": 2, "B": 2, "table": table})
+    halves = {"X": 2, "A": 2, "members": [{"w": "1/2", "f": [0, 0]}, {"w": "1/2", "f": [1, 1]}]}
+    result = run_cli("verify", box, write(tmp_path / "ensembles.json", [halves, halves]))
+    assert (result.returncode, result.stderr) == (5, "")
+    long = "(too long to print)"
+    assert json.loads(result.stdout)["report"]["checks"] == [
+        {"name": "mixture_consistency", "passed": True, "witness": None},
+        {"name": "no_signalling", "passed": False, "witness":
+            f"Bob marginal p(b=0|y=0) depends on Alice's input: x=0: {long}, x=1: 1/2; "
+            f"Bob marginal p(b=1|y=0) depends on Alice's input: x=0: {long}, x=1: 1/2"},
+        {"name": "conditioning", "passed": False,
+         "witness": f"p(b=0|y=0) = {long}, expected weight 1/2"},
+    ]
+
+
+ANTI_D = 10**300 + 1  # s = 10**299 / ANTI_D and t = 1 - s sum to 1
+ANTI_S, ANTI_T = f"{10**299}/{ANTI_D}", f"{ANTI_D - 10**299}/{ANTI_D}"
+CLIPPED_S = "1" + "0" * 39 + "...0000000001"  # s and t by their ends
+CLIPPED_T = "9" + "0" * 39 + "...0000000001"
+
+
+@pytest.mark.parametrize(
+    "argv,doc,code,stderr",
+    [
+        (
+            # Bob's p(b=0|y=0) moves with x by 1/(10**47 + 7)
+            ["decompose"],
+            {"X": 2, "Y": 2, "A": 2, "B": 2, "table": [
+                [str(F(1, 2) - F(1, 10**47 + 7)), str(F(1, 10**47 + 7)), "1/4", "1/4"],
+            ] + [["1/4"] * 4] * 3},
+            2,
+            "error: decompose needs a no-signalling box: Bob marginal p(b=0|y=0) depends "
+            "on Alice's input: x=0: 3000000000000000000000000000000000000000...0000000028, "
+            "x=1: 1/2; Bob marginal p(..., x=1: 1/2\n",
+        ),
+        (
+            ["blind", ANTI_S, ANTI_T],
+            None,
+            3,
+            f"error: target (s={CLIPPED_S}, t={CLIPPED_T}) lies on a diagonal of the local "
+            "square; no pair of...ists there\n",
+        ),
+        (
+            ["blind", "0", ANTI_T],
+            None,
+            0,
+            f"warning: target (s=0, t={CLIPPED_T}) sits on the triangle boundary: "
+            "construction degenerates and blindness may fail\n",
+        ),
+    ],
+    ids=["signalling-box", "anti-diagonal", "boundary-warning"],
+)
+def test_long_value_on_one_short_line(tmp_path, argv, doc, code, stderr):
+    # every stderr line is at most 200 bytes, and a value in it at most 60
+    if doc is not None:
+        argv = [*argv, write(tmp_path / "doc.json", doc)]
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (code, stderr)
+    assert "Traceback" not in result.stderr and len(result.stderr.encode()) <= 200
 
 
 class TestCheck:

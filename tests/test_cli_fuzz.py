@@ -8,8 +8,9 @@ rational or a bit belongs, a huge literal, a long readable rational or
 deep nesting; or the file
 is emptied, given a byte-order mark or a non-UTF-8 byte, or replaced by
 a directory.  Whatever the input, ``cli.main`` returns 0, 2, 3 or 5
-without raising; bad input (2) is one short ``error:`` line; and every
-document on stdout is strict JSON.
+without raising; bad input (2) is an ``error:`` line; whatever the exit
+code, stderr holds only ``error:`` lines, at most 200 bytes in all; and
+every document on stdout is strict JSON.
 """
 
 import contextlib
@@ -161,6 +162,7 @@ def test_cli_contract_under_mutation(data):
     assert code in (0, 2, 3, 5), (code, stderr[:300])
     if code == 2:
         assert stderr.startswith("error: "), stderr[:300]
-        assert len(stderr.encode()) <= 200, stderr[:300]
+    assert all(line.startswith("error: ") for line in stderr.splitlines()), stderr[:300]
+    assert len(stderr.encode()) <= 200, stderr[:300]
     if stdout:
         json.loads(stdout, parse_constant=refuse)

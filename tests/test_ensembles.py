@@ -18,7 +18,9 @@ from strategies import (
     member_box,
     nonlocal_ensembles,
     pr_bipartite_box,
+    pr_totals,
     product_decomposition,
+    product_totals,
     random_blind_split,
     realizes,
 )
@@ -47,6 +49,11 @@ class TestEnsembleConstruction:
     def test_nondeterministic_member_rejected(self):
         with pytest.raises(bx.ValidationError):
             bx.Ensemble(((F(1), UNIFORM),))
+
+    def test_non_box_member_quoted_short(self):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.Ensemble(((F(1), "x" * 5000),))
+        assert str(raised.value) == "ensemble member 'xxxxxxxxxxxxxxxxxxx...xxxxxxxxx' is not a LocalBox"
 
     def test_alphabet_mismatch_rejected(self):
         three = det_box((0, 1), 3)
@@ -165,8 +172,8 @@ class TestNonlocalEnsemble:
             products={((0, 1), (0, 0)): F(1, 4), ((1, 1), (0, 0)): F(1, 4)},
             prs={(0, 0, 0): HALF},
         )
-        assert e.product_totals() == {(0, 1): F(1, 4), (1, 1): F(1, 4)}
-        assert e.pr_totals() == {0: HALF}
+        assert product_totals(e) == {(0, 1): F(1, 4), (1, 1): F(1, 4)}
+        assert pr_totals(e) == {0: HALF}
         assert len(e.members) == 3
 
     def test_normalization_enforced(self):

@@ -130,18 +130,18 @@ def test_blind_split_documents(tmp_path, name):
             bx.NonlocalEnsemble.from_weights(
                 products={((0, 1), (0, 0)): F(1, 2)}, prs={(0, 0, 0): F(1, 2)}
             ),
-            "error: split rejected: Bob input 0 prepares 3/4*S01 + 1/4*S00, "
-            "expected 1/4*S00 + 1/2*S01 + 1/4*S10; Bob input 1 prepares "
-            "1/2*S01 + 1/4*S10 + 1/4*S11, expected 1/4*S01 + 1/4*S11.../2, t=1/4)\n",
+            "error: split rejected (reduction_y0, reduction_y1, alice_marginal): "
+            "Bob input 0 prepares 3/4*S01 + 1/4*S00, expected 1/4*S00 + 1/2*S01 + 1/4*S10; "
+            "Bob input 1 prepares 1/2*S01 + .../2, t=1/4)\n",
         ),
         (
             bx.NonlocalEnsemble.from_weights(
                 products={((0, 1), (0, 0)): F(1, 4), ((1, 0), (1, 1)): F(1, 4)},
                 prs={(0, 1, 0): F(1, 2)},
             ),
-            "error: split rejected: Bob input 0 prepares 1/4*S01 + 1/2*S10 + 1/4*S11, "
-            "expected 1/4*S00 + 1/2*S01 + 1/4*S10; Bob input 1 prepares "
-            "1/2*S01 + 1/4*S10 + 1/4*S00, expected 1/4*S01 + 1/4*S11 + 1/2*S10\n",
+            "error: split rejected (reduction_y0, reduction_y1): Bob input 0 prepares "
+            "1/4*S01 + 1/2*S10 + 1/4*S11, expected 1/4*S00 + 1/2*S01 + 1/4*S10; "
+            "Bob input 1 prepares 1/2*S01 + 1/4*S1... + 1/2*S10\n",
         ),
     ],
     ids=["products", "beta1_prs"],

@@ -19,6 +19,7 @@ from strategies import (
     product_box,
     rationals,
     round_log_to_json,
+    sbox_to_json,
 )
 
 BITS = (0, 1)
@@ -195,7 +196,7 @@ class TestSBox:
     @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_round_trip(self, alpha, beta):
         sbox = bx.SBox(alpha, beta)
-        text = serialize.sbox_to_json(sbox)
+        text = sbox_to_json(sbox)
         assert text == f"S{alpha}{beta}"
         assert serialize.sbox_from_json(text) == sbox
 

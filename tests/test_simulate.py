@@ -56,6 +56,12 @@ class TestInputPolicy:
         with pytest.raises(bx.ValidationError):
             bx.InputPolicy(((0.25, F(1, 4)), (F(1, 4), F(1, 4))))
 
+    @pytest.mark.parametrize("table", [5, None, (5, 6), ((F(1, 4), F(1, 4)), 7)])
+    def test_non_table_rejected(self, table):
+        # as LocalBox and BipartiteBox do, where iterating it raised TypeError
+        with pytest.raises(bx.ValidationError, match="^input policy must be a 2x2 table$"):
+            bx.InputPolicy(table)
+
 
 class TestRunProtocol:
     def test_point_mass_ensemble(self):
@@ -94,6 +100,14 @@ class TestRunProtocol:
         for rounds in (0, True, 2.5, "10"):
             with pytest.raises(bx.ValidationError):
                 bx.run_protocol(pr_singleton(), rounds=rounds, seed=0)
+
+    @pytest.mark.parametrize("rounds", [-10**5000, "1" * 5000], ids=["long-int", "long-str"])
+    def test_long_rounds_quoted(self, rounds):
+        # a count past the int-string limit, or a long string, is quoted
+        # short, where printing the int raised ValueError
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.run_protocol(pr_singleton(), rounds=rounds, seed=0)
+        assert len(str(raised.value)) <= 80
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
     def test_seed_validated(self, seed):

@@ -86,7 +86,7 @@ class TestConstruction:
 
     def test_incompatible_mixture_too_long_to_print(self):
         # denominators of 4,000 digits sum to one of 8,000, past the
-        # int-string limit: the mixture is named by its shape
+        # int-string limit: each such entry is named so, and the rows clipped
         d1, d2 = 10**4000 + 7, 10**4000 + 9
         wide = bx.Ensemble.from_strategies(
             [(F(1, 2 * d1), (0,)), (F(1, 2 * d2), (0,)),
@@ -96,7 +96,10 @@ class TestConstruction:
         one = bx.Ensemble.from_strategies([(F(1), (0,))], 2)
         with pytest.raises(bx.IncompatibleEnsemblesError) as err:
             bx.construct_steering_state([one, wide])
-        assert "mixes to a 1x2 table too long to print, expected ((1, 0))" in str(err.value)
+        assert str(err.value) == (
+            "ensemble 1 mixes to (((too long to print...o print))), expected ((1, 0)); "
+            "remote preparation needs a common box"
+        )
 
     def test_single_ensemble_rejected(self):
         with pytest.raises(bx.ValidationError):
