@@ -106,14 +106,18 @@ def _writing(path: Path):
         raise ValidationError(f"cannot write {_named(path, exc)}") from exc
 
 
-def _load_json(path: str) -> Any:
-    with _reading(path) as handle:
-        text = handle.read()
+def _json(text: str, what: str) -> Any:
+    """``text`` as a JSON value; ``what`` names it if it is not one."""
     try:
         return json.loads(text)
     # bad JSON, an int past the int-string limit, nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{_quoted(path)} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str) -> Any:
+    with _reading(path) as handle:
+        return _json(handle.read(), _quoted(path))
 
 
 def _emit(out: str | None, documents: dict[str, Any]) -> None:
@@ -133,7 +137,7 @@ def _emit(out: str | None, documents: dict[str, Any]) -> None:
 def _ensemble_list(path: str) -> list:
     data = _load_json(path)
     if not isinstance(data, list) or not data:
-        raise ValidationError(f"{path} must hold a nonempty JSON list of ensembles")
+        raise ValidationError(f"{_quoted(path)} must hold a nonempty JSON list of ensembles")
     return [ensemble_from_json(item) for item in data]
 
 
@@ -200,11 +204,7 @@ def _parse_policy(value: str) -> InputPolicy:
     if value == "uniform":
         return InputPolicy.uniform()
     if value.lstrip().startswith("{"):
-        try:
-            obj = json.loads(value)
-        except (ValueError, RecursionError) as exc:  # as in _load_json
-            raise ValidationError(f"inline policy is not valid JSON: {exc}") from exc
-        return input_policy_from_json(obj)
+        return input_policy_from_json(_json(value, "inline policy"))
     return input_policy_from_json(_load_json(value))
 
 
@@ -213,22 +213,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = _parse_policy(args.policy)
     blocks = _cell_blocks(ensemble, args.rounds, args.seed, policy)
     tally = LogTally(ensemble, args.significance)
-    if args.out is None:
-        for _, ids in blocks:
+    # under --out the log goes to disk a block at a time and is never held
+    logs_path = None if args.out is None else Path(args.out) / "logs.ndjson"
+    # each cell's ndjson_line, cut at a round id no round has, joined with the ids
+    cut = [ndjson_line(_stamp(-1, cell)).split("-1", 1) for cell in tally.honest_cells]
+    with contextlib.nullcontext() if logs_path is None else _writing(logs_path) as handle:
+        for start, ids in blocks:
             tally.add_block(ids)
-    else:
-        # the log goes to disk a block at a time and is never held
-        logs_path = Path(args.out) / "logs.ndjson"
-        # each cell's ndjson_line, cut at a round id no round has, joined with the ids
-        cut = [ndjson_line(_stamp(-1, cell)).split("-1", 1) for cell in tally.honest_cells]
-        with _writing(logs_path) as handle:
-            for start, ids in blocks:
-                tally.add_block(ids)
+            if handle is not None:
                 handle.write("".join([f"{cut[c][0]}{r}{cut[c][1]}"
                                       for r, c in zip(count(start), ids.tolist())]))
     report = tally.report(args.seed, policy)
     _emit(args.out, {"report.json": simulation_report_to_json(report)})
-    if args.out is not None:
+    if logs_path is not None:
         print(f"wrote {logs_path}")
     return EXIT_OK if report.verdict.passed else EXIT_CHECKS_FAILED
 

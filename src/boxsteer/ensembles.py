@@ -7,7 +7,8 @@ realizes, one weight addition per (member, input), and keeps that box
 on the ensemble.  The validated 0/1 tables of ``Ensemble.members`` are
 built only when they are read.  Only deterministic constituents are
 supported: mixed constituents can always be refined into deterministic
-ones without changing anything observable.
+ones without changing anything observable.  ``Ensemble(pairs)`` reads
+each box into its strategy and ends in ``Ensemble.from_strategies``'s check.
 
 A :class:`NonlocalEnsemble` is a convex combination of two-party
 members over the one-bit scenario: uncorrelated pairs of S boxes and
@@ -38,6 +39,7 @@ from .boxes import (
     LocalBox,
     PRBox,
     SBox,
+    _built,
     _is_index,
     _quoted,
     _require_index,
@@ -57,16 +59,22 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # input pairs (x, y), in round-table o
 
 
 def _merge_weighted(pairs: Iterable[tuple[Fraction, _K]]) -> list[tuple[Fraction, _K]]:
-    # first-occurrence order, duplicates merged, exact zeros dropped
-    order: list[_K] = []
+    # first-occurrence order (the dict's), duplicates merged, exact zeros dropped
     totals: dict[_K, Fraction] = {}
     for weight, key in pairs:
-        if key in totals:
-            totals[key] += weight
-        else:
-            totals[key] = weight
-            order.append(key)
-    return [(totals[k], k) for k in order if totals[k] != 0]
+        totals[key] = totals[key] + weight if key in totals else weight
+    return [(w, k) for k, w in totals.items() if w != 0]
+
+
+def _listed(items: object, message: str, kind: type = object) -> tuple:
+    """``items`` as a tuple of ``kind`` instances, or bad input that ``message`` names."""
+    try:
+        listed = tuple(items)
+    except TypeError as exc:
+        raise ValidationError(message) from exc
+    if not all(isinstance(item, kind) for item in listed):
+        raise ValidationError(message)
+    return listed
 
 
 def _strategy_of(
@@ -94,27 +102,22 @@ class Ensemble:
     num_outputs: int
 
     def __init__(self, members: Iterable[tuple[Fraction, LocalBox]]) -> None:
-        pairs = []
-        for entry in members:
+        message = "ensemble members must be (weight, box) pairs"
+        strategies, shape = [], None
+        for entry in _listed(members, message):
             try:
                 weight, box = entry
             except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    "ensemble members must be (weight, box) pairs"
-                ) from exc
+                raise ValidationError(message) from exc
             if not isinstance(box, LocalBox):
                 raise ValidationError(f"ensemble member {_quoted(box)} is not a LocalBox")
-            pairs.append((as_prob(weight), box))
-        if not pairs:
-            raise ValidationError("ensemble needs at least one member")
-        shape = (pairs[0][1].num_inputs, pairs[0][1].num_outputs)
-        strategies = []
-        for weight, box in pairs:
+            shape = shape or (box.num_inputs, box.num_outputs)
             if (box.num_inputs, box.num_outputs) != shape:
                 raise ValidationError("ensemble members must share the same alphabet")
             strategies.append((weight, _strategy_of(box.table)))
-        object.__setattr__(self, "strategies", tuple(strategies))
-        object.__setattr__(self, "num_outputs", shape[1])
+        object.__setattr__(self, "strategies", strategies)
+        # with no member any count will do: __post_init__ names the empty ensemble
+        object.__setattr__(self, "num_outputs", shape[1] if shape else 1)
         self.__post_init__()
 
     @classmethod
@@ -122,7 +125,7 @@ class Ensemble:
         cls, pairs: Iterable[tuple[Fraction, Strategy]], num_outputs: int
     ) -> "Ensemble":
         ensemble = cls.__new__(cls)
-        object.__setattr__(ensemble, "strategies", tuple(pairs))
+        object.__setattr__(ensemble, "strategies", pairs)
         object.__setattr__(ensemble, "num_outputs", num_outputs)
         ensemble.__post_init__()
         return ensemble
@@ -134,15 +137,14 @@ class Ensemble:
             raise ValidationError(f"num_outputs {outputs!r} is not a positive int")
         if outputs > sys.maxsize:  # no list, so no mixture row, is that long
             raise ValidationError(f"num_outputs={_quoted(outputs)} is too many for a table")
+        message = "ensemble members must be (weight, strategy) pairs"
         pairs = []
-        for entry in self.strategies:
+        for entry in _listed(self.strategies, message):
             try:
                 weight, strategy = entry
                 strategy = tuple(strategy)
             except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    "ensemble members must be (weight, strategy) pairs"
-                ) from exc
+                raise ValidationError(message) from exc
             for x, a in enumerate(strategy):
                 _require_index(f"f[{x}]", a, outputs)
             if not strategy:
@@ -250,26 +252,24 @@ class NonlocalEnsemble:
     prs: tuple[PRMember, ...]
 
     def __post_init__(self) -> None:
-        products = tuple(self.products)
-        prs = tuple(self.prs)
-        if not all(isinstance(m, ProductMember) for m in products):
-            raise ValidationError("products must be ProductMember instances")
-        if not all(isinstance(m, PRMember) for m in prs):
-            raise ValidationError("prs must be PRMember instances")
+        products = _listed(
+            self.products, "products must be ProductMember instances", ProductMember
+        )
+        prs = _listed(self.prs, "prs must be PRMember instances", PRMember)
         merged_products = _merge_weighted(
             (m.weight, (m.alice, m.bob)) for m in products
         )
         merged_prs = _merge_weighted((m.weight, m.box) for m in prs)
         weights = [w for w, _ in merged_products + merged_prs]
         _sums_to_one(weights, "member weights sum to")
-        object.__setattr__(
-            self,
-            "products",
-            tuple(ProductMember(w, alice, bob) for w, (alice, bob) in merged_products),
-        )
-        object.__setattr__(
-            self, "prs", tuple(PRMember(w, box) for w, box in merged_prs)
-        )
+        # each merged weight is a sum of checked weights, and their total is one
+        object.__setattr__(self, "products", tuple(
+            _built(ProductMember, weight=w, alice=alice, bob=bob)
+            for w, (alice, bob) in merged_products
+        ))
+        object.__setattr__(self, "prs", tuple(
+            _built(PRMember, weight=w, box=box) for w, box in merged_prs
+        ))
 
     @classmethod
     def from_weights(
@@ -280,11 +280,11 @@ class NonlocalEnsemble:
     ) -> "NonlocalEnsemble":
         """Build from ``{((i,j),(k,l)): weight}`` and ``{(alpha,beta,delta): weight}``."""
         product_members = tuple(
-            ProductMember(as_prob(w), SBox(*ij), SBox(*kl))
+            ProductMember(w, SBox(*ij), SBox(*kl))
             for (ij, kl), w in (products or {}).items()
         )
         pr_members = tuple(
-            PRMember(as_prob(w), PRBox(*abd)) for abd, w in (prs or {}).items()
+            PRMember(w, PRBox(*abd)) for abd, w in (prs or {}).items()
         )
         return cls(product_members, pr_members)
 

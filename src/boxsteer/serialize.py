@@ -11,6 +11,7 @@ values.  Bits and indices are plain integers.  Layouts:
   NonlocalEnsemble{"products": [{"w","ij": [i,j],"kl": [k,l]}],
                    "prs": [{"w","abd": [alpha,beta,delta]}]}
   RoundLog        one JSON object per line (NDJSON), S boxes as "Sij"
+  InputPolicy     {"table": [[p00, p01], [p10, p11]]}; InputPolicy checks the 2x2 shape
 
 Reports (verification, simulation, audit) serialize one-way to JSON
 documents for the CLI; they are outputs, not inputs.
@@ -324,14 +325,9 @@ def input_policy_to_json(policy: InputPolicy) -> dict:
 
 def input_policy_from_json(obj: Any) -> InputPolicy:
     table = _field(obj, "table")
-    if not isinstance(table, list) or len(table) != 2:
-        raise ValidationError("policy table must have 2 rows (x = 0, 1)")
-    rows = []
-    for row in table:
-        if not isinstance(row, list) or len(row) != 2:
-            raise ValidationError("each policy row must have 2 entries (y = 0, 1)")
-        rows.append(tuple(fraction_from_json(p) for p in row))
-    return InputPolicy(tuple(rows))
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValidationError("input policy must be a 2x2 table")
+    return InputPolicy(tuple(tuple(fraction_from_json(p) for p in row) for row in table))
 
 
 def audit_verdict_to_json(verdict: AuditVerdict) -> dict:

@@ -238,10 +238,16 @@ class LogTally:
     def __init__(
         self, ensemble: NonlocalEnsemble, significance: float = DEFAULT_SIGNIFICANCE
     ) -> None:
-        if not 0 < significance < 1:
-            raise ValidationError(f"significance must be in (0, 1), got {significance}")
+        # kept as the float the verdict writes, checked too: a tiny Fraction's is 0.0
+        if not (
+            (_is_index(significance) or isinstance(significance, (float, Fraction)))
+            and 0 < significance < 1 and 0 < float(significance) < 1
+        ):
+            raise ValidationError(
+                f"significance must be in (0, 1), got {_shown(significance)}"
+            )
         self.ensemble = ensemble
-        self.significance = significance
+        self.significance = float(significance)
         self.honest_cells = _cells(ensemble)
         # distinct: members differ in m, a member's rounds on (x, y) in (a, b)
         self._ids = {cell: i for i, cell in enumerate(self.honest_cells)}

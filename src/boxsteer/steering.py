@@ -35,7 +35,7 @@ from .boxes import (
     deterministic_table,
     no_signalling_violations,
 )
-from .ensembles import Ensemble, _strategy_of, mix
+from .ensembles import Ensemble, _listed, _strategy_of, mix
 from .errors import IncompatibleEnsemblesError, ValidationError
 from .reports import CheckResult, VerificationReport
 
@@ -72,7 +72,7 @@ def construct_steering_state(ensembles: Sequence[Ensemble]) -> SteeringState:
     Ensembles of unequal cardinality are padded with zero-weight
     outcomes whose table entries are all zero.
     """
-    ensembles = tuple(ensembles)
+    ensembles = _listed(ensembles, "ensembles must be Ensemble instances", Ensemble)
     if len(ensembles) < 2:
         raise ValidationError(
             f"need at least two ensembles to steer between, got {len(ensembles)}"

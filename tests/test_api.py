@@ -2,6 +2,7 @@
 the benchmark makes, and the version it reports."""
 
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,33 @@ def test_public_names_and_bench_calls():
     lib = spans.library()
     for _, name in spans.CALLS:
         assert callable(getattr(lib, name.split(".")[-1]))
+
+
+# the public constructors that take caller data, each called with one
+# junk value in every argument
+ARITY = {
+    bx.LocalBox: 1, bx.BipartiteBox: 1, bx.Ensemble: 1, bx.Ensemble.from_strategies: 2,
+    bx.NonlocalEnsemble: 2, bx.ProductMember: 3, bx.PRMember: 2, bx.SBox: 2, bx.PRBox: 3,
+    bx.TargetState: 2, bx.InputPolicy: 1, bx.RoundLog: 8, bx.construct_steering_state: 1,
+}
+JUNK = pytest.mark.parametrize(
+    "junk", [5, "ab", None, [1, 2]], ids=["int", "str", "none", "ints"]
+)
+
+
+@JUNK
+@pytest.mark.parametrize("constructor", ARITY, ids=lambda f: f.__qualname__)
+def test_constructor_refuses_junk(constructor, junk):
+    # bad input is a ValidationError, never a TypeError or AttributeError
+    with pytest.raises(bx.ValidationError):
+        constructor(*[junk] * ARITY[constructor])
+
+
+@JUNK
+def test_steering_refuses_a_junk_ensemble(junk):
+    box = bx.SBox(0, 0).as_local_box()
+    with pytest.raises(bx.ValidationError):
+        bx.construct_steering_state([bx.Ensemble(((F(1), box),)), junk])
 
 
 def test_version_matches_pyproject():

@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.8.2 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.8.3 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 
@@ -252,6 +252,19 @@ class TestSteer:
     def test_single_ensemble_rejected(self, tmp_path):
         path = write(tmp_path / "one.json", [PR_EMERGENCE_DOC[0]])
         assert run_cli("steer", path).returncode == 2
+
+    def test_long_path_clipped(self, tmp_path):
+        # the path is quoted as every input path is, its ends only past 40 bytes
+        folder = tmp_path / ("d" * 90)
+        folder.mkdir()
+        path = write(folder / "ensembles.json", [])
+        result = run_cli("steer", path)
+        assert result.returncode == 2
+        quoted = repr(path)
+        assert result.stderr == (
+            f"error: {quoted[:20]}...{quoted[-10:]} must hold a nonempty JSON list "
+            "of ensembles\n"
+        )
 
     def test_output_out_of_range_named_by_field(self, tmp_path):
         doc = json.loads(json.dumps(PR_EMERGENCE_DOC))
@@ -587,6 +600,23 @@ class TestSimulate:
         assert result.returncode == 0
         doc = json.loads(result.stdout)["report"]
         assert set(doc["alice_frequencies"]) == {"0"}
+
+    @pytest.mark.parametrize("table", [
+        '[["1/2", "1/2"]]',
+        '[["1/4", "1/4"], ["1/4", "1/8", "1/8"]]',
+        '[["1/4", "1/4"], ["1/4", "1/4"], []]',
+        '"1/2"',
+        '[["1/2", "1/2"], "1/2"]',
+    ])
+    def test_policy_not_2x2(self, tmp_path, table):
+        # one message for every shape fault, the file's and the library's
+        path = write(tmp_path / "ensemble.json", CANONICAL_ENSEMBLE_DOC)
+        result = run_cli(
+            "simulate", path, "--rounds", "10", "--policy", '{"table": %s}' % table
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: input policy must be a 2x2 table\n"
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("where", ["ensemble", "policy"])
     def test_integer_past_int_string_limit(self, tmp_path, where):

@@ -22,6 +22,7 @@ from strategies import (
     product_decomposition,
     product_totals,
     random_blind_split,
+    random_weights,
     realizes,
 )
 
@@ -103,6 +104,38 @@ class TestEnsembleConstruction:
         # list is that long, so the ensemble is refused when it is built
         with pytest.raises(bx.ValidationError, match="is too many for a table"):
             bx.Ensemble.from_strategies(((F(1), (0, 1)),), outputs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_boxes_and_strategies_give_one_ensemble(self, seed):
+        # random members, some repeated and some of weight zero, read as
+        # boxes or taken as strategies
+        rng = random.Random(seed)
+        outputs = rng.randint(1, 3)
+        pool = [tuple(rng.randrange(outputs) for _ in range(2)) for _ in range(3)]
+        strategies = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        weights = random_weights(rng, len(strategies))
+        boxes = bx.Ensemble(
+            [(w, det_box(s, outputs)) for w, s in zip(weights, strategies)]
+        )
+        pairs = bx.Ensemble.from_strategies(list(zip(weights, strategies)), outputs)
+        assert boxes == pairs
+        assert boxes.strategies == pairs.strategies
+        assert boxes.num_outputs == pairs.num_outputs == outputs
+
+    @pytest.mark.parametrize("boxes, pairs, message", [
+        ([], [], "ensemble needs at least one member"),
+        (
+            [(HALF, det_box((0, 1), 2)), (HALF, det_box((0,), 2))],
+            [(HALF, (0, 1)), (HALF, (0,))],
+            "ensemble members must share the same alphabet",
+        ),
+    ], ids=["empty", "mixed-alphabet"])
+    def test_boxes_and_strategies_give_one_message(self, boxes, pairs, message):
+        for build in (lambda: bx.Ensemble(boxes),
+                      lambda: bx.Ensemble.from_strategies(pairs, 2)):
+            with pytest.raises(bx.ValidationError) as raised:
+                build()
+            assert str(raised.value) == message
 
     def test_duplicates_merged_and_zeros_dropped(self):
         e = sbox_ensemble((HALF, (0, 0)), (HALF, (0, 0)), (F(0), (1, 1)))

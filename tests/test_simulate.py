@@ -114,12 +114,22 @@ class TestRunProtocol:
         with pytest.raises(bx.ValidationError):
             bx.run_protocol(pr_singleton(), rounds=10, seed=seed)
 
-    @pytest.mark.parametrize("significance", [0.0, 1.0, -0.1])
+    @pytest.mark.parametrize(
+        "significance", [0.0, 1.0, -0.1, "0.01", True, None, F(3, 2), F(1, 10**400)]
+    )
     def test_significance_validated(self, significance):
         with pytest.raises(bx.ValidationError):
             bx.run_protocol(
                 pr_singleton(), rounds=10, seed=0, significance=significance
             )
+
+    @pytest.mark.parametrize("significance", [F(1, 1000), 0.001])
+    def test_significance_kept_as_float(self, significance):
+        report, _ = bx.run_protocol(
+            pr_singleton(), rounds=10, seed=0, significance=significance
+        )
+        assert type(report.verdict.significance) is float
+        assert report.verdict.significance == 0.001
 
     def test_restricted_policy(self):
         policy = bx.InputPolicy(((F(1, 2), F(0)), (F(1, 2), F(0))))
@@ -553,6 +563,28 @@ class TestRefereeAudit:
         _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
         with pytest.raises(bx.ValidationError):
             bx.referee_audit(logs, pr_singleton(), significance=0)
+
+    def test_fraction_significance_writes(self):
+        # the verdict holds the float, so its JSON document can be written
+        from boxsteer import serialize
+
+        _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
+        verdict = bx.referee_audit(logs, pr_singleton(), significance=F(1, 1000))
+        assert type(verdict.significance) is float
+        doc = serialize.dumps(serialize.audit_verdict_to_json(verdict))
+        assert '"significance": 0.001' in doc
+        assert verdict == bx.referee_audit(logs, pr_singleton(), significance=0.001)
+
+    @pytest.mark.parametrize("significance, shown", [
+        ("0.01", "0.01"), (False, "False"), ([0.01], "[0.01]"), (1, "1"), (F(3, 2), "3/2"),
+        (F(1, 10**400), "1/10000000000000000000000000000000000000...0000000000"),
+    ], ids=["str", "bool", "list", "int", "fraction-above-1", "fraction-below-float"])
+    def test_significance_not_a_number_in_range(self, significance, shown):
+        # a string leaked TypeError; a Fraction whose float is 0.0 has no log(1/alpha)
+        _, logs = bx.run_protocol(pr_singleton(), rounds=10, seed=0)
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.referee_audit(logs, pr_singleton(), significance=significance)
+        assert str(raised.value) == f"significance must be in (0, 1), got {shown}"
 
     def test_empty_log_fails(self):
         verdict = bx.referee_audit([], canonical_ensemble())
