@@ -14,10 +14,8 @@ from fractions import Fraction
 import boxsteer as bx
 
 
-def fmt_ensemble(ensemble: bx.Ensemble) -> str:
-    return " + ".join(
-        f"{w} {bx.SBox.from_local_box(box).label}" for w, box in ensemble.members
-    )
+def fmt_weights(weights: dict[bx.SBox, Fraction]) -> str:
+    return " + ".join(f"{w} {sbox.label}" for sbox, w in weights.items())
 
 
 def main() -> int:
@@ -43,7 +41,7 @@ def main() -> int:
         print(f"  {member.weight}  {member.label}")
     print(f"verification: {'pass' if plan.report.passed else 'FAIL'}")
     for y, expected in ((0, plan.report.expected_upper), (1, plan.report.expected_lower)):
-        print(f"  y = {y} prepares  {fmt_ensemble(expected)}")
+        print(f"  y = {y} prepares  {fmt_weights(expected)}")
     for (y, b), support in plan.report.posterior_supports:
         print(f"  Bob at (y={y}, b={b}) sees candidates {{{', '.join(support)}}}")
 

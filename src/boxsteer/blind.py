@@ -62,7 +62,6 @@ from fractions import Fraction
 
 from .boxes import SBOXES, PRBox, SBox, _clipped, _require_index, _shown, as_prob
 from .ensembles import (
-    Ensemble,
     NonlocalEnsemble,
     PRMember,
     ProductMember,
@@ -178,14 +177,14 @@ def lower_triangle_weights(target: TargetState) -> dict[SBox, Fraction]:
 
 @dataclass(frozen=True)
 class BlindReport(VerificationReport):
-    """Verification outcome plus the expected decompositions (already
-    mapped to the target's own coordinates) and Bob's posterior supports."""
+    """Verification outcome plus the expected decompositions, as the S-box
+    weights it compared in the target's own coordinates, and Bob's supports."""
 
     target: TargetState
     canonical_target: TargetState
     relabeling: Relabeling
-    expected_upper: Ensemble
-    expected_lower: Ensemble
+    expected_upper: dict[SBox, Fraction]
+    expected_lower: dict[SBox, Fraction]
     posterior_supports: tuple[tuple[tuple[int, int], tuple[str, ...]], ...]
 
 
@@ -255,8 +254,8 @@ def _verify(
         target=target,
         canonical_target=canonical_target,
         relabeling=relabeling,
-        expected_upper=_sbox_ensemble(expected[0]),
-        expected_lower=_sbox_ensemble(expected[1]),
+        expected_upper=expected[0],
+        expected_lower=expected[1],
         posterior_supports=tuple(supports),
     )
 
@@ -280,14 +279,6 @@ def _kept_in_play(joint: tuple[_Entry, ...], b: int) -> dict[SBox, Fraction] | N
     if all(seen != b for _, seen, _, _ in joint):
         return None
     return _reduction(e for e in joint if e[1] == b or not e[2])
-
-
-def _sbox_ensemble(weights: dict[SBox, Fraction]) -> Ensemble:
-    """The single-party ensemble of S-box weights, in their order, zero
-    weights dropped."""
-    return Ensemble.from_strategies(
-        ((w, (sbox.output(0), sbox.output(1))) for sbox, w in weights.items()), 2
-    )
 
 
 def _describe(weights: dict[SBox, Fraction]) -> str:

@@ -181,10 +181,6 @@ class LocalBox:
     def prob(self, x: int, a: int) -> Fraction:
         return self.table[x][a]
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(p in (0, 1) for row in self.table for p in row)
-
 
 def deterministic_table(
     strategy: tuple[int, ...], num_outputs: int
@@ -230,16 +226,6 @@ class SBox:
 
     def as_local_box(self) -> LocalBox:
         return LocalBox(deterministic_table((self.output(0), self.output(1)), 2))
-
-    @classmethod
-    def from_local_box(cls, box: LocalBox) -> "SBox":
-        if box.num_inputs != 2 or box.num_outputs != 2 or not box.is_deterministic:
-            raise ValidationError(
-                "only deterministic 2-input/2-output boxes match an S box"
-            )
-        f0 = 0 if box.prob(0, 0) == 1 else 1
-        f1 = 0 if box.prob(1, 0) == 1 else 1
-        return cls(alpha=f0 ^ f1, beta=f0)
 
 
 SBOXES = tuple(SBox(i >> 1, i & 1) for i in range(4))  # S00, S01, S10, S11: by index

@@ -157,7 +157,7 @@ def cmd_steer(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     box = bipartite_box_from_json(_load_json(args.box))
     ensembles = _ensemble_list(args.ensembles)
-    state = SteeringState(box=box, source_ensembles=tuple(ensembles))
+    state = SteeringState(box=box, source_ensembles=ensembles)
     report = verify_steering_state(state)
     _emit(args.out, {"report.json": verification_report_to_json(report)})
     return EXIT_OK if report.passed else EXIT_CHECKS_FAILED

@@ -279,13 +279,18 @@ class NonlocalEnsemble:
         prs: dict[tuple[int, int, int], Fraction | int | str] | None = None,
     ) -> "NonlocalEnsemble":
         """Build from ``{((i,j),(k,l)): weight}`` and ``{(alpha,beta,delta): weight}``."""
-        product_members = tuple(
-            ProductMember(w, SBox(*ij), SBox(*kl))
-            for (ij, kl), w in (products or {}).items()
-        )
-        pr_members = tuple(
-            PRMember(w, PRBox(*abd)) for abd, w in (prs or {}).items()
-        )
+        try:
+            product_members = tuple(
+                ProductMember(w, SBox(*ij), SBox(*kl))
+                for (ij, kl), w in (products or {}).items()
+            )
+            pr_members = tuple(
+                PRMember(w, PRBox(*abd)) for abd, w in (prs or {}).items()
+            )
+        except ValidationError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError("from_weights takes {bits: weight} dicts") from exc
         return cls(product_members, pr_members)
 
     @property

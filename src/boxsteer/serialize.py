@@ -7,7 +7,8 @@ values.  Bits and indices are plain integers.  Layouts:
   BipartiteBox    {"X","Y","A","B","table"}; row r = x*Y + y,
                   column c = a*B + b
   Ensemble        {"X","A","members": [{"w": "1/4", "f": [a0, a1, ...]}]}
-                  where f is the member's strategy, its output per input
+                  where f is the member's strategy, its output per input;
+                  a blind report's S-box weights too, f = [S(0), S(1)]
   NonlocalEnsemble{"products": [{"w","ij": [i,j],"kl": [k,l]}],
                    "prs": [{"w","abd": [alpha,beta,delta]}]}
   RoundLog        one JSON object per line (NDJSON), S boxes as "Sij"
@@ -130,12 +131,17 @@ def bipartite_box_from_json(obj: Any) -> BipartiteBox:
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:
+    return _members_to_json(ensemble.num_inputs, ensemble.num_outputs, ensemble.strategies)
+
+
+def _members_to_json(num_inputs: int, num_outputs: int, pairs: Iterable[tuple]) -> dict:
+    """The Ensemble layout of (weight, strategy) pairs, in their order."""
     return {
-        "X": ensemble.num_inputs,
-        "A": ensemble.num_outputs,
+        "X": num_inputs,
+        "A": num_outputs,
         "members": [
             {"w": fraction_to_json(weight), "f": list(strategy)}
-            for weight, strategy in ensemble.strategies
+            for weight, strategy in pairs
         ],
     }
 
@@ -306,8 +312,8 @@ def blind_report_to_json(report: BlindReport) -> dict:
                 "flip_outputs": report.relabeling.flip_outputs,
                 "flip_inputs": report.relabeling.flip_inputs,
             },
-            "upper_ensemble": ensemble_to_json(report.expected_upper),
-            "lower_ensemble": ensemble_to_json(report.expected_lower),
+            "upper_ensemble": _sbox_weights_to_json(report.expected_upper),
+            "lower_ensemble": _sbox_weights_to_json(report.expected_lower),
             "bob_posterior_supports": {
                 f"{y},{b}": list(labels)
                 for (y, b), labels in report.posterior_supports
@@ -315,6 +321,12 @@ def blind_report_to_json(report: BlindReport) -> dict:
         }
     )
     return doc
+
+
+def _sbox_weights_to_json(weights: dict[SBox, Fraction]) -> dict:
+    """S-box weights in the Ensemble layout, each S box as its strategy."""
+    pairs = ((w, (sbox.output(0), sbox.output(1))) for sbox, w in weights.items())
+    return _members_to_json(2, 2, pairs)
 
 
 def input_policy_to_json(policy: InputPolicy) -> dict:

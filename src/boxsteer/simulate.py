@@ -240,7 +240,7 @@ class LogTally:
     ) -> None:
         # kept as the float the verdict writes, checked too: a tiny Fraction's is 0.0
         if not (
-            (_is_index(significance) or isinstance(significance, (float, Fraction)))
+            isinstance(significance, (float, Fraction))
             and 0 < significance < 1 and 0 < float(significance) < 1
         ):
             raise ValidationError(

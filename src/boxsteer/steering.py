@@ -53,7 +53,11 @@ class SteeringState:
     source_ensembles: tuple[Ensemble, ...]
 
     def __post_init__(self) -> None:
-        ensembles = tuple(self.source_ensembles)
+        if not isinstance(self.box, BipartiteBox):
+            raise ValidationError("steering state box must be a BipartiteBox")
+        ensembles = _listed(
+            self.source_ensembles, "ensembles must be Ensemble instances", Ensemble
+        )
         if len(ensembles) != self.box.num_inputs_bob:
             raise ValidationError(
                 "box must offer one Bob input per source ensemble"

@@ -280,6 +280,11 @@ def realizes(ensemble: bx.Ensemble, target: bx.LocalBox) -> bool:
     return bx.mix(ensemble) == target
 
 
+def sbox_weights_ensemble(weights: dict[bx.SBox, Fraction]) -> bx.Ensemble:
+    """The single-party ensemble of S-box weights, such as a blind report's triangle."""
+    return bx.Ensemble([(w, sbox.as_local_box()) for sbox, w in weights.items()])
+
+
 def round_trips(state: bx.SteeringState) -> bool:
     """True iff conditioning recovers every source ensemble exactly."""
     return all(

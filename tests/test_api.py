@@ -46,8 +46,9 @@ def test_public_names_and_bench_calls():
 # junk value in every argument
 ARITY = {
     bx.LocalBox: 1, bx.BipartiteBox: 1, bx.Ensemble: 1, bx.Ensemble.from_strategies: 2,
-    bx.NonlocalEnsemble: 2, bx.ProductMember: 3, bx.PRMember: 2, bx.SBox: 2, bx.PRBox: 3,
-    bx.TargetState: 2, bx.InputPolicy: 1, bx.RoundLog: 8, bx.construct_steering_state: 1,
+    bx.NonlocalEnsemble: 2, bx.NonlocalEnsemble.from_weights: 2, bx.ProductMember: 3,
+    bx.PRMember: 2, bx.SBox: 2, bx.PRBox: 3, bx.TargetState: 2, bx.InputPolicy: 1,
+    bx.RoundLog: 8, bx.construct_steering_state: 1, bx.SteeringState: 2,
 }
 JUNK = pytest.mark.parametrize(
     "junk", [5, "ab", None, [1, 2]], ids=["int", "str", "none", "ints"]
@@ -67,6 +68,14 @@ def test_steering_refuses_a_junk_ensemble(junk):
     box = bx.SBox(0, 0).as_local_box()
     with pytest.raises(bx.ValidationError):
         bx.construct_steering_state([bx.Ensemble(((F(1), box),)), junk])
+
+
+@JUNK
+def test_steering_state_refuses_a_junk_ensemble(junk):
+    ensemble = bx.Ensemble(((F(1), bx.SBox(0, 0).as_local_box()),))
+    box = bx.construct_steering_state([ensemble, ensemble]).box
+    with pytest.raises(bx.ValidationError, match="^ensembles must be Ensemble instances$"):
+        bx.SteeringState(box, [ensemble, junk])
 
 
 def test_version_matches_pyproject():

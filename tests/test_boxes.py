@@ -82,11 +82,19 @@ class TestLocalBox:
         box = bx.LocalBox(((F(1, 4), F(3, 4)), (F(1), F(0))))
         assert (box.num_inputs, box.num_outputs) == (2, 2)
         assert box.prob(0, 1) == F(3, 4)
-        assert not box.is_deterministic
 
     def test_string_entries_coerced(self):
         box = bx.LocalBox((("1/4", "3/4"),))
         assert box.prob(0, 0) == F(1, 4)
+
+    @pytest.mark.parametrize("table, message", [
+        ((), "local box table must be non-empty"),
+        (((H, H), (F(1),)), "every input row must list the same outcomes"),
+    ], ids=["empty", "unequal-rows"])
+    def test_shape_rejected(self, table, message):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.LocalBox(table)
+        assert str(raised.value) == message
 
 
 class TestDetBoxes:
@@ -107,7 +115,7 @@ class TestDetBoxes:
         assert len(tables) == 27
         for table in tables:
             assert all(p in (0, 1) for row in table for p in row)
-            assert bx.LocalBox(table).is_deterministic
+            assert bx.LocalBox(table).table == table
 
     def test_lexicographic_order(self):
         strategies = all_strategies(2, 3)
@@ -144,14 +152,12 @@ class TestSBox:
         assert sbox.label == f"S{alpha}{beta}"
 
     def test_round_trip_through_local_box(self):
+        # the box's 0/1 rows read back as the S box's outputs
         for alpha, beta in itertools.product(BITS, BITS):
             sbox = bx.SBox(alpha, beta)
-            assert bx.SBox.from_local_box(sbox.as_local_box()) == sbox
-
-    def test_from_nondeterministic_rejected(self):
-        uniform = bx.LocalBox(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
-        with pytest.raises(bx.ValidationError):
-            bx.SBox.from_local_box(uniform)
+            table = sbox.as_local_box().table
+            assert all(sorted(row) == [0, 1] for row in table)
+            assert tuple(row.index(1) for row in table) == (sbox.output(0), sbox.output(1))
 
     def test_bad_bits_rejected(self):
         with pytest.raises(bx.ValidationError):
@@ -236,6 +242,8 @@ class TestBipartiteBox:
         pytest.param([[[[Q, Q], [Q, 0.5]], 7], ROW2],
                      "got float 0.5", id="float-before-non-sequence-row"),
         pytest.param([[], [[[Q, Q], [Q]]]], "non-empty", id="empty-y-block-before-ragged"),
+        pytest.param([ROW2, ROW2[:1]], "^ragged table: y dimension varies with x$",
+                     id="ragged-y"),
     ])
     def test_first_fault_named(self, table, message):
         with pytest.raises(bx.ValidationError, match=message):

@@ -58,7 +58,7 @@ class TestVersion:
         result = run_cli("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == (
-            "boxsteer 0.8.3 (vertex catalog 843f5f0aaa8bd927)"
+            "boxsteer 0.8.4 (vertex catalog 843f5f0aaa8bd927)"
         )
 
 

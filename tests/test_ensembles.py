@@ -213,6 +213,24 @@ class TestNonlocalEnsemble:
         with pytest.raises(bx.ValidationError):
             bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): HALF})
 
+    @pytest.mark.parametrize("products, prs", [
+        ({5: "1"}, None), (None, {5: "1"}), ({(0, 1, 0): "1"}, None),
+    ], ids=["product-key", "pr-key", "product-key-of-three"])
+    def test_from_weights_needs_bit_keys(self, products, prs):
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.NonlocalEnsemble.from_weights(products, prs)
+        assert str(raised.value) == "from_weights takes {bits: weight} dicts"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: bx.ProductMember(1, 5, bx.SBox(0, 0)),
+         "product member factors must be S boxes"),
+        (lambda: bx.PRMember(1, 5), "PR member must wrap a PRBox"),
+    ], ids=["product", "pr"])
+    def test_member_needs_its_boxes(self, build, message):
+        with pytest.raises(bx.ValidationError) as raised:
+            build()
+        assert str(raised.value) == message
+
     def test_member_lookup_bounds(self):
         e = bx.NonlocalEnsemble.from_weights(prs={(0, 0, 0): F(1)})
         assert isinstance(e.member(0), bx.PRMember)
@@ -336,10 +354,8 @@ class TestConstituentAfterMeasurement:
                     if bx.bob_outcome_distribution(box, y)[outcome] == 0:
                         continue
                     conditioned = condition_on_bob(box, y, outcome)
-                    assert (
-                        bx.constituent_after_measurement(m, y, outcome)
-                        == bx.SBox.from_local_box(conditioned)
-                    )
+                    constituent = bx.constituent_after_measurement(m, y, outcome)
+                    assert conditioned == constituent.as_local_box()
                     checked += 1
         assert checked == 16 * 2 + 8 * 4
 
@@ -353,9 +369,13 @@ def oracle_joint(ensemble, y):
         box = member_box(m)
         for b, p_b in enumerate(bx.bob_outcome_distribution(box, y)):
             if p_b:
-                constituent = bx.SBox.from_local_box(condition_on_bob(box, y, b))
-                joint.append((m.weight * p_b, b, p_b < 1, constituent))
+                joint.append((m.weight * p_b, b, p_b < 1, condition_on_bob(box, y, b)))
     return joint
+
+
+def boxed(joint):
+    """A joint with each constituent S box as its local box, as the oracle has it."""
+    return [(share, b, drew, c.as_local_box()) for share, b, drew, c in joint]
 
 
 class TestJointAfterInput:
@@ -366,7 +386,7 @@ class TestJointAfterInput:
         # PR001 and its kin list b = 1 first in their cells at (0, 0); the
         # joint, like the oracle, lists b = 0 first
         for y in BITS:
-            assert list(ensemble._joints[y]) == oracle_joint(ensemble, y)
+            assert boxed(ensemble._joints[y]) == oracle_joint(ensemble, y)
 
     def test_blind_splits_match_conditioning(self):
         rng = random.Random(2007)
@@ -377,7 +397,7 @@ class TestJointAfterInput:
                 split = random_blind_split(rng, canonical)
                 for y in BITS:
                     joint = split._joints[y]
-                    assert list(joint) == oracle_joint(split, y)
+                    assert boxed(joint) == oracle_joint(split, y)
                     assert sum(share for share, _, _, _ in joint) == 1
 
     def test_round_table_built_once(self):

@@ -20,6 +20,7 @@ from strategies import (
     rationals,
     round_log_to_json,
     sbox_to_json,
+    sbox_weights_ensemble,
 )
 
 BITS = (0, 1)
@@ -126,15 +127,18 @@ class TestBipartiteBox:
 class TestEnsemble:
     def test_frozen_form(self):
         report = bx.plan_blind_steering(CANONICAL).report
-        doc = reload(serialize.ensemble_to_json(report.expected_upper))
+        upper = sbox_weights_ensemble(report.expected_upper)
+        doc = reload(serialize.ensemble_to_json(upper))
         assert doc["X"] == 2 and doc["A"] == 2
         members = {tuple(m["f"]): m["w"] for m in doc["members"]}
         assert members == {(0, 0): "1/4", (1, 1): "1/2", (1, 0): "1/4"}
+        assert doc == serialize.blind_report_to_json(report)["upper_ensemble"]
 
     def test_round_trip(self):
         for target in (CANONICAL, bx.TargetState(F(1, 8), F(5, 8))):
             report = bx.plan_blind_steering(target).report
-            for e in (report.expected_upper, report.expected_lower):
+            for weights in (report.expected_upper, report.expected_lower):
+                e = sbox_weights_ensemble(weights)
                 assert ensembles_equal(
                     serialize.ensemble_from_json(reload(serialize.ensemble_to_json(e))), e
                 )

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -772,10 +773,28 @@ FIXED_LOG = (
     '"referee_inference": "S11", "round_id": 3, "x": 1, "y": 1}\n'
 )
 
+PR_BOX = str(Path(__file__).resolve().parent / "pr_box.json")
+# the README pair, one ensemble per Bob input, both mixing to the uniform state
+PR_PAIR = (
+    '[{"X": 2, "A": 2, "members": [{"w": "1/2", "f": [0, 0]}, {"w": "1/2", "f": [1, 1]}]}, '
+    '{"X": 2, "A": 2, "members": [{"w": "1/2", "f": [0, 1]}, {"w": "1/2", "f": [1, 0]}]}]'
+)
+
+
+def command(*argv):
+    """A child's code that runs ``boxsteer *argv`` in-process and needs exit 0;
+    ``PAIR`` in ``argv`` stands for a file holding PR_PAIR."""
+    return f"from boxsteer import cli\nassert cli.main({list(argv)!r}) == 0"
+
+
 # each child's code, and the modules it must not load
 LIGHT_IMPORTS = {
     "import": ("import boxsteer", ("numpy", "scipy")),
     "blind": ("from boxsteer import cli; cli.main(['blind', '1/4', '1/2'])", ("numpy",)),
+    "decompose": (command("decompose", PR_BOX), ("numpy", "scipy")),
+    "check": (command("check", PR_BOX), ("numpy", "scipy")),
+    "steer": (command("steer", "PAIR"), ("numpy", "scipy")),
+    "verify": (command("verify", PR_BOX, "PAIR"), ("numpy", "scipy")),
     "audit": (
         "import boxsteer as bx\n"
         "from boxsteer import serialize\n"
@@ -795,9 +814,12 @@ LIGHT_IMPORTS = {
 
 
 @pytest.mark.parametrize("child", sorted(LIGHT_IMPORTS))
-def test_child_loads_only_what_it_runs(child):
+def test_child_loads_only_what_it_runs(child, tmp_path):
     # numpy loads only when rounds are drawn, and scipy never
     code, unloaded = LIGHT_IMPORTS[child]
+    pair = tmp_path / "pair.json"
+    pair.write_text(PR_PAIR, encoding="utf-8")
+    code = code.replace("'PAIR'", repr(str(pair)))
     check = f"import sys\nloaded = [m for m in {unloaded!r} if m in sys.modules]\nassert not loaded, loaded"
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{check}"], capture_output=True, text=True

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsteer as bx
+from boxsteer import steering
 from strategies import (
     condition_on_bob,
     det_box,
@@ -172,6 +173,22 @@ class TestBobIdentifiesConstituent:
         assert condition_on_bob(state.box, 1, 2) == bx.SBox(1, 1).as_local_box()
 
 
+class TestSteeringState:
+    def test_one_bob_input_per_ensemble(self):
+        box = bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1]).box
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.SteeringState(box, [UNIFORM_E0])
+        assert str(raised.value) == "box must offer one Bob input per source ensemble"
+
+    def test_one_bob_outcome_per_constituent(self):
+        point = sbox_ensemble((F(1), (0, 0)))
+        box = bx.construct_steering_state([point, point]).box
+        assert box.num_outputs_bob == 1
+        with pytest.raises(bx.ValidationError) as raised:
+            bx.SteeringState(box, [UNIFORM_E0, UNIFORM_E1])
+        assert str(raised.value) == "box must offer one Bob outcome per constituent"
+
+
 class TestObligations:
     def test_all_three_pass_on_construction(self):
         state = bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1])
@@ -200,6 +217,27 @@ class TestObligations:
         assert not report.passed
         assert not report.check("conditioning").passed
         assert report.check("conditioning").witness
+
+    def test_signalling_box_names_its_first_three_problems(self):
+        # p(ab|xy) = [a=y][b=0]: Alice's marginal tracks Bob's input
+        box = bx.BipartiteBox([[[[F(int(a == y and b == 0)) for b in BITS] for a in BITS]
+                                for y in BITS] for x in BITS])
+        assert len(bx.no_signalling_violations(box)) == 4
+        assert steering.check_no_signalling_box(box) == bx.CheckResult(
+            "no_signalling",
+            False,
+            "Alice marginal p(a=0|x=0) depends on Bob's input: y=0: 1, y=1: 0; "
+            "Alice marginal p(a=1|x=0) depends on Bob's input: y=0: 0, y=1: 1; "
+            "Alice marginal p(a=0|x=1) depends on Bob's input: y=0: 1, y=1: 0",
+        )
+
+    def test_unknown_check_name(self):
+        report = bx.verify_steering_state(
+            bx.construct_steering_state([UNIFORM_E0, UNIFORM_E1])
+        )
+        with pytest.raises(bx.ValidationError) as raised:
+            report.check("nope")
+        assert str(raised.value) == "no check named 'nope' in report"
 
 
 @settings(max_examples=60, deadline=None)
